@@ -5,13 +5,11 @@
 //! metering enabled and writes one `hcd-metrics-v1` snapshot. CI diffs
 //! fresh runs against the committed copy with `hcd-cli metrics-diff`.
 //!
-//! * `HCD_BENCH_BASELINE_OUT` — output path
-//!   (default `bench/baselines/rmat-small.json`).
-//! * `HCD_BENCH_BASELINE_MODE` — `rayon` (default) | `assist`: the
-//!   executor the pipeline runs on. Both modes walk identical chunk
-//!   tables, so algorithm counters are comparable across the two
-//!   baselines with `metrics-diff --counters-only`; the assist snapshot
-//!   additionally records the self-scheduling imbalance ratios.
+//! The pipeline runs on `Executor::assist(4)`. Every executor mode walks
+//! identical chunk tables, so the algorithm counters also match a
+//! sequential or simulated run under `metrics-diff --counters-only`.
+//! `HCD_BENCH_BASELINE_OUT` overrides the output path (default
+//! `bench/baselines/rmat-small.json`).
 //!
 //! The graph is generated from a fixed seed, so counter values
 //! (peeling rounds, union counts, triangle probes) are reproducible;
@@ -40,13 +38,7 @@ fn main() {
         });
 
     let g = rmat(12, 8, None, 42);
-    let mode = std::env::var("HCD_BENCH_BASELINE_MODE").unwrap_or_default();
-    let exec = match mode.as_str() {
-        "assist" => Executor::assist(4),
-        "" | "rayon" => Executor::rayon(4),
-        other => panic!("bad HCD_BENCH_BASELINE_MODE {other:?} (rayon|assist)"),
-    }
-    .with_metrics();
+    let exec = Executor::assist(4).with_metrics();
     let cores = try_pkc_core_decomposition(&g, &exec).expect("pkc");
     let hcd = phcd(&g, &cores, &exec);
     let ctx = SearchContext::try_with_executor(&g, &cores, &hcd, &exec).expect("search context");

@@ -5,12 +5,11 @@
 //!
 //! * `HCD_BENCH_SCALE` — `tiny` | `small` (default) | `full`: stand-in
 //!   dataset sizes.
-//! * `HCD_BENCH_MODE` — `sim` (default) | `real` | `assist`: how
-//!   parallel runtimes are obtained. `sim` uses the work-span
-//!   simulation of `hcd-par` (required on single-core machines, see
-//!   DESIGN.md substitution 1); `real` measures wall time on actual
-//!   rayon threads with the static chunk schedule; `assist` measures
-//!   wall time on the work-assisting self-scheduling pool.
+//! * `HCD_BENCH_MODE` — `sim` (default) | `assist`: how parallel
+//!   runtimes are obtained. `sim` uses the work-span simulation of
+//!   `hcd-par` (required on single-core machines, see DESIGN.md
+//!   substitution 1); `assist` measures wall time on real threads of
+//!   the work-assisting pool.
 //! * `HCD_BENCH_DATASETS` — comma-separated abbreviations to restrict
 //!   the dataset list.
 //! * `HCD_BENCH_REPS` — repetitions per measurement (default 1; the
@@ -40,8 +39,6 @@ pub const FIGURE_DATASETS: [&str; 6] = ["LJ", "H", "O", "FS", "SK", "UK"];
 pub enum BenchMode {
     /// Work-span simulation (single-core friendly).
     Sim,
-    /// Real wall time on rayon threads (static chunk schedule).
-    Real,
     /// Real wall time on the work-assisting self-scheduling pool.
     Assist,
 }
@@ -50,7 +47,6 @@ impl BenchMode {
     /// Reads `HCD_BENCH_MODE`.
     pub fn from_env() -> BenchMode {
         match std::env::var("HCD_BENCH_MODE").as_deref() {
-            Ok("real") => BenchMode::Real,
             Ok("assist") => BenchMode::Assist,
             _ => BenchMode::Sim,
         }
@@ -75,7 +71,6 @@ pub fn executor(p: usize) -> Executor {
     } else {
         match BenchMode::from_env() {
             BenchMode::Sim => Executor::simulated(p),
-            BenchMode::Real => Executor::rayon(p),
             BenchMode::Assist => Executor::assist(p),
         }
     };
@@ -242,7 +237,7 @@ mod tests {
         let exec = Executor::simulated(4);
         let (sum, d) = time_once(&exec, |e| {
             let acc = std::sync::atomic::AtomicU64::new(0);
-            e.for_each_index(10_000, |i| {
+            e.region("test").for_each_index(10_000, |i| {
                 acc.fetch_add(i as u64, std::sync::atomic::Ordering::Relaxed);
             });
             acc.into_inner()

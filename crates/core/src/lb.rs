@@ -66,7 +66,7 @@ mod tests {
             .min_vertices(10)
             .build();
         let (labels, count) = connected_components(&g);
-        for exec in [Executor::sequential(), Executor::rayon(4)] {
+        for exec in [Executor::sequential(), Executor::assist(4)] {
             let uf = lb_union_all(&g, &exec);
             assert_eq!(uf.num_components(), count);
             for u in g.vertices() {

@@ -116,7 +116,7 @@ mod tests {
         let g = figure_graph();
         for exec in [
             Executor::sequential(),
-            Executor::rayon(4),
+            Executor::assist(4),
             Executor::simulated(3),
         ] {
             let (cores_a, hcd_a) = build_with_order(&g, VertexOrder::None, &exec);
@@ -141,7 +141,7 @@ mod tests {
             b = b.edge(0, base);
         }
         let g = b.build();
-        let exec = Executor::rayon(4);
+        let exec = Executor::assist(4);
         let (cores, hcd) = build_with_order(&g, VertexOrder::Degree, &exec);
         hcd.validate(&g, &cores).unwrap();
     }

@@ -331,7 +331,7 @@ mod tests {
         let truth = naive_hcd(g, &cores).canonicalize();
         for exec in [
             Executor::sequential(),
-            Executor::rayon(4),
+            Executor::assist(4),
             Executor::simulated(3),
         ] {
             let hcd = phcd(g, &cores, &exec);
@@ -404,7 +404,7 @@ mod tests {
         let cores = core_decomposition(&g);
         let a = phcd(&g, &cores, &Executor::sequential());
         for _ in 0..5 {
-            let b = phcd(&g, &cores, &Executor::rayon(4));
+            let b = phcd(&g, &cores, &Executor::assist(4));
             // Not just canonically equal: byte-for-byte identical index.
             assert_eq!(a.nodes(), b.nodes());
             assert_eq!(a.tids(), b.tids());
@@ -415,7 +415,7 @@ mod tests {
     fn validates_against_full_checker() {
         let g = crate::testutil::figure1_graph();
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::rayon(3));
+        let hcd = phcd(&g, &cores, &Executor::assist(3));
         hcd.validate(&g, &cores).unwrap();
     }
 

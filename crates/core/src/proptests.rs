@@ -30,7 +30,7 @@ proptest! {
         let g = build_from_edges(edges, 0);
         let cores = core_decomposition(&g);
         let truth = naive_hcd(&g, &cores).canonicalize();
-        for exec in [Executor::sequential(), Executor::rayon(4), Executor::simulated(3)] {
+        for exec in [Executor::sequential(), Executor::assist(4), Executor::simulated(3)] {
             let got = phcd(&g, &cores, &exec);
             prop_assert_eq!(got.canonicalize(), truth.clone(), "mode {}", exec.mode_name());
         }
@@ -51,7 +51,7 @@ proptest! {
         let g = build_from_edges(edges, 0);
         let cores = core_decomposition(&g);
         let truth = naive_hcd(&g, &cores).canonicalize();
-        prop_assert_eq!(phcd(&g, &cores, &Executor::rayon(4)).canonicalize(), truth.clone());
+        prop_assert_eq!(phcd(&g, &cores, &Executor::assist(4)).canonicalize(), truth.clone());
         prop_assert_eq!(lcps(&g, &cores).canonicalize(), truth);
     }
 

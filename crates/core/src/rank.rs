@@ -179,7 +179,7 @@ mod tests {
         let cores = sample_cores();
         for exec in [
             Executor::sequential(),
-            Executor::rayon(3),
+            Executor::assist(3),
             Executor::simulated(4),
         ] {
             let vr = VertexRanks::compute(&cores, &exec);
@@ -190,7 +190,7 @@ mod tests {
     #[test]
     fn rank_is_inverse_of_vsort() {
         let cores = sample_cores();
-        let vr = VertexRanks::compute(&cores, &Executor::rayon(2));
+        let vr = VertexRanks::compute(&cores, &Executor::assist(2));
         for (i, &v) in vr.vsort().iter().enumerate() {
             assert_eq!(vr.rank(v) as usize, i);
         }

@@ -107,7 +107,7 @@ mod tests {
         let g = figure1_graph();
         let cores = core_decomposition(&g);
         let hcd = phcd(&g, &cores, &Executor::sequential());
-        let confirmed = rc_confirm_parents(&g, &cores, &hcd, &Executor::rayon(2));
+        let confirmed = rc_confirm_parents(&g, &cores, &hcd, &Executor::assist(2));
         assert_eq!(confirmed, hcd.num_nodes() - hcd.roots().len());
     }
 

@@ -125,7 +125,7 @@ mod tests {
             .min_vertices(10)
             .build();
         let expected = core_decomposition(&g);
-        for exec in [Executor::sequential(), Executor::rayon(3)] {
+        for exec in [Executor::sequential(), Executor::assist(3)] {
             assert_eq!(hindex_core_decomposition(&g, &exec), expected);
         }
     }

@@ -193,7 +193,7 @@ mod tests {
         let expected = core_decomposition(g);
         for exec in [
             Executor::sequential(),
-            Executor::rayon(4),
+            Executor::assist(4),
             Executor::simulated(3),
         ] {
             let got = pkc_core_decomposition(g, &exec);
@@ -263,7 +263,7 @@ mod tests {
         let mut seen: Option<(u64, u64)> = None;
         for exec in [
             Executor::sequential().with_metrics(),
-            Executor::rayon(4).with_metrics(),
+            Executor::assist(4).with_metrics(),
             Executor::simulated(3).with_metrics(),
         ] {
             let cd = pkc_core_decomposition(&g, &exec);

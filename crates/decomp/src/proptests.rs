@@ -19,7 +19,7 @@ proptest! {
     fn bz_pkc_hindex_agree(edges in arb_edges(60, 400)) {
         let g = build_from_edges(edges, 0);
         let a = bz::core_decomposition(&g);
-        let exec = Executor::rayon(4);
+        let exec = Executor::assist(4);
         let b = pkc::pkc_core_decomposition(&g, &exec);
         let c = hindex::hindex_core_decomposition(&g, &exec);
         prop_assert_eq!(a.as_slice(), b.as_slice());

@@ -587,7 +587,7 @@ mod tests {
     fn assist_visits_every_index_exactly_once() {
         let exec = Executor::assist(4);
         let visits: Vec<AtomicU8> = (0..N).map(|_| AtomicU8::new(0)).collect();
-        exec.for_each_index(N, |i| {
+        exec.region("test").for_each_index(N, |i| {
             visits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(visits.iter().all(|v| v.load(Ordering::Relaxed) == 1));
@@ -650,12 +650,12 @@ mod tests {
         let b = AtomicUsize::new(0);
         std::thread::scope(|s| {
             s.spawn(|| {
-                exec.for_each_index(N, |_| {
+                exec.region("test").for_each_index(N, |_| {
                     a.fetch_add(1, Ordering::Relaxed);
                 });
             });
             s.spawn(|| {
-                exec.for_each_index(N, |_| {
+                exec.region("test").for_each_index(N, |_| {
                     b.fetch_add(1, Ordering::Relaxed);
                 });
             });
@@ -693,6 +693,7 @@ mod tests {
     fn assist_panic_containment_and_reuse() {
         let exec = Executor::assist(4);
         let err = exec
+            .region("test")
             .try_for_each_chunk(
                 N,
                 || (),
@@ -713,11 +714,12 @@ mod tests {
         }
         // The pool survives and the executor stays usable.
         let acc = AtomicUsize::new(0);
-        exec.try_for_each_index(N, |_| {
-            acc.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        })
-        .unwrap();
+        exec.region("test")
+            .try_for_each_index(N, |_| {
+                acc.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            })
+            .unwrap();
         assert_eq!(acc.into_inner(), N);
     }
 
@@ -725,7 +727,7 @@ mod tests {
     fn assist_pin_threads_degrades_gracefully() {
         let exec = Executor::try_assist_with(ExecutorConfig::new(3).pin_threads(true)).unwrap();
         let acc = AtomicUsize::new(0);
-        exec.for_each_index(N, |_| {
+        exec.region("test").for_each_index(N, |_| {
             acc.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(acc.into_inner(), N);
@@ -752,7 +754,7 @@ mod tests {
     fn assist_chunk_table_matches_static_modes() {
         let record = |exec: &Executor| {
             let r = std::sync::Mutex::new(Vec::new());
-            exec.for_each_chunk(
+            exec.region("test").for_each_chunk(
                 17,
                 || (),
                 |w, _, range| {

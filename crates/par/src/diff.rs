@@ -237,6 +237,10 @@ pub struct SnapshotRegion {
     pub wall_ns: f64,
     pub chunk_max_ns: f64,
     pub imbalance: f64,
+    /// The executor's worker count. Documents written before the field
+    /// existed default to `chunks / invocations`, the divisor their
+    /// `imbalance` was computed with.
+    pub workers: f64,
 }
 
 /// A parsed `hcd-metrics-v1` document, reduced to the comparable values.
@@ -290,6 +294,10 @@ impl Snapshot {
                 wall_ns: num(r, "wall_ns")?,
                 chunk_max_ns: num(r, "chunk_max_ns")?,
                 imbalance: num(r, "imbalance")?,
+                workers: match r.get("workers").and_then(Json::as_f64) {
+                    Some(w) => w,
+                    None => num(r, "chunks")? / num(r, "invocations")?.max(1.0),
+                },
             });
         }
         // `counters` is absent in pre-PR3 documents; treat as empty.
@@ -500,6 +508,14 @@ pub fn diff_metrics(old: &Snapshot, new: &Snapshot, opts: &DiffOptions) -> DiffR
                 regressed,
             });
         }
+        // Advisory: imbalance divides by the worker count, so a change
+        // of `p` between snapshots shows up next to the ratio it moves.
+        report.entries.push(DiffEntry {
+            what: format!("region:{}:workers", o.name),
+            old: o.workers,
+            new: n.workers,
+            regressed: false,
+        });
     }
     for n in &new.regions {
         if old.region(&n.name).is_none() {
@@ -566,6 +582,7 @@ mod tests {
         let rm = RunMetrics {
             regions: vec![RegionMetrics {
                 invocations: 1,
+                workers: 4,
                 chunks: 4,
                 wall_ns: wall,
                 chunk_sum_ns: wall,
@@ -590,6 +607,7 @@ mod tests {
         let r = snap.region("phcd.union").unwrap();
         assert_eq!(r.wall_ns, 2_000_000.0);
         assert_eq!(r.chunk_max_ns, 1_000_000.0);
+        assert_eq!(r.workers, 4.0);
         assert_eq!(snap.counters["uf.cas_retries"], 2_000.0);
     }
 
@@ -816,5 +834,7 @@ mod tests {
         let snap = Snapshot::parse(text).unwrap();
         assert!(snap.counters.is_empty());
         assert_eq!(snap.region("x").unwrap().chunk_max_ns, 5.0);
+        // No `workers` field: defaults to chunks / invocations.
+        assert_eq!(snap.region("x").unwrap().workers, 1.0);
     }
 }

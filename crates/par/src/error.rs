@@ -61,7 +61,7 @@ impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BuildError::ZeroWorkers => write!(f, "worker count must be positive"),
-            BuildError::Pool(msg) => write!(f, "failed to build rayon pool: {msg}"),
+            BuildError::Pool(msg) => write!(f, "failed to build thread pool: {msg}"),
         }
     }
 }
@@ -101,7 +101,7 @@ mod tests {
         );
         assert!(BuildError::Pool("no threads".into())
             .to_string()
-            .contains("failed to build rayon pool"));
+            .contains("failed to build thread pool"));
     }
 
     #[test]

@@ -2,13 +2,11 @@
 //!
 //! The paper evaluates its algorithms with OpenMP static loops on a
 //! 40-core machine. This crate reproduces that execution model in Rust
-//! with a single abstraction, [`Executor`], offering four modes:
+//! with a single abstraction, [`Executor`], offering three modes:
 //!
-//! * **Sequential** — everything runs inline on the calling thread.
-//! * **Rayon** — each parallel region is split into `p` statically
-//!   scheduled chunks executed on a dedicated rayon pool; this is the mode
-//!   for real multicore machines and for concurrency testing.
-//! * **Simulated** — each region is split into the *same* `p` chunks but
+//! * **Sequential** — everything runs inline on the calling thread; the
+//!   determinism oracle every other mode is checked against.
+//! * **Simulated** — each region is split into `p` chunks and
 //!   executed serially, timing every chunk; the simulated parallel
 //!   runtime charges `max(chunk times)` per region plus all time spent
 //!   outside regions. This is the standard self-relative simulated-speedup
@@ -17,8 +15,9 @@
 //!   effects that shape the paper's speedup curves — serial sections
 //!   (Amdahl) and load imbalance across chunks — while not modeling memory
 //!   or atomic contention.
-//! * **Assist** — work-assisting self-scheduling (see the [`assist`
-//!   module docs](crate::Executor::assist)): the region publishes its
+//! * **Assist** — the real-thread mode, for multicore machines and for
+//!   concurrency testing: work-assisting self-scheduling (see
+//!   [`Executor::assist`]) on a persistent pool. The region publishes its
 //!   loop descriptor (region id, atomic next-chunk cursor, chunk table)
 //!   into a shared fixed-size assist array; every worker claims chunks
 //!   from the cursor, and idle pool workers join the busiest live loop
@@ -33,7 +32,8 @@
 //!
 //! # Observability
 //!
-//! Every region can carry a static name via [`Executor::region`]:
+//! Every region is opened through [`Executor::region`], which gives it a
+//! static name:
 //!
 //! ```
 //! # use hcd_par::Executor;
@@ -48,14 +48,13 @@
 //! counts, checkpoint polls, and failure/fault events into a
 //! [`RunMetrics`] snapshot ([`Executor::take_metrics`]); see the
 //! [`metrics`] module. Disabled (the default), the cost is one relaxed
-//! atomic load per region. The legacy unnamed entry points on
-//! [`Executor`] record under the name [`UNNAMED_REGION`].
+//! atomic load per region.
 //!
 //! # Failure model
 //!
-//! Every region also exists in a fallible form (`try_for_each_chunk`,
-//! `try_map_chunks`, and weighted variants) whose chunk bodies return
-//! `Result<_, ParError>` and run under `catch_unwind`:
+//! Every [`Region`] entry point also exists in a fallible form
+//! (`try_for_each_chunk`, `try_map_chunks`, and weighted variants) whose
+//! chunk bodies return `Result<_, ParError>` and run under `catch_unwind`:
 //!
 //! * a **panic** in any chunk is caught at the chunk boundary and
 //!   surfaces as [`ParError::Panicked`] — the pool survives and the
@@ -70,8 +69,8 @@
 //!
 //! The first failure wins; remaining chunks of the region are skipped as
 //! soon as they observe it (chunks already running finish normally —
-//! cancellation is cooperative). The original infallible APIs remain as
-//! thin wrappers that re-raise the failure as a panic.
+//! cancellation is cooperative). The infallible entry points are thin
+//! wrappers that re-raise the failure as a panic.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -113,10 +112,6 @@ use trace::TraceCtl;
 /// one stride.
 pub const CHECKPOINT_STRIDE: usize = 2048;
 
-/// Region name recorded for the legacy unnamed [`Executor`] entry points
-/// (`for_each_chunk` & co. called directly on the executor).
-pub const UNNAMED_REGION: &str = "unnamed";
-
 /// Accumulated accounting of a simulated run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SimStats {
@@ -141,10 +136,6 @@ impl SimStats {
 
 enum Mode {
     Sequential,
-    Rayon {
-        pool: rayon::ThreadPool,
-        workers: usize,
-    },
     Simulated {
         workers: usize,
         stats: Mutex<SimStats>,
@@ -197,38 +188,6 @@ impl Executor {
         }
     }
 
-    /// Real parallel execution on a dedicated pool of `workers` threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0` or the rayon pool cannot be created. Use
-    /// [`Executor::try_rayon`] for a fallible version.
-    pub fn rayon(workers: usize) -> Self {
-        match Self::try_rayon(workers) {
-            Ok(exec) => exec,
-            Err(BuildError::ZeroWorkers) => panic!("worker count must be positive"),
-            Err(e @ BuildError::Pool(_)) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible version of [`Executor::rayon`].
-    pub fn try_rayon(workers: usize) -> Result<Self, BuildError> {
-        if workers == 0 {
-            return Err(BuildError::ZeroWorkers);
-        }
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(workers)
-            .build()
-            .map_err(|e| BuildError::Pool(e.to_string()))?;
-        Ok(Executor {
-            mode: Mode::Rayon { pool, workers },
-            ctrl: Ctrl::default(),
-            metrics: Recorder::default(),
-            trace: TraceCtl::default(),
-            hist: HistRegistry::default(),
-        })
-    }
-
     /// Deterministic work-span simulation of `workers` threads.
     ///
     /// # Panics
@@ -261,7 +220,7 @@ impl Executor {
 
     /// Work-assisting self-scheduling execution with `workers` logical
     /// workers on a dedicated pool (see the crate docs and the assist
-    /// module): chunk tables stay identical to the static modes, but
+    /// module): chunk tables stay identical to the other modes, but
     /// chunks are claimed dynamically through a published loop
     /// descriptor and idle workers join the busiest live loop.
     ///
@@ -303,7 +262,6 @@ impl Executor {
     pub fn num_workers(&self) -> usize {
         match &self.mode {
             Mode::Sequential => 1,
-            Mode::Rayon { workers, .. } => *workers,
             Mode::Simulated { workers, .. } => *workers,
             Mode::Assist { workers, .. } => *workers,
         }
@@ -328,7 +286,6 @@ impl Executor {
     pub fn mode_name(&self) -> &'static str {
         match self.mode {
             Mode::Sequential => "seq",
-            Mode::Rayon { .. } => "rayon",
             Mode::Simulated { .. } => "sim",
             Mode::Assist { .. } => "assist",
         }
@@ -622,149 +579,10 @@ impl Executor {
         Ok(())
     }
 
-    // --- parallel regions (unnamed compatibility surface) ------------
-    //
-    // Each method is a thin delegate to the equivalent method on
-    // `self.region(UNNAMED_REGION)`; algorithms should prefer the named
-    // form so their regions show up attributably in RunMetrics.
-
-    /// A parallel region over `0..n`, split into `p` even chunks, with a
-    /// per-chunk scratch value.
-    ///
-    /// `body(worker, scratch, range)` is invoked once per non-empty chunk;
-    /// `worker` is the chunk index in `0..p`. Chunk boundaries are
-    /// identical in every mode.
-    pub fn for_each_chunk<S, MkS, F>(&self, n: usize, make_scratch: MkS, body: F)
-    where
-        S: Send,
-        MkS: Fn() -> S + Sync,
-        F: Fn(usize, &mut S, Range<usize>) + Sync,
-    {
-        self.region(UNNAMED_REGION)
-            .for_each_chunk(n, make_scratch, body)
-    }
-
-    /// Fallible version of [`Executor::for_each_chunk`]: the body returns
-    /// `Result<(), ParError>`, panics are contained at chunk boundaries,
-    /// and the first failure aborts the region (see crate docs, failure
-    /// model).
-    pub fn try_for_each_chunk<S, MkS, F>(
-        &self,
-        n: usize,
-        make_scratch: MkS,
-        body: F,
-    ) -> Result<(), ParError>
-    where
-        S: Send,
-        MkS: Fn() -> S + Sync,
-        F: Fn(usize, &mut S, Range<usize>) -> Result<(), ParError> + Sync,
-    {
-        self.region(UNNAMED_REGION)
-            .try_for_each_chunk(n, make_scratch, body)
-    }
-
-    /// Like [`Executor::for_each_chunk`], but chunk boundaries balance
-    /// *weight* instead of count: `weight_prefix` is the prefix-sum array
-    /// of per-item costs (length `n + 1`; it may be a window into a larger
-    /// prefix array). Use this for skewed workloads — e.g. adjacency scans
-    /// over power-law graphs, where equal-count chunks would leave one
-    /// worker holding all the hubs.
-    pub fn for_each_chunk_weighted<S, MkS, F>(
-        &self,
-        weight_prefix: &[u64],
-        make_scratch: MkS,
-        body: F,
-    ) where
-        S: Send,
-        MkS: Fn() -> S + Sync,
-        F: Fn(usize, &mut S, Range<usize>) + Sync,
-    {
-        self.region(UNNAMED_REGION)
-            .for_each_chunk_weighted(weight_prefix, make_scratch, body)
-    }
-
-    /// Fallible version of [`Executor::for_each_chunk_weighted`].
-    pub fn try_for_each_chunk_weighted<S, MkS, F>(
-        &self,
-        weight_prefix: &[u64],
-        make_scratch: MkS,
-        body: F,
-    ) -> Result<(), ParError>
-    where
-        S: Send,
-        MkS: Fn() -> S + Sync,
-        F: Fn(usize, &mut S, Range<usize>) -> Result<(), ParError> + Sync,
-    {
-        self.region(UNNAMED_REGION)
-            .try_for_each_chunk_weighted(weight_prefix, make_scratch, body)
-    }
-
-    /// A parallel region over `0..n` without scratch.
-    pub fn for_each_index<F>(&self, n: usize, body: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.region(UNNAMED_REGION).for_each_index(n, body)
-    }
-
-    /// Fallible version of [`Executor::for_each_index`].
-    pub fn try_for_each_index<F>(&self, n: usize, body: F) -> Result<(), ParError>
-    where
-        F: Fn(usize) -> Result<(), ParError> + Sync,
-    {
-        self.region(UNNAMED_REGION).try_for_each_index(n, body)
-    }
-
-    /// A parallel region producing one value per chunk, returned in chunk
-    /// order (empty chunks yield no value, so the result has at most `p`
-    /// elements).
-    pub fn map_chunks<T, F>(&self, n: usize, body: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, Range<usize>) -> T + Sync,
-    {
-        self.region(UNNAMED_REGION).map_chunks(n, body)
-    }
-
-    /// Fallible version of [`Executor::map_chunks`]. On failure the
-    /// already-computed chunk values are dropped.
-    pub fn try_map_chunks<T, F>(&self, n: usize, body: F) -> Result<Vec<T>, ParError>
-    where
-        T: Send,
-        F: Fn(usize, Range<usize>) -> Result<T, ParError> + Sync,
-    {
-        self.region(UNNAMED_REGION).try_map_chunks(n, body)
-    }
-
-    /// Weighted analogue of [`Executor::map_chunks`]; see
-    /// [`Executor::for_each_chunk_weighted`] for the prefix convention.
-    pub fn map_chunks_weighted<T, F>(&self, weight_prefix: &[u64], body: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, Range<usize>) -> T + Sync,
-    {
-        self.region(UNNAMED_REGION)
-            .map_chunks_weighted(weight_prefix, body)
-    }
-
-    /// Fallible version of [`Executor::map_chunks_weighted`].
-    pub fn try_map_chunks_weighted<T, F>(
-        &self,
-        weight_prefix: &[u64],
-        body: F,
-    ) -> Result<Vec<T>, ParError>
-    where
-        T: Send,
-        F: Fn(usize, Range<usize>) -> Result<T, ParError> + Sync,
-    {
-        self.region(UNNAMED_REGION)
-            .try_map_chunks_weighted(weight_prefix, body)
-    }
-
     /// Runs one region: checks cancellation/deadline before each chunk,
     /// applies any injected faults, contains panics, and records the
     /// first failure. Chunks observe a failure flag and skip once it is
-    /// set; in rayon mode, chunks already running complete normally.
+    /// set; in assist mode, chunks already running complete normally.
     ///
     /// When metrics are enabled (or the mode is simulated, which always
     /// needs chunk clocks for `SimStats`), every chunk is timed; the same
@@ -890,17 +708,6 @@ impl Executor {
                     run_chunk(w, range);
                 }
             }
-            Mode::Rayon { pool, .. } => {
-                pool.scope(|scope| {
-                    for (w, range) in ranges.into_iter().enumerate() {
-                        if range.is_empty() {
-                            continue;
-                        }
-                        let run_chunk = &run_chunk;
-                        scope.spawn(move |_| run_chunk(w, range));
-                    }
-                });
-            }
             Mode::Simulated { stats, .. } => {
                 for (w, range) in ranges.into_iter().enumerate() {
                     if range.is_empty() {
@@ -954,6 +761,7 @@ impl Executor {
             let cp_delta = self.metrics.checkpoint_mark().saturating_sub(cp_mark);
             self.metrics.record_region(
                 name,
+                self.num_workers(),
                 region_t0.elapsed(),
                 &cstats,
                 cp_delta,
@@ -988,7 +796,12 @@ impl<'a> Region<'a> {
         self.exec
     }
 
-    /// Named form of [`Executor::for_each_chunk`].
+    /// A parallel region over `0..n`, split into `p` even chunks, with a
+    /// per-chunk scratch value.
+    ///
+    /// `body(worker, scratch, range)` is invoked once per non-empty chunk;
+    /// `worker` is the chunk index in `0..p`. Chunk boundaries are
+    /// identical in every mode.
     pub fn for_each_chunk<S, MkS, F>(&self, n: usize, make_scratch: MkS, body: F)
     where
         S: Send,
@@ -1003,7 +816,10 @@ impl<'a> Region<'a> {
         }
     }
 
-    /// Named form of [`Executor::try_for_each_chunk`].
+    /// Fallible version of [`Region::for_each_chunk`]: the body returns
+    /// `Result<(), ParError>`, panics are contained at chunk boundaries,
+    /// and the first failure aborts the region (see crate docs, failure
+    /// model).
     pub fn try_for_each_chunk<S, MkS, F>(
         &self,
         n: usize,
@@ -1020,7 +836,12 @@ impl<'a> Region<'a> {
             .try_run_ranges(self.name, ranges, make_scratch, body)
     }
 
-    /// Named form of [`Executor::for_each_chunk_weighted`].
+    /// Like [`Region::for_each_chunk`], but chunk boundaries balance
+    /// *weight* instead of count: `weight_prefix` is the prefix-sum array
+    /// of per-item costs (length `n + 1`; it may be a window into a larger
+    /// prefix array). Use this for skewed workloads — e.g. adjacency scans
+    /// over power-law graphs, where equal-count chunks would leave one
+    /// worker holding all the hubs.
     pub fn for_each_chunk_weighted<S, MkS, F>(
         &self,
         weight_prefix: &[u64],
@@ -1039,7 +860,7 @@ impl<'a> Region<'a> {
         }
     }
 
-    /// Named form of [`Executor::try_for_each_chunk_weighted`].
+    /// Fallible version of [`Region::for_each_chunk_weighted`].
     pub fn try_for_each_chunk_weighted<S, MkS, F>(
         &self,
         weight_prefix: &[u64],
@@ -1056,7 +877,7 @@ impl<'a> Region<'a> {
             .try_run_ranges(self.name, ranges, make_scratch, body)
     }
 
-    /// Named form of [`Executor::for_each_index`].
+    /// A parallel region over `0..n` without scratch.
     pub fn for_each_index<F>(&self, n: usize, body: F)
     where
         F: Fn(usize) + Sync,
@@ -1072,7 +893,7 @@ impl<'a> Region<'a> {
         );
     }
 
-    /// Named form of [`Executor::try_for_each_index`].
+    /// Fallible version of [`Region::for_each_index`].
     pub fn try_for_each_index<F>(&self, n: usize, body: F) -> Result<(), ParError>
     where
         F: Fn(usize) -> Result<(), ParError> + Sync,
@@ -1089,7 +910,9 @@ impl<'a> Region<'a> {
         )
     }
 
-    /// Named form of [`Executor::map_chunks`].
+    /// A parallel region producing one value per chunk, returned in chunk
+    /// order (empty chunks yield no value, so the result has at most `p`
+    /// elements).
     pub fn map_chunks<T, F>(&self, n: usize, body: F) -> Vec<T>
     where
         T: Send,
@@ -1101,7 +924,8 @@ impl<'a> Region<'a> {
         }
     }
 
-    /// Named form of [`Executor::try_map_chunks`].
+    /// Fallible version of [`Region::map_chunks`]. On failure the
+    /// already-computed chunk values are dropped.
     pub fn try_map_chunks<T, F>(&self, n: usize, body: F) -> Result<Vec<T>, ParError>
     where
         T: Send,
@@ -1120,7 +944,8 @@ impl<'a> Region<'a> {
         Ok(slots.into_iter().filter_map(|s| s.into_inner()).collect())
     }
 
-    /// Named form of [`Executor::map_chunks_weighted`].
+    /// Weighted analogue of [`Region::map_chunks`]; see
+    /// [`Region::for_each_chunk_weighted`] for the prefix convention.
     pub fn map_chunks_weighted<T, F>(&self, weight_prefix: &[u64], body: F) -> Vec<T>
     where
         T: Send,
@@ -1132,7 +957,7 @@ impl<'a> Region<'a> {
         }
     }
 
-    /// Named form of [`Executor::try_map_chunks_weighted`].
+    /// Fallible version of [`Region::map_chunks_weighted`].
     pub fn try_map_chunks_weighted<T, F>(
         &self,
         weight_prefix: &[u64],
@@ -1180,7 +1005,7 @@ mod tests {
 
     fn sum_with(exec: &Executor, n: usize) -> usize {
         let acc = AtomicUsize::new(0);
-        exec.for_each_index(n, |i| {
+        exec.region("test").for_each_index(n, |i| {
             acc.fetch_add(i, Ordering::Relaxed);
         });
         acc.into_inner()
@@ -1191,7 +1016,6 @@ mod tests {
         let n = 1000;
         let expected = n * (n - 1) / 2;
         assert_eq!(sum_with(&Executor::sequential(), n), expected);
-        assert_eq!(sum_with(&Executor::rayon(4), n), expected);
         assert_eq!(sum_with(&Executor::simulated(4), n), expected);
         assert_eq!(sum_with(&Executor::assist(4), n), expected);
     }
@@ -1200,7 +1024,6 @@ mod tests {
     fn zero_length_region_is_noop() {
         for exec in [
             Executor::sequential(),
-            Executor::rayon(2),
             Executor::simulated(3),
             Executor::assist(2),
         ] {
@@ -1211,11 +1034,9 @@ mod tests {
     #[test]
     fn worker_counts() {
         assert_eq!(Executor::sequential().num_workers(), 1);
-        assert_eq!(Executor::rayon(3).num_workers(), 3);
         assert_eq!(Executor::simulated(7).num_workers(), 7);
         assert_eq!(Executor::assist(5).num_workers(), 5);
         assert!(Executor::simulated(7).is_simulated());
-        assert!(!Executor::rayon(2).is_simulated());
         assert!(!Executor::assist(2).is_simulated());
         assert_eq!(Executor::assist(2).mode_name(), "assist");
     }
@@ -1223,7 +1044,7 @@ mod tests {
     #[test]
     fn map_chunks_returns_in_chunk_order() {
         let exec = Executor::simulated(4);
-        let starts = exec.map_chunks(10, |_, range| range.start);
+        let starts = exec.region("test").map_chunks(10, |_, range| range.start);
         assert_eq!(starts.len(), 4);
         let mut sorted = starts.clone();
         sorted.sort_unstable();
@@ -1232,17 +1053,17 @@ mod tests {
 
     #[test]
     fn map_chunks_skips_empty_chunks() {
-        let exec = Executor::rayon(8);
-        let vals = exec.map_chunks(3, |_, range| range.len());
+        let exec = Executor::assist(8);
+        let vals = exec.region("test").map_chunks(3, |_, range| range.len());
         assert_eq!(vals.iter().sum::<usize>(), 3);
         assert!(vals.len() <= 3);
     }
 
     #[test]
     fn scratch_is_per_chunk() {
-        let exec = Executor::rayon(4);
+        let exec = Executor::assist(4);
         let totals = Mutex::new(Vec::new());
-        exec.for_each_chunk(
+        exec.region("test").for_each_chunk(
             100,
             || 0usize,
             |_, scratch, range| {
@@ -1260,7 +1081,7 @@ mod tests {
     #[test]
     fn sim_stats_accumulate_and_reset() {
         let exec = Executor::simulated(4);
-        exec.for_each_index(100, |_| {
+        exec.region("test").for_each_index(100, |_| {
             std::hint::black_box(0);
         });
         let st = exec.take_sim_stats();
@@ -1290,28 +1111,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_boundaries_identical_across_modes() {
-        let record = |exec: &Executor| {
-            let r = Mutex::new(Vec::new());
-            exec.for_each_chunk(
-                17,
-                || (),
-                |w, _, range| {
-                    r.lock().push((w, range.start, range.end));
-                },
-            );
-            let mut v = r.into_inner();
-            v.sort_unstable();
-            v
-        };
-        let a = record(&Executor::rayon(5));
-        let b = record(&Executor::simulated(5));
-        assert_eq!(a, b);
-        let c = record(&Executor::assist(5));
-        assert_eq!(a, c);
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn zero_workers_rejected() {
         Executor::simulated(0);
@@ -1326,7 +1125,6 @@ mod fault_tests {
     fn executors() -> Vec<Executor> {
         vec![
             Executor::sequential(),
-            Executor::rayon(4),
             Executor::simulated(4),
             Executor::assist(4),
         ]
@@ -1335,10 +1133,6 @@ mod fault_tests {
     #[test]
     fn try_constructors() {
         assert!(matches!(
-            Executor::try_rayon(0),
-            Err(BuildError::ZeroWorkers)
-        ));
-        assert!(matches!(
             Executor::try_simulated(0),
             Err(BuildError::ZeroWorkers)
         ));
@@ -1346,7 +1140,6 @@ mod fault_tests {
             Executor::try_assist(0),
             Err(BuildError::ZeroWorkers)
         ));
-        assert_eq!(Executor::try_rayon(2).unwrap().num_workers(), 2);
         assert_eq!(Executor::try_simulated(3).unwrap().num_workers(), 3);
         assert_eq!(Executor::try_assist(3).unwrap().num_workers(), 3);
     }
@@ -1355,6 +1148,7 @@ mod fault_tests {
     fn panic_in_chunk_is_contained_in_all_modes() {
         for exec in executors() {
             let err = exec
+                .region("test")
                 .try_for_each_chunk(
                     100,
                     || (),
@@ -1375,11 +1169,12 @@ mod fault_tests {
             }
             // The executor survives and runs a clean region afterwards.
             let acc = AtomicUsize::new(0);
-            exec.try_for_each_index(50, |_| {
-                acc.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            })
-            .unwrap();
+            exec.region("test")
+                .try_for_each_index(50, |_| {
+                    acc.fetch_add(1, Ordering::Relaxed);
+                    Ok(())
+                })
+                .unwrap();
             assert_eq!(acc.into_inner(), 50, "{}", exec.mode_name());
         }
     }
@@ -1389,6 +1184,7 @@ mod fault_tests {
         for exec in executors() {
             let last = exec.num_workers() - 1;
             let err = exec
+                .region("test")
                 .try_for_each_chunk(
                     100,
                     || (),
@@ -1412,6 +1208,7 @@ mod fault_tests {
             token.cancel();
             let ran = AtomicUsize::new(0);
             let err = exec
+                .region("test")
                 .try_for_each_index(1000, |_| {
                     ran.fetch_add(1, Ordering::Relaxed);
                     Ok(())
@@ -1421,7 +1218,9 @@ mod fault_tests {
             assert_eq!(ran.into_inner(), 0, "{}", exec.mode_name());
             // Clearing the token restores normal operation.
             exec.clear_cancel();
-            exec.try_for_each_index(10, |_| Ok(())).unwrap();
+            exec.region("test")
+                .try_for_each_index(10, |_| Ok(()))
+                .unwrap();
         }
     }
 
@@ -1429,10 +1228,15 @@ mod fault_tests {
     fn expired_deadline_aborts_region() {
         for exec in executors() {
             exec.set_deadline(Deadline::from_now(Duration::ZERO));
-            let err = exec.try_for_each_index(1000, |_| Ok(())).unwrap_err();
+            let err = exec
+                .region("test")
+                .try_for_each_index(1000, |_| Ok(()))
+                .unwrap_err();
             assert_eq!(err, ParError::DeadlineExceeded, "{}", exec.mode_name());
             exec.clear_deadline();
-            exec.try_for_each_index(10, |_| Ok(())).unwrap();
+            exec.region("test")
+                .try_for_each_index(10, |_| Ok(()))
+                .unwrap();
         }
     }
 
@@ -1457,9 +1261,14 @@ mod fault_tests {
         for exec in executors() {
             exec.set_fault_plan(FaultPlan::new().inject(1, 0, Fault::Panic));
             // Region 0: clean.
-            exec.try_for_each_index(10, |_| Ok(())).unwrap();
+            exec.region("test")
+                .try_for_each_index(10, |_| Ok(()))
+                .unwrap();
             // Region 1, chunk 0: injected panic.
-            let err = exec.try_for_each_index(10, |_| Ok(())).unwrap_err();
+            let err = exec
+                .region("test")
+                .try_for_each_index(10, |_| Ok(()))
+                .unwrap_err();
             match err {
                 ParError::Panicked { worker, payload } => {
                     assert_eq!(worker, 0, "{}", exec.mode_name());
@@ -1468,18 +1277,23 @@ mod fault_tests {
                 other => panic!("expected Panicked, got {other:?}"),
             }
             // Region 2: the plan has no site here; clean again.
-            exec.try_for_each_index(10, |_| Ok(())).unwrap();
+            exec.region("test")
+                .try_for_each_index(10, |_| Ok(()))
+                .unwrap();
             exec.clear_fault_plan();
         }
     }
 
     #[test]
     fn injected_cancel_trips_the_shared_token() {
-        let exec = Executor::rayon(4);
+        let exec = Executor::assist(4);
         let token = CancelToken::new();
         exec.set_cancel(token.clone());
         exec.set_fault_plan(FaultPlan::new().inject(0, 0, Fault::Cancel));
-        let err = exec.try_for_each_index(100, |_| Ok(())).unwrap_err();
+        let err = exec
+            .region("test")
+            .try_for_each_index(100, |_| Ok(()))
+            .unwrap_err();
         assert_eq!(err, ParError::Cancelled);
         assert!(token.is_cancelled());
     }
@@ -1489,11 +1303,12 @@ mod fault_tests {
         let exec = Executor::simulated(4);
         exec.set_fault_plan(FaultPlan::new().inject(0, 2, Fault::Delay(100)));
         let acc = AtomicUsize::new(0);
-        exec.try_for_each_index(100, |_| {
-            acc.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        })
-        .unwrap();
+        exec.region("test")
+            .try_for_each_index(100, |_| {
+                acc.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            })
+            .unwrap();
         assert_eq!(acc.into_inner(), 100);
         // The straggler chunk was charged to the simulated critical path.
         assert!(exec.take_sim_stats().charged >= Duration::from_micros(100));
@@ -1502,12 +1317,19 @@ mod fault_tests {
     #[test]
     fn installing_a_plan_resets_region_numbering() {
         let exec = Executor::sequential();
-        exec.try_for_each_index(5, |_| Ok(())).unwrap();
-        exec.try_for_each_index(5, |_| Ok(())).unwrap();
+        exec.region("test")
+            .try_for_each_index(5, |_| Ok(()))
+            .unwrap();
+        exec.region("test")
+            .try_for_each_index(5, |_| Ok(()))
+            .unwrap();
         // Region counter is at 2, but a fresh plan re-zeroes it, so a
         // region-0 site still fires.
         exec.set_fault_plan(FaultPlan::new().inject(0, 0, Fault::Panic));
-        assert!(exec.try_for_each_index(5, |_| Ok(())).is_err());
+        assert!(exec
+            .region("test")
+            .try_for_each_index(5, |_| Ok(()))
+            .is_err());
     }
 
     #[test]
@@ -1549,6 +1371,7 @@ mod fault_tests {
         for exec in executors() {
             let last = exec.num_workers() - 1;
             let err = exec
+                .region("test")
                 .try_map_chunks(100, |w, range| {
                     if w == last {
                         panic!("mapper died");
@@ -1559,6 +1382,7 @@ mod fault_tests {
             assert!(matches!(err, ParError::Panicked { worker, .. } if worker == last));
             // Clean run afterwards returns complete results.
             let lens = exec
+                .region("test")
                 .try_map_chunks(100, |_, range| Ok(range.len()))
                 .unwrap();
             assert_eq!(lens.iter().sum::<usize>(), 100);
@@ -1567,9 +1391,9 @@ mod fault_tests {
 
     #[test]
     fn infallible_wrapper_re_raises_contained_panic() {
-        let exec = Executor::rayon(2);
+        let exec = Executor::assist(2);
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            exec.for_each_index(10, |i| {
+            exec.region("test").for_each_index(10, |i| {
                 if i == 3 {
                     panic!("original message");
                 }
@@ -1579,7 +1403,7 @@ mod fault_tests {
         let text = error::payload_to_string(&*payload);
         assert!(text.contains("original message"), "{text}");
         // Executor is still usable after the re-raise.
-        let sums = exec.map_chunks(10, |_, r| r.len());
+        let sums = exec.region("test").map_chunks(10, |_, r| r.len());
         assert_eq!(sums.iter().sum::<usize>(), 10);
     }
 }
@@ -1592,7 +1416,6 @@ mod metrics_tests {
     fn executors() -> Vec<Executor> {
         vec![
             Executor::sequential(),
-            Executor::rayon(4),
             Executor::simulated(4),
             Executor::assist(4),
         ]
@@ -1629,15 +1452,6 @@ mod metrics_tests {
             assert!(exec.metrics_enabled());
             assert!(exec.take_metrics().is_empty());
         }
-    }
-
-    #[test]
-    fn unnamed_entry_points_record_under_the_sentinel_name() {
-        let exec = Executor::sequential().with_metrics();
-        exec.for_each_index(10, |_| {});
-        let m = exec.take_metrics();
-        assert_eq!(m.regions.len(), 1);
-        assert_eq!(m.regions[0].name, UNNAMED_REGION);
     }
 
     #[test]
@@ -1738,7 +1552,7 @@ mod metrics_tests {
     #[test]
     fn overhead_free_disabled_path_still_computes() {
         // Sanity: metrics disabled, named regions still execute correctly.
-        let exec = Executor::rayon(4);
+        let exec = Executor::assist(4);
         let acc = AtomicUsize::new(0);
         exec.region("quiet").for_each_index(1000, |i| {
             acc.fetch_add(i, Ordering::Relaxed);
@@ -1791,7 +1605,6 @@ mod trace_tests {
     fn executors() -> Vec<Executor> {
         vec![
             Executor::sequential(),
-            Executor::rayon(4),
             Executor::simulated(4),
             Executor::assist(4),
         ]
@@ -1952,7 +1765,7 @@ mod trace_tests {
 
     #[test]
     fn chrome_export_of_real_run_is_well_formed() {
-        let exec = Executor::rayon(3);
+        let exec = Executor::assist(3);
         exec.arm_trace();
         let acc = AtomicUsize::new(0);
         exec.region("export.me").for_each_index(300, |_| {

@@ -44,12 +44,16 @@ pub struct RegionMetrics {
     pub name: &'static str,
     /// Number of times a region with this name was executed.
     pub invocations: u64,
-    /// Total non-empty chunks executed across all invocations.
+    /// The executor's worker count `p` (1 in sequential mode): the
+    /// number of workers each invocation could have kept busy.
+    pub workers: u64,
+    /// Total non-empty chunks executed across all invocations (in
+    /// assist mode: per-worker participation spans).
     pub chunks: u64,
     /// Wall time of the region bodies, summed over invocations
     /// (includes the scheduling barrier, so `wall_ns >= chunk_max_ns`
     /// in sequential/simulated modes and `>=` the critical path in
-    /// rayon mode).
+    /// assist mode).
     pub wall_ns: u64,
     /// Sum of all chunk durations (the region's total work).
     pub chunk_sum_ns: u64,
@@ -81,6 +85,7 @@ impl RegionMetrics {
         RegionMetrics {
             name,
             invocations: 0,
+            workers: 0,
             chunks: 0,
             wall_ns: 0,
             chunk_sum_ns: 0,
@@ -94,15 +99,21 @@ impl RegionMetrics {
         }
     }
 
-    /// Load-imbalance ratio: critical path over ideal (mean) chunk
-    /// time, `chunk_max / (chunk_sum / chunks)`. `1.0` is a perfectly
-    /// balanced region; `p` means one chunk did all the work of a
-    /// `p`-chunk region. Returns `1.0` for degenerate (no-work) regions.
+    /// Load-imbalance ratio: critical path over the ideal per-worker
+    /// share, `chunk_max / (chunk_sum / (invocations × p))`. Workers
+    /// that ran nothing count as zero, so `1.0` is a perfectly balanced
+    /// region and `p` means one worker did all the work while `p − 1`
+    /// idled. The divisor never drops below the spans that actually
+    /// ran (an assist owner plus `p` pool workers can be `p + 1`), so
+    /// the ratio stays `>= 1`; with `workers == 0` (never recorded) it
+    /// is the per-span ratio `chunk_max / (chunk_sum / chunks)`. Returns
+    /// `1.0` for degenerate (no-work) regions.
     pub fn imbalance(&self) -> f64 {
         if self.chunks == 0 || self.chunk_sum_ns == 0 {
             return 1.0;
         }
-        let mean = self.chunk_sum_ns as f64 / self.chunks as f64;
+        let slots = (self.invocations * self.workers).max(self.chunks);
+        let mean = self.chunk_sum_ns as f64 / slots as f64;
         self.chunk_max_ns as f64 / (self.invocations as f64 * mean)
     }
 
@@ -195,7 +206,7 @@ impl RunMetrics {
     ///   "total_charged_ns": 45,
     ///   "regions": [
     ///     {
-    ///       "name": "phcd.union", "invocations": 3, "chunks": 12,
+    ///       "name": "phcd.union", "invocations": 3, "workers": 4, "chunks": 12,
     ///       "wall_ns": 100, "chunk_sum_ns": 90, "chunk_max_ns": 30,
     ///       "chunk_min_ns": 10, "imbalance": 1.33, "checkpoints": 5,
     ///       "cancelled": 0, "deadline_exceeded": 0, "panicked": 0,
@@ -246,13 +257,14 @@ impl RunMetrics {
             }
             let name = escape_json(r.name);
             out.push_str(&format!(
-                "\n    {{\"name\": \"{}\", \"invocations\": {}, \"chunks\": {}, \
+                "\n    {{\"name\": \"{}\", \"invocations\": {}, \"workers\": {}, \"chunks\": {}, \
                  \"wall_ns\": {}, \"chunk_sum_ns\": {}, \"chunk_max_ns\": {}, \
                  \"chunk_min_ns\": {}, \"imbalance\": {:.4}, \"checkpoints\": {}, \
                  \"cancelled\": {}, \"deadline_exceeded\": {}, \"panicked\": {}, \
                  \"faults_injected\": {}}}",
                 name,
                 r.invocations,
+                r.workers,
                 r.chunks,
                 r.wall_ns,
                 r.chunk_sum_ns,
@@ -416,10 +428,12 @@ impl Recorder {
         self.checkpoint_polls.load(Ordering::Relaxed)
     }
 
-    /// Folds one region execution into its named slot.
+    /// Folds one region execution on a `workers`-wide executor into its
+    /// named slot.
     pub(crate) fn record_region(
         &self,
         name: &'static str,
+        workers: usize,
         wall: Duration,
         chunks: &ChunkStats,
         checkpoint_delta: usize,
@@ -434,6 +448,7 @@ impl Recorder {
             }
         };
         slot.invocations += 1;
+        slot.workers = slot.workers.max(workers as u64);
         slot.chunks += chunks.chunks();
         slot.wall_ns += u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
         slot.chunk_sum_ns += u64::try_from(chunks.sum().as_nanos()).unwrap_or(u64::MAX);
@@ -485,6 +500,7 @@ mod tests {
     fn region(name: &'static str) -> RegionMetrics {
         RegionMetrics {
             invocations: 2,
+            workers: 4,
             chunks: 8,
             wall_ns: 1_000,
             chunk_sum_ns: 800,
@@ -550,6 +566,37 @@ mod tests {
     }
 
     #[test]
+    fn imbalance_counts_idle_workers() {
+        // One participant did all the work on a 4-worker executor: the
+        // three idle workers count as zero, so the ratio reads 4.0.
+        let rec = Recorder::default();
+        let spans = ChunkStats::new();
+        spans.record(Duration::from_nanos(1_000));
+        rec.record_region("lone", 4, Duration::from_nanos(1_100), &spans, 0, None);
+        let m = rec.take();
+        let lone = m.get("lone").unwrap();
+        assert_eq!((lone.workers, lone.chunks), (4, 1));
+        assert!(
+            (lone.imbalance() - 4.0).abs() < 1e-12,
+            "{}",
+            lone.imbalance()
+        );
+
+        // Two of four workers splitting the work evenly: 2.0.
+        let mut half = lone.clone();
+        half.chunks = 2;
+        half.chunk_max_ns = 500;
+        assert!((half.imbalance() - 2.0).abs() < 1e-12);
+
+        // An assist owner plus all `p` pool workers can record `p + 1`
+        // spans; a perfectly even split still reads 1.0, never below.
+        let mut crowded = lone.clone();
+        crowded.chunks = 5;
+        crowded.chunk_max_ns = 200;
+        assert!((crowded.imbalance() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
     fn json_shape_is_stable() {
         let rm = RunMetrics {
             regions: vec![region("phcd.union"), region("pbks.triangles")],
@@ -566,6 +613,7 @@ mod tests {
         assert!(json.contains("\"sub_bits\": 2"));
         assert!(json.contains("\"name\": \"phcd.union\""));
         assert!(json.contains("\"chunk_max_ns\": 300"));
+        assert!(json.contains("\"workers\": 4"));
         assert!(json.contains("\"imbalance\": 1.5000"));
         assert!(json.contains("\"total_charged_ns\": 600"));
         assert!(json.contains("\"name\": \"uf.cas_retries\", \"kind\": \"sum\", \"value\": 17"));
@@ -614,9 +662,10 @@ mod tests {
         cs.record(Duration::from_nanos(100));
         cs.record(Duration::from_nanos(300));
         cs.note_fault();
-        rec.record_region("a", Duration::from_nanos(500), &cs, 3, None);
+        rec.record_region("a", 4, Duration::from_nanos(500), &cs, 3, None);
         rec.record_region(
             "a",
+            4,
             Duration::from_nanos(100),
             &ChunkStats::new(),
             0,
@@ -626,6 +675,7 @@ mod tests {
         assert_eq!(m.regions.len(), 1);
         let a = m.get("a").unwrap();
         assert_eq!(a.invocations, 2);
+        assert_eq!(a.workers, 4);
         assert_eq!(a.chunks, 2);
         assert_eq!(a.chunk_sum_ns, 400);
         assert_eq!(a.chunk_max_ns, 300);

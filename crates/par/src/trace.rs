@@ -30,7 +30,7 @@
 //! `worker-w` (tid `w + 1`), while region-level enter/exit spans land on
 //! the `regions` track (tid 0). This makes the three executor modes
 //! directly comparable in a viewer — in simulated mode the worker tracks
-//! show the serialized schedule the work-span model re-prices, in rayon
+//! show the serialized schedule the work-span model re-prices, in assist
 //! mode they show real concurrency.
 
 use std::cell::UnsafeCell;

@@ -115,7 +115,7 @@ mod tests {
     fn inline_variant_matches_preprocessed() {
         let (g, cores, hcd) = search_fixture();
         let ctx = SearchContext::new(&g, &cores, &hcd);
-        let exec = Executor::rayon(2);
+        let exec = Executor::assist(2);
         for metric in [
             Metric::AverageDegree,
             Metric::Conductance,

@@ -106,7 +106,7 @@ mod tests {
         let hcd = phcd(&g, &cores, &Executor::sequential());
         for exec in [
             Executor::sequential(),
-            Executor::rayon(4),
+            Executor::assist(4),
             Executor::simulated(2),
         ] {
             let mut counts: Vec<usize> = hcd.nodes().iter().map(|n| n.vertices.len()).collect();
@@ -128,7 +128,7 @@ mod tests {
         let cores = core_decomposition(&g);
         let hcd = phcd(&g, &cores, &Executor::sequential());
         let mut values: Vec<u64> = Vec::new();
-        accumulate_bottom_up(&hcd, &mut values, |a, b| *a += *b, &Executor::rayon(2));
+        accumulate_bottom_up(&hcd, &mut values, |a, b| *a += *b, &Executor::assist(2));
         assert!(values.is_empty());
     }
 

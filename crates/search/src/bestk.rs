@@ -201,7 +201,7 @@ mod tests {
     fn core_set_primaries_match_brute_force() {
         let (g, cores, hcd) = search_fixture();
         let ctx = SearchContext::new(&g, &cores, &hcd);
-        for exec in [Executor::sequential(), Executor::rayon(3)] {
+        for exec in [Executor::sequential(), Executor::assist(3)] {
             let scores = core_set_scores(&ctx, &Metric::ClusteringCoefficient, &exec);
             for ls in &scores {
                 let members = cores.core_set(ls.k);
@@ -240,7 +240,7 @@ mod tests {
             &Executor::sequential(),
         )
         .unwrap();
-        for exec in [Executor::rayon(4), Executor::simulated(3)] {
+        for exec in [Executor::assist(4), Executor::simulated(3)] {
             // An injected panic fails cleanly...
             exec.set_fault_plan(hcd_par::FaultPlan::new().inject(0, 0, hcd_par::Fault::Panic));
             let err = try_best_k(&ctx, &Metric::ClusteringCoefficient, &exec).unwrap_err();

@@ -255,7 +255,7 @@ mod tests {
         let ctx = SearchContext::new(&g, &cores, &hcd);
         for metric in Metric::ALL {
             let a = bks(&ctx, &metric).unwrap();
-            let b = crate::pbks::pbks(&ctx, &metric, &Executor::rayon(2)).unwrap();
+            let b = crate::pbks::pbks(&ctx, &metric, &Executor::assist(2)).unwrap();
             assert_eq!(a, b, "{}", metric.name());
         }
     }

@@ -82,7 +82,7 @@ mod tests {
     fn pbks_d_and_opt_d_agree() {
         let (g, cores, hcd) = search_fixture();
         let ctx = SearchContext::new(&g, &cores, &hcd);
-        let a = pbks_d(&ctx, &Executor::rayon(2)).unwrap();
+        let a = pbks_d(&ctx, &Executor::assist(2)).unwrap();
         let b = opt_d(&ctx).unwrap();
         assert_eq!(a, b);
     }

@@ -169,7 +169,7 @@ mod tests {
         let (g, cores, hcd) = search_fixture();
         let ctx = SearchContext::new(&g, &cores, &hcd);
         let weights = weights_by_id(g.num_vertices());
-        for exec in [Executor::sequential(), Executor::rayon(3)] {
+        for exec in [Executor::sequential(), Executor::assist(3)] {
             let idx = InfluenceIndex::build(&ctx, &weights, &exec);
             for i in 0..hcd.num_nodes() as u32 {
                 let want = hcd
@@ -207,7 +207,7 @@ mod tests {
         let (g, cores, hcd) = search_fixture();
         let ctx = SearchContext::new(&g, &cores, &hcd);
         let weights = weights_by_id(g.num_vertices());
-        let idx = InfluenceIndex::build(&ctx, &weights, &Executor::rayon(2));
+        let idx = InfluenceIndex::build(&ctx, &weights, &Executor::assist(2));
         for i in 0..hcd.num_nodes() as u32 {
             let node = hcd.node(i);
             if node.parent != NO_NODE {

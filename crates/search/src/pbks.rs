@@ -346,7 +346,7 @@ mod tests {
         let ctx = SearchContext::new(&g, &cores, &hcd);
         for exec in [
             Executor::sequential(),
-            Executor::rayon(4),
+            Executor::assist(4),
             Executor::simulated(3),
         ] {
             let (_, primaries) = pbks_scores(&ctx, &Metric::ClusteringCoefficient, &exec);
@@ -380,7 +380,7 @@ mod tests {
         let (g, cores, hcd) = search_fixture();
         let ctx = SearchContext::new(&g, &cores, &hcd);
         for metric in Metric::ALL {
-            let best = pbks(&ctx, &metric, &Executor::rayon(2)).unwrap();
+            let best = pbks(&ctx, &metric, &Executor::assist(2)).unwrap();
             assert!(best.score.is_finite(), "{}", metric.name());
             assert!((best.node as usize) < hcd.num_nodes());
         }

@@ -146,7 +146,7 @@ mod tests {
             .build();
         let cores = core_decomposition(&g);
         let hcd = phcd(&g, &cores, &Executor::sequential());
-        for exec in [Executor::sequential(), Executor::rayon(3)] {
+        for exec in [Executor::sequential(), Executor::assist(3)] {
             let ctx = SearchContext::with_executor(&g, &cores, &hcd, &exec);
             assert_eq!((ctx.gt(0), ctx.eq(0), ctx.lt(0)), (0, 2, 0));
             assert_eq!((ctx.gt(2), ctx.eq(2), ctx.lt(2)), (0, 2, 1));

@@ -28,7 +28,7 @@ proptest! {
         let cores = core_decomposition(&g);
         let hcd = phcd(&g, &cores, &Executor::sequential());
         let ctx = SearchContext::new(&g, &cores, &hcd);
-        for exec in [Executor::sequential(), Executor::rayon(4), Executor::simulated(2)] {
+        for exec in [Executor::sequential(), Executor::assist(4), Executor::simulated(2)] {
             let (_, primaries) = pbks_scores(&ctx, &Metric::ClusteringCoefficient, &exec);
             for i in 0..hcd.num_nodes() as u32 {
                 let want = primaries_by_definition(&g, &hcd.subtree_vertices(i));
@@ -43,7 +43,7 @@ proptest! {
         let cores = core_decomposition(&g);
         let hcd = phcd(&g, &cores, &Executor::sequential());
         let ctx = SearchContext::new(&g, &cores, &hcd);
-        let exec = Executor::rayon(3);
+        let exec = Executor::assist(3);
         for metric in Metric::ALL {
             let (sb, pb) = bks_scores(&ctx, &metric);
             let (sp, pp) = pbks_scores(&ctx, &metric, &exec);
@@ -58,7 +58,7 @@ proptest! {
         let cores = core_decomposition(&g);
         let hcd = phcd(&g, &cores, &Executor::sequential());
         let ctx = SearchContext::new(&g, &cores, &hcd);
-        let levels = core_set_scores(&ctx, &Metric::ClusteringCoefficient, &Executor::rayon(2));
+        let levels = core_set_scores(&ctx, &Metric::ClusteringCoefficient, &Executor::assist(2));
         for ls in levels {
             let want = primaries_by_definition(&g, &cores.core_set(ls.k));
             prop_assert_eq!(ls.primaries, want, "k={}", ls.k);

@@ -1119,7 +1119,7 @@ mod tests {
     fn query_batch_answers_in_order_from_one_snapshot() {
         for exec in [
             Executor::sequential(),
-            Executor::rayon(4),
+            Executor::assist(4),
             Executor::simulated(4),
         ] {
             let svc = HcdService::new(&triangle_plus_tail(), &exec);

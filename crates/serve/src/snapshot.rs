@@ -136,9 +136,9 @@ mod tests {
             .edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0), (1, 4)])
             .build();
         let seq = Snapshot::try_build(&g, 0, &Executor::sequential()).unwrap();
-        let ray = Snapshot::try_build(&g, 0, &Executor::rayon(4)).unwrap();
+        let pool = Snapshot::try_build(&g, 0, &Executor::assist(4)).unwrap();
         let sim = Snapshot::try_build(&g, 0, &Executor::simulated(4)).unwrap();
-        assert_eq!(seq.fingerprint(), ray.fingerprint());
+        assert_eq!(seq.fingerprint(), pool.fingerprint());
         assert_eq!(seq.fingerprint(), sim.fingerprint());
     }
 }

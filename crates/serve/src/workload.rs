@@ -242,7 +242,7 @@ mod tests {
         let mut summaries = Vec::new();
         for exec in [
             Executor::sequential(),
-            Executor::rayon(4),
+            Executor::assist(4),
             Executor::simulated(4),
         ] {
             let svc = HcdService::new(&seed_graph(), &exec);

@@ -437,7 +437,7 @@ mod tests {
         let truth = naive_htd(g, &idx, &td).canonicalize();
         for exec in [
             Executor::sequential(),
-            Executor::rayon(4),
+            Executor::assist(4),
             Executor::simulated(3),
         ] {
             let got = phtd(g, &idx, &td, &exec);
@@ -524,7 +524,7 @@ mod tests {
             let g = b.build();
             let (idx, td) = truss_decomposition(&g);
             let truth = naive_htd(&g, &idx, &td).canonicalize();
-            let got = phtd(&g, &idx, &td, &Executor::rayon(4)).canonicalize();
+            let got = phtd(&g, &idx, &td, &Executor::assist(4)).canonicalize();
             assert_eq!(got, truth, "case {case}");
         }
     }
@@ -540,7 +540,7 @@ mod tests {
         }
         let g = b.build();
         let (idx, td) = truss_decomposition(&g);
-        let exec = Executor::rayon(2);
+        let exec = Executor::assist(2);
         let token = CancelToken::new();
         token.cancel();
         exec.set_cancel(token);

@@ -21,7 +21,7 @@ proptest! {
         let g = build_from_edges(edges, 0);
         let (idx, td) = truss_decomposition(&g);
         let truth = naive_htd(&g, &idx, &td).canonicalize();
-        for exec in [Executor::sequential(), Executor::rayon(4), Executor::simulated(3)] {
+        for exec in [Executor::sequential(), Executor::assist(4), Executor::simulated(3)] {
             let got = phtd(&g, &idx, &td, &exec);
             prop_assert_eq!(got.canonicalize(), truth.clone(), "mode {}", exec.mode_name());
         }

@@ -23,7 +23,7 @@ fn main() {
         g.num_edges()
     );
 
-    let exec = Executor::rayon(std::thread::available_parallelism().map_or(2, |p| p.get()));
+    let exec = Executor::assist(std::thread::available_parallelism().map_or(2, |p| p.get()));
     let cores = pkc_core_decomposition(&g, &exec);
     let hcd = phcd(&g, &cores, &exec);
     let ctx = SearchContext::with_executor(&g, &cores, &hcd, &exec);

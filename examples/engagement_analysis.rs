@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 
 fn main() {
     let g = rmat(13, 10, None, 7);
-    let exec = Executor::rayon(std::thread::available_parallelism().map_or(2, |p| p.get()));
+    let exec = Executor::assist(std::thread::available_parallelism().map_or(2, |p| p.get()));
     let cores = pkc_core_decomposition(&g, &exec);
     let hcd = phcd(&g, &cores, &exec);
 

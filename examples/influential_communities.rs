@@ -15,7 +15,7 @@ fn main() {
     let g = Dataset::by_abbrev("A")
         .expect("registry")
         .generate(Scale::Tiny);
-    let exec = Executor::rayon(std::thread::available_parallelism().map_or(2, |p| p.get()));
+    let exec = Executor::assist(std::thread::available_parallelism().map_or(2, |p| p.get()));
     let cores = pkc_core_decomposition(&g, &exec);
     let hcd = phcd(&g, &cores, &exec);
     let ctx = SearchContext::with_executor(&g, &cores, &hcd, &exec);

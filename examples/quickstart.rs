@@ -17,7 +17,7 @@ fn main() {
     );
 
     // 1. Core decomposition (parallel PKC-style peeling).
-    let exec = Executor::rayon(std::thread::available_parallelism().map_or(2, |p| p.get()));
+    let exec = Executor::assist(std::thread::available_parallelism().map_or(2, |p| p.get()));
     let cores = pkc_core_decomposition(&g, &exec);
     println!("kmax = {}", cores.kmax());
 

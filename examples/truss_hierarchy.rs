@@ -23,7 +23,7 @@ fn main() {
 
     // 2. Parallel hierarchy construction (PHTD), verified against the
     //    brute-force oracle.
-    let exec = Executor::rayon(std::thread::available_parallelism().map_or(2, |p| p.get()));
+    let exec = Executor::assist(std::thread::available_parallelism().map_or(2, |p| p.get()));
     let htd = phtd(&g, &idx, &truss, &exec);
     assert_eq!(
         htd.canonicalize(),

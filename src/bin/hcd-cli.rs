@@ -100,14 +100,15 @@ const USAGE: &str = "usage:
 metrics: average-degree internal-density cut-ratio conductance
          modularity clustering-coefficient (default: average-degree)
 
---mode selects the executor: seq (single-threaded), rayon (static
-chunk schedule, the default for -p > 1), sim (deterministic simulated
-workers), assist (work-assisting self-scheduling: workers claim chunks
-from an atomic cursor and idle workers join the busiest live loop).
-All modes produce identical chunk boundaries, so algorithm counters
-are comparable across modes with metrics-diff --counters-only.
---pin-threads (assist only) pins pool workers to cores when the OS
-supports it and silently falls back where it does not.
+--mode selects the executor: seq (single-threaded, the default for
+-p 1), sim (deterministic simulated workers), assist (real threads on a
+persistent work-assisting pool, the default for -p > 1: workers claim
+chunks from an atomic cursor and idle workers join the busiest live
+loop). All modes produce identical chunk boundaries, so algorithm
+counters are comparable across modes with metrics-diff --counters-only.
+--pin-threads (assist only, including the -p > 1 default) pins pool
+workers to cores when the OS supports it and silently falls back where
+it does not.
 
 --order degree relabels vertices hubs-first before construction for
 cache locality and union-find batching, then maps every output back to
@@ -352,11 +353,11 @@ fn load(path: &str) -> Result<CsrGraph, CliError> {
 
 /// Builds the executor shared by a whole command from its `-p`,
 /// `--mode`, `--pin-threads`, and `--timeout-ms` flags: `-p 1` (or a
-/// single-core machine) selects the sequential mode, anything larger a
-/// dedicated thread pool — statically scheduled by default (`rayon`),
-/// work-assisting with `--mode assist` — and a timeout arms a deadline
-/// that every parallel region checks. This is the single place mode
-/// names are parsed; help text and tests key off the same list.
+/// single-core machine) selects the sequential mode, anything larger the
+/// work-assisting pool (`assist`) unless `--mode` says otherwise, and a
+/// timeout arms a deadline that every parallel region checks. This is
+/// the single place mode names are parsed; help text and tests key off
+/// the same list.
 fn exec_options(args: &[String]) -> Result<Executor, CliError> {
     let threads = match flag_value(args, "-p")? {
         Some(s) => s
@@ -365,33 +366,25 @@ fn exec_options(args: &[String]) -> Result<Executor, CliError> {
         None => std::thread::available_parallelism().map_or(1, |v| v.get()),
     };
     let mode = flag_value(args, "--mode")?;
+    let mode = mode
+        .as_deref()
+        .unwrap_or(if threads == 1 { "seq" } else { "assist" });
     let pin = has_flag(args, "--pin-threads");
-    if pin && !matches!(mode.as_deref(), Some("assist")) {
-        return Err(usage("--pin-threads requires --mode assist".to_string()));
-    }
     // threads == 0 reaches the try_* constructors so the typed
     // BuildError (ZeroWorkers) produces the usage message.
-    let exec = match mode.as_deref() {
-        None => {
-            if threads == 1 {
-                Executor::sequential()
-            } else {
-                Executor::try_rayon(threads).map_err(|e| usage(format!("bad -p: {e}")))?
-            }
-        }
-        Some("seq") => Executor::sequential(),
-        Some("rayon") => Executor::try_rayon(threads).map_err(|e| usage(format!("bad -p: {e}")))?,
-        Some("sim") => {
-            Executor::try_simulated(threads).map_err(|e| usage(format!("bad -p: {e}")))?
-        }
-        Some("assist") => Executor::try_assist_with(ExecutorConfig::new(threads).pin_threads(pin))
-            .map_err(|e| usage(format!("bad -p: {e}")))?,
-        Some(other) => {
-            return Err(usage(format!(
-                "bad --mode {other:?} (seq|rayon|sim|assist)"
-            )))
-        }
+    let bad_p = |e| usage(format!("bad -p: {e}"));
+    let exec = match mode {
+        "seq" => Executor::sequential(),
+        "sim" => Executor::try_simulated(threads).map_err(bad_p)?,
+        "assist" => Executor::try_assist_with(ExecutorConfig::new(threads).pin_threads(pin))
+            .map_err(bad_p)?,
+        other => return Err(usage(format!("bad --mode {other:?} (seq|sim|assist)"))),
     };
+    if pin && mode != "assist" {
+        return Err(usage(
+            "--pin-threads requires the assist executor (--mode assist, or -p > 1)".to_string(),
+        ));
+    }
     if let Some(ms) = flag_value(args, "--timeout-ms")? {
         let ms = ms
             .parse::<u64>()

@@ -8,8 +8,8 @@
 //!
 //! * [`graph`] — CSR graph substrate (construction, I/O, traversal),
 //! * [`unionfind`] — sequential and concurrent union-find **with pivot**,
-//! * [`par`] — the parallel executor (real rayon threads or deterministic
-//!   work-span simulation),
+//! * [`par`] — the parallel executor (real threads on a work-assisting
+//!   pool, or deterministic work-span simulation),
 //! * [`decomp`] — core decomposition (serial Batagelj–Zaversnik, parallel
 //!   PKC-style peeling, iterative h-index),
 //! * [`core`] — the HCD index and its construction algorithms (**PHCD**,

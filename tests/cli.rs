@@ -130,7 +130,7 @@ fn stats_accepts_every_executor_mode() {
         .status()
         .unwrap()
         .success());
-    for mode in ["seq", "rayon", "sim", "assist"] {
+    for mode in ["seq", "sim", "assist"] {
         let out = cli()
             .args(["stats", graph.to_str().unwrap(), "-p", "2", "--mode", mode])
             .output()
@@ -141,7 +141,38 @@ fn stats_accepts_every_executor_mode() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    // Pinning is assist-only; elsewhere it is a usage error (exit 2).
+    // Pinning is assist-only, including the -p > 1 default; elsewhere it
+    // is a usage error (exit 2).
+    for pinned in [
+        vec!["-p", "2", "--mode", "assist", "--pin-threads"],
+        vec!["-p", "2", "--pin-threads"],
+    ] {
+        let out = cli()
+            .arg("stats")
+            .arg(&graph)
+            .args(&pinned)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{pinned:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    for unpinnable in [
+        vec!["-p", "2", "--mode", "sim", "--pin-threads"],
+        vec!["-p", "1", "--pin-threads"],
+    ] {
+        let out = cli()
+            .arg("stats")
+            .arg(&graph)
+            .args(&unpinnable)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{unpinnable:?}");
+    }
+    // The static-schedule thread mode is gone: naming it is a usage
+    // error that lists the modes that remain.
     let out = cli()
         .args([
             "stats",
@@ -149,27 +180,42 @@ fn stats_accepts_every_executor_mode() {
             "-p",
             "2",
             "--mode",
-            "assist",
-            "--pin-threads",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "--pin-threads: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let out = cli()
-        .args([
-            "stats",
-            graph.to_str().unwrap(),
-            "--mode",
             "rayon",
-            "--pin-threads",
         ])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains(r#"bad --mode "rayon" (seq|sim|assist)"#),
+        "{err}"
+    );
+    std::fs::remove_file(&graph).ok();
+}
+
+#[test]
+fn threads_without_a_mode_select_the_assist_pool() {
+    // Only the assist executor samples the assisting-thread gauge, so
+    // its presence in the metrics snapshot names the resolved mode.
+    let graph = tmp("default_mode.txt");
+    assert!(cli()
+        .args(["gen", "tree", graph.to_str().unwrap()])
+        .status()
+        .unwrap()
+        .success());
+    let gauge_for = |extra: &[&str]| {
+        let out = cli()
+            .args(["stats", graph.to_str().unwrap(), "--metrics", "-"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{extra:?}");
+        String::from_utf8_lossy(&out.stdout).contains("par.assist.assisting_threads")
+    };
+    assert!(gauge_for(&["-p", "2"]), "-p 2 defaults to assist");
+    assert!(gauge_for(&["-p", "2", "--mode", "assist"]));
+    assert!(!gauge_for(&["-p", "1"]), "-p 1 defaults to seq");
+    assert!(!gauge_for(&["-p", "2", "--mode", "sim"]));
     std::fs::remove_file(&graph).ok();
 }
 
@@ -442,7 +488,7 @@ fn help_documents_every_exit_code() {
         }
         // The executor mode list lives in one place; help must name
         // every mode the parser accepts, including assist.
-        for needle in ["--mode", "seq", "rayon", "sim", "assist", "--pin-threads"] {
+        for needle in ["--mode", "seq", "sim", "assist", "--pin-threads"] {
             assert!(text.contains(needle), "{cmd} help missing {needle:?}");
         }
         // The open-loop serving knobs are documented too.

@@ -1,7 +1,10 @@
 //! Stress tests under real threads: repeated parallel runs must stay
 //! correct and agree with sequential ground truth even when the OS
 //! interleaves workers adversarially — and fail *cleanly* when faults
-//! are injected into arbitrary chunks.
+//! are injected into arbitrary chunks. The oversubscription tests run
+//! more assist workers than the machine has cores and assert that pool
+//! workers really stole chunks (`par.assist.steals > 0`), so the
+//! interleavings they exercise are genuinely multi-threaded.
 
 use hcd::prelude::*;
 
@@ -28,23 +31,33 @@ fn repeated_parallel_phcd_runs_on_adversarial_graph() {
     let g = b.build();
     let cores = core_decomposition(&g);
     let truth = naive_hcd(&g, &cores).canonicalize();
+    let mut steals = 0;
     for round in 0..10 {
-        let exec = Executor::rayon(8);
-        let h = phcd(&g, &cores, &exec);
-        assert_eq!(h.canonicalize(), truth, "round {round}");
+        let exec = Executor::assist(8);
+        let m = metered(&exec, |e| {
+            let h = phcd(&g, &cores, e);
+            assert_eq!(h.canonicalize(), truth, "round {round}");
+        });
+        steals += counter(&m, "par.assist.steals");
     }
+    assert!(steals > 0, "no chunk ran off the owner thread");
 }
 
 #[test]
 fn pkc_under_heavy_thread_oversubscription() {
     let g = rmat(11, 10, None, 77);
     let expected = core_decomposition(&g);
+    let mut steals = 0;
     for threads in [2, 8, 16] {
-        let exec = Executor::rayon(threads);
+        let exec = Executor::assist(threads);
         for _ in 0..3 {
-            assert_eq!(pkc_core_decomposition(&g, &exec), expected);
+            let m = metered(&exec, |e| {
+                assert_eq!(pkc_core_decomposition(&g, e), expected);
+            });
+            steals += counter(&m, "par.assist.steals");
         }
     }
+    assert!(steals > 0, "no chunk ran off the owner thread");
 }
 
 #[test]
@@ -58,11 +71,16 @@ fn concurrent_search_is_stable_under_oversubscription() {
         &Metric::ClusteringCoefficient,
         &Executor::sequential(),
     );
+    let mut steals = 0;
     for _ in 0..5 {
-        let exec = Executor::rayon(16);
-        let got = pbks_scores(&ctx, &Metric::ClusteringCoefficient, &exec);
-        assert_eq!(got.1, reference.1);
+        let exec = Executor::assist(16);
+        let m = metered(&exec, |e| {
+            let got = pbks_scores(&ctx, &Metric::ClusteringCoefficient, e);
+            assert_eq!(got.1, reference.1);
+        });
+        steals += counter(&m, "par.assist.steals");
     }
+    assert!(steals > 0, "no chunk ran off the owner thread");
 }
 
 // --- fault-injection matrix ------------------------------------------
@@ -79,7 +97,6 @@ fn concurrent_search_is_stable_under_oversubscription() {
 fn fault_modes() -> Vec<(&'static str, Executor)> {
     vec![
         ("seq", Executor::sequential()),
-        ("rayon", Executor::rayon(4)),
         ("sim", Executor::simulated(4)),
         ("assist", Executor::assist(4)),
     ]
@@ -290,7 +307,7 @@ fn panics_in_later_regions_are_contained_too() {
     let g = rmat(10, 10, None, 9);
     let cores = core_decomposition(&g);
     let reference = phcd(&g, &cores, &Executor::sequential()).canonicalize();
-    let exec = Executor::rayon(4);
+    let exec = Executor::assist(4);
     for region in 0..12 {
         exec.set_fault_plan(FaultPlan::new().inject(region, 1, Fault::Panic));
         match try_phcd(&g, &cores, &exec) {
@@ -315,7 +332,7 @@ fn injected_delays_never_change_results() {
     let g = rmat(10, 10, None, 13);
     let cores = core_decomposition(&g);
     let reference = phcd(&g, &cores, &Executor::sequential()).canonicalize();
-    let exec = Executor::rayon(4);
+    let exec = Executor::assist(4);
     for seed in 0..4u64 {
         // Deterministic per-seed delay pattern over the first 16 regions:
         // each (region, chunk) site sleeps 0–700µs, skewed by the seed so
@@ -402,11 +419,7 @@ fn deterministic_counters_agree_across_modes() {
         pkc_core_decomposition(&g, e);
         phcd(&g, &cores, e);
     });
-    for exec in [
-        Executor::rayon(4),
-        Executor::simulated(4),
-        Executor::assist(4),
-    ] {
+    for exec in [Executor::simulated(4), Executor::assist(4)] {
         let m = metered(&exec, |e| {
             pkc_core_decomposition(&g, e);
             phcd(&g, &cores, e);
@@ -508,7 +521,7 @@ fn injected_cancel_fault_trips_shared_token() {
     // the shared token must end up tripped so the caller can observe it.
     let g = rmat(10, 10, None, 34);
     let cores = core_decomposition(&g);
-    let exec = Executor::rayon(4);
+    let exec = Executor::assist(4);
     let token = CancelToken::new();
     exec.set_cancel(token.clone());
     exec.set_fault_plan(FaultPlan::new().inject(0, 0, Fault::Cancel));

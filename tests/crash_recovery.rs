@@ -29,7 +29,6 @@ fn tempdir(tag: &str) -> PathBuf {
 fn executors() -> Vec<Executor> {
     vec![
         Executor::sequential(),
-        Executor::rayon(4),
         Executor::simulated(4),
         Executor::assist(4),
     ]

@@ -9,9 +9,8 @@ fn phcd_output_is_bitwise_identical_across_modes_and_runs() {
     let reference = phcd(&g, &cores, &Executor::sequential());
     for _ in 0..3 {
         for exec in [
-            Executor::rayon(4),
             Executor::simulated(5),
-            Executor::rayon(2),
+            Executor::assist(2),
             Executor::assist(4),
         ] {
             let h = phcd(&g, &cores, &exec);
@@ -43,7 +42,7 @@ fn search_results_are_mode_independent() {
     let ctx = SearchContext::new(&g, &cores, &hcd);
     for metric in Metric::ALL {
         let reference = pbks(&ctx, &metric, &Executor::sequential());
-        for exec in [Executor::rayon(4), Executor::simulated(3)] {
+        for exec in [Executor::assist(4), Executor::simulated(3)] {
             assert_eq!(reference, pbks(&ctx, &metric, &exec), "{}", metric.name());
         }
     }
@@ -54,7 +53,7 @@ fn vertex_ranks_identical_across_modes() {
     let g = Dataset::by_abbrev("LJ").unwrap().generate(Scale::Tiny);
     let cores = core_decomposition(&g);
     let a = VertexRanks::compute(&cores, &Executor::sequential());
-    let b = VertexRanks::compute(&cores, &Executor::rayon(4));
+    let b = VertexRanks::compute(&cores, &Executor::assist(4));
     let c = VertexRanks::compute(&cores, &Executor::simulated(7));
     assert_eq!(a.vsort(), b.vsort());
     assert_eq!(b.vsort(), c.vsort());
@@ -71,7 +70,6 @@ fn ordered_build_is_bitwise_identical_to_unordered_across_modes() {
         let (ref_cores, ref_hcd) = build_with_order(&g, VertexOrder::None, &Executor::sequential());
         for exec in [
             Executor::sequential(),
-            Executor::rayon(4),
             Executor::simulated(3),
             Executor::assist(4),
         ] {

@@ -5,7 +5,7 @@ use hcd::prelude::*;
 
 fn pipeline(g: &CsrGraph) {
     // Three core-decomposition algorithms agree.
-    let exec = Executor::rayon(4);
+    let exec = Executor::assist(4);
     let bz = core_decomposition(g);
     let pkc = pkc_core_decomposition(g, &exec);
     assert_eq!(bz, pkc);
@@ -14,7 +14,6 @@ fn pipeline(g: &CsrGraph) {
     let truth = naive_hcd(g, &bz).canonicalize();
     for e in [
         Executor::sequential(),
-        Executor::rayon(4),
         Executor::simulated(3),
         Executor::assist(4),
     ] {
@@ -96,7 +95,7 @@ fn best_k_scores_match_manual_suffix_computation() {
     let cores = core_decomposition(&g);
     let hcd = phcd(&g, &cores, &Executor::sequential());
     let ctx = SearchContext::new(&g, &cores, &hcd);
-    let exec = Executor::rayon(2);
+    let exec = Executor::assist(2);
     let levels = core_set_scores(&ctx, &Metric::AverageDegree, &exec);
     // K_0 is the whole graph.
     assert_eq!(levels[0].primaries.n, g.num_vertices() as u64);

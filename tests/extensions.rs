@@ -8,7 +8,7 @@ fn truss_hierarchy_on_dataset_standins() {
     for abbrev in ["H", "SK"] {
         let g = Dataset::by_abbrev(abbrev).unwrap().generate(Scale::Tiny);
         let (idx, truss) = truss_decomposition(&g);
-        let exec = Executor::rayon(4);
+        let exec = Executor::assist(4);
         let htd = phtd(&g, &idx, &truss, &exec);
         // Edges partition into nodes; trussness consistent.
         let total: usize = htd.nodes().iter().map(|n| n.edges.len()).sum();
@@ -80,7 +80,7 @@ fn influence_index_on_dataset_standin() {
     let hcd = phcd(&g, &cores, &Executor::sequential());
     let ctx = SearchContext::new(&g, &cores, &hcd);
     let weights: Vec<f64> = g.vertices().map(|v| g.degree(v) as f64).collect();
-    let idx = InfluenceIndex::build(&ctx, &weights, &Executor::rayon(3));
+    let idx = InfluenceIndex::build(&ctx, &weights, &Executor::assist(3));
     let top = idx.top_r(&hcd, 2, 5);
     for c in &top {
         // Influence really is the min weight of the community.

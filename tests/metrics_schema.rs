@@ -23,8 +23,9 @@ fn tmp(name: &str) -> PathBuf {
 // --- schema validation ------------------------------------------------
 
 /// Field names every region entry must carry, with non-negative values.
-const REGION_FIELDS: [&str; 12] = [
+const REGION_FIELDS: [&str; 13] = [
     "invocations",
+    "workers",
     "chunks",
     "wall_ns",
     "chunk_sum_ns",
@@ -80,6 +81,8 @@ fn validate_schema(doc: &Json) -> Vec<String> {
         let max = r.get("chunk_max_ns").and_then(Json::num).unwrap();
         let min = r.get("chunk_min_ns").and_then(Json::num).unwrap();
         assert!(invocations >= 1.0, "{name}: recorded without running");
+        let workers = r.get("workers").and_then(Json::num).unwrap();
+        assert!(workers >= 1.0, "{name}: recorded without a worker");
         // An invocation over an empty index range runs zero chunks, so
         // `chunks` is not bounded below by `invocations`.
         assert!(chunks > 0.0 || sum == 0.0, "{name}: timed chunkless run");

@@ -28,7 +28,6 @@ proptest! {
         let p = Permutation::degree_order(&g);
         for exec in [
             Executor::sequential(),
-            Executor::rayon(4),
             Executor::simulated(3),
             Executor::assist(4),
         ] {

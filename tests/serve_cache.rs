@@ -16,7 +16,6 @@ use rand_chacha::ChaCha8Rng;
 fn executors() -> Vec<Executor> {
     vec![
         Executor::sequential(),
-        Executor::rayon(4),
         Executor::simulated(4),
         Executor::assist(4),
     ]

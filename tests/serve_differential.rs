@@ -149,7 +149,6 @@ fn assert_queries_match_oracle(
 fn executors() -> Vec<Executor> {
     vec![
         Executor::sequential(),
-        Executor::rayon(4),
         Executor::simulated(4),
         Executor::assist(4),
     ]
