@@ -1,6 +1,6 @@
 //! Mutable adjacency-set graph.
 
-use hcd_graph::{CsrGraph, FxHashSet, GraphBuilder, VertexId};
+use hcd_graph::{CsrGraph, FxHashSet, VertexId};
 
 /// An undirected simple graph that supports edge insertion and removal.
 ///
@@ -92,16 +92,20 @@ impl DynamicGraph {
     }
 
     /// Snapshots into an immutable CSR graph.
+    ///
+    /// Each adjacency set is already duplicate- and self-loop-free, so
+    /// the rows are copied straight into place and sorted there.
     pub fn to_csr(&self) -> CsrGraph {
-        let mut b = GraphBuilder::new().min_vertices(self.adj.len());
-        for (v, nbrs) in self.adj.iter().enumerate() {
-            for &u in nbrs {
-                if u > v as VertexId {
-                    b = b.edge(v as VertexId, u);
-                }
-            }
+        let mut offsets = Vec::with_capacity(self.adj.len() + 1);
+        let mut neighbors = Vec::with_capacity(2 * self.num_edges);
+        offsets.push(0);
+        for nbrs in &self.adj {
+            let start = neighbors.len();
+            neighbors.extend(nbrs.iter().copied());
+            neighbors[start..].sort_unstable();
+            offsets.push(neighbors.len());
         }
-        b.build()
+        CsrGraph::from_csr(offsets, neighbors)
     }
 }
 
@@ -138,6 +142,35 @@ mod tests {
             .build();
         let dg = DynamicGraph::from_csr(&csr);
         assert_eq!(dg.to_csr(), csr);
+
+        // Seeded churn with removals and vertices appended past the
+        // initial range: the direct conversion must equal the builder's
+        // output for the same edge set.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xC5B);
+        let mut g = DynamicGraph::new(40);
+        for step in 0..2000u32 {
+            let span = 40 + step / 50; // grows to 79
+            let (u, v) = (rng.gen_range(0..span), rng.gen_range(0..span));
+            if rng.gen_bool(0.3) {
+                g.remove_edge(u, v);
+            } else {
+                g.insert_edge(u, v);
+            }
+        }
+        assert!(g.num_vertices() > 40, "no vertex was appended");
+        let mut edges = Vec::new();
+        for u in 0..g.num_vertices() as VertexId {
+            edges.extend(g.neighbors(u).filter(|&v| u < v).map(|v| (u, v)));
+        }
+        let built = hcd_graph::GraphBuilder::new()
+            .edges(edges)
+            .min_vertices(g.num_vertices())
+            .build();
+        let direct = g.to_csr();
+        assert_eq!(direct, built);
+        assert_eq!(direct.num_edges(), g.num_edges());
+        direct.check_invariants().unwrap();
     }
 
     #[test]

@@ -1,36 +1,30 @@
-//! Dynamic graphs: incremental core maintenance.
+//! Dynamic graphs: exact core maintenance under batched edge updates.
 //!
-//! Real networks change; recomputing the core decomposition from scratch
-//! after every edge update wastes the locality of the change. The paper
-//! points to hierarchical core *maintenance* \[15\] as the dynamic
-//! counterpart of PHCD; this crate provides the foundation:
+//! The paper points to hierarchical core *maintenance* \[15\] as the
+//! dynamic counterpart of PHCD. This crate maintains coreness under
+//! batches of edge insertions and removals by recomputation:
 //!
 //! * [`DynamicGraph`] — an adjacency-set graph supporting edge insertion
 //!   and removal, convertible to/from [`hcd_graph::CsrGraph`];
-//! * [`DynamicCore`] — coreness maintained incrementally with the
-//!   parallel batch-dynamic scheme of Liu et al., *Parallel
-//!   Batch-Dynamic Algorithms for k-Core Decomposition and Related
-//!   Graph Problems* (SPAA 2022, see PAPERS.md): after mutating the
-//!   edge set, an h-index-style *peel* fixpoint handles all coreness
-//!   decreases of the whole batch at once, then round-based *promote*
-//!   phases raise values level by level to the exact new coreness —
-//!   cost proportional to the affected region, not the graph;
-//! * **batched updates** — [`DynamicCore::apply_batch`] applies a whole
-//!   [`EdgeUpdate`] batch and reports the exact changed region
-//!   ([`BatchReport`]): the vertices whose coreness moved plus the
-//!   endpoints the applied updates touched, which is exactly the dirty
-//!   seed set the serving layer hands to the surgical hierarchy repair
-//!   ([`hcd_core::Hcd::repair`]). The parallel phases run through
-//!   [`hcd_par::Executor`] regions (`dynamic.peel`, `dynamic.promote`)
+//! * [`DynamicCore`] — coreness kept exact after every batch:
+//!   [`DynamicCore::apply_batch`] mutates the edge set, builds one CSR
+//!   snapshot of the new graph, and recomputes coreness on it with
+//!   parallel PKC (Liu & Dong, *Parallel k-Core Decomposition: Theory
+//!   and Practice*, see PAPERS.md). The [`BatchReport`] names the
+//!   vertices whose coreness moved and the endpoints the applied updates
+//!   touched. PKC runs through [`hcd_par::Executor`] regions (`pkc.*`),
 //!   so cancellation, deadlines, fault injection, and metrics govern
-//!   maintenance exactly as they govern construction, with counters
-//!   `dynamic.affected_vertices` / `dynamic.traversal_edges` reporting
-//!   how small the touched region actually was;
-//! * on-demand HCD refresh: the hierarchy is rebuilt with PHCD only when
-//!   queried after updates; the serving layer instead repairs its
-//!   published forest surgically from the batch report.
+//!   maintenance exactly as they govern construction; counters
+//!   `dynamic.affected_vertices` / `dynamic.traversal_edges` report the
+//!   n and 2m the recompute examined;
+//! * the CSR a batch built is handed out once by
+//!   [`DynamicCore::take_csr`], so the serving layer runs PHCD on it
+//!   without converting the graph a second time; [`DynamicCore::hcd`]
+//!   rebuilds the hierarchy on demand for other callers.
 //!
-//! Every update path is property-tested against full recomputation.
+//! A full recompute beats an incremental traversal on graphs with one
+//! giant core (DESIGN.md, "Write path: rebuild on publish"). Every
+//! update path is property-tested against a sequential recomputation.
 
 pub mod graph;
 pub mod maintain;

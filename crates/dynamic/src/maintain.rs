@@ -1,8 +1,8 @@
-//! Incremental core maintenance (parallel batch-dynamic algorithm).
+//! Batch core maintenance by recomputation on one fresh CSR.
 
 use hcd_core::Hcd;
-use hcd_decomp::{core_decomposition, CoreDecomposition};
-use hcd_graph::{CsrGraph, FxHashMap, FxHashSet, VertexId};
+use hcd_decomp::{core_decomposition, try_pkc_core_decomposition, CoreDecomposition};
+use hcd_graph::{CsrGraph, VertexId};
 use hcd_par::{Executor, ParError};
 
 use crate::graph::DynamicGraph;
@@ -17,8 +17,7 @@ pub enum EdgeUpdate {
 }
 
 /// What a batch of updates did: how many edges actually changed, which
-/// endpoints they touched, and which vertices' coreness moved — the
-/// *changed region* a hierarchy repair needs to look at.
+/// endpoints they touched, and which vertices' coreness moved.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchReport {
     /// Stable 1-based sequence number of this batch: the Nth batch ever
@@ -37,9 +36,9 @@ pub struct BatchReport {
     /// between vertices whose coreness was unaffected.
     pub changed: Vec<VertexId>,
     /// Endpoints of the applied (edge-set-changing) updates, deduplicated
-    /// and ascending. Together with `changed` this is the exact dirty
-    /// seed set for surgical hierarchy repair: connectivity can only
-    /// change across these edges even when no coreness moves.
+    /// and ascending. Together with `changed` this is the dirty seed set
+    /// of a surgical hierarchy repair ([`Hcd::repair`]): connectivity can
+    /// only change across these edges even when no coreness moves.
     pub touched: Vec<VertexId>,
 }
 
@@ -50,29 +49,15 @@ impl BatchReport {
     }
 }
 
-/// Bookkeeping the batch engine hands back to the caller.
-struct EngineOutcome {
-    /// Pre-batch coreness of every vertex whose value moved at some
-    /// point (including moves that later cancelled out).
-    old_values: FxHashMap<VertexId, u32>,
-    /// Distinct vertices examined by the peel/promote phases.
-    affected: u64,
-    /// Adjacency-list entries scanned across all phases.
-    traversed: u64,
-}
-
-/// A dynamic graph with incrementally maintained coreness and an
+/// A dynamic graph with exact coreness after every batch and an
 /// on-demand HCD.
 ///
-/// Updates are maintained with the parallel batch-dynamic scheme of Liu,
-/// Shi, Yu & Dhulipala (SPAA 2022): after mutating the edge set, a
-/// *peel* phase runs an h-index fixpoint seeded at the update endpoints
-/// (handling all coreness decreases of the whole batch at once), then
-/// round-based *promote* phases raise values level by level until the
-/// exact new coreness is reached. Both phases run through [`Executor`]
-/// regions (`dynamic.peel`, `dynamic.promote`) so cancellation,
-/// deadlines, fault injection and metrics govern them, and their cost is
-/// proportional to the affected region, not the graph.
+/// Each batch that changes the edge set builds one CSR snapshot of the
+/// new graph and recomputes coreness on it with parallel PKC (regions
+/// `pkc.*`), so cancellation, deadlines, fault injection and metrics
+/// govern maintenance exactly as they govern construction. The snapshot
+/// is kept for [`DynamicCore::take_csr`], so a caller that publishes the
+/// new state never converts the graph twice.
 ///
 /// # Examples
 ///
@@ -89,7 +74,10 @@ struct EngineOutcome {
 /// ```
 pub struct DynamicCore {
     g: DynamicGraph,
-    coreness: Vec<u32>,
+    cores: CoreDecomposition,
+    /// The CSR snapshot of `g` built by the last batch that changed it,
+    /// until [`DynamicCore::take_csr`] or [`DynamicCore::hcd`] takes it.
+    csr: Option<CsrGraph>,
     cache: Option<(CsrGraph, Hcd)>,
     /// Batches applied so far; stamps [`BatchReport::seq`].
     seq: u64,
@@ -100,7 +88,8 @@ impl DynamicCore {
     pub fn new(n: usize) -> Self {
         DynamicCore {
             g: DynamicGraph::new(n),
-            coreness: vec![0; n],
+            cores: CoreDecomposition::from_coreness(vec![0; n]),
+            csr: None,
             cache: None,
             seq: 0,
         }
@@ -108,10 +97,10 @@ impl DynamicCore {
 
     /// Imports a static graph, computing its decomposition once.
     pub fn from_csr(g: &CsrGraph) -> Self {
-        let cores = core_decomposition(g);
         DynamicCore {
             g: DynamicGraph::from_csr(g),
-            coreness: cores.as_slice().to_vec(),
+            cores: core_decomposition(g),
+            csr: None,
             cache: None,
             seq: 0,
         }
@@ -137,17 +126,24 @@ impl DynamicCore {
 
     /// Current coreness of `v`.
     pub fn coreness(&self, v: VertexId) -> u32 {
-        self.coreness[v as usize]
+        self.cores.coreness(v)
     }
 
     /// The full coreness array.
     pub fn coreness_slice(&self) -> &[u32] {
-        &self.coreness
+        self.cores.as_slice()
     }
 
     /// A [`CoreDecomposition`] snapshot of the current state.
     pub fn decomposition(&self) -> CoreDecomposition {
-        CoreDecomposition::from_coreness(self.coreness.clone())
+        self.cores.clone()
+    }
+
+    /// A CSR snapshot of the current edge set: the one the last
+    /// edge-changing batch built, moved out, or a fresh conversion when
+    /// there is none (no batch since construction, or already taken).
+    pub fn take_csr(&mut self) -> CsrGraph {
+        self.csr.take().unwrap_or_else(|| self.g.to_csr())
     }
 
     /// Whether every update in `batch` would be a no-op against the
@@ -166,14 +162,14 @@ impl DynamicCore {
         })
     }
 
-    /// Inserts `{u, v}` and repairs coreness. Returns `false` (and leaves
+    /// Inserts `{u, v}` and updates coreness. Returns `false` (and leaves
     /// everything untouched) for duplicates and self-loops. Does not
     /// advance the batch sequence number.
     pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> bool {
         self.single_update(EdgeUpdate::Insert(u, v))
     }
 
-    /// Removes `{u, v}` and repairs coreness. Returns `false` if the edge
+    /// Removes `{u, v}` and updates coreness. Returns `false` if the edge
     /// was absent. Does not advance the batch sequence number.
     pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
         self.single_update(EdgeUpdate::Remove(u, v))
@@ -194,37 +190,24 @@ impl DynamicCore {
         match self.try_apply_batch(updates, &Executor::sequential()) {
             Ok(report) => report,
             // A fresh sequential executor cannot cancel, time out, or
-            // inject faults, and the engine body does not panic.
+            // inject faults, and PKC does not panic.
             Err(e) => unreachable!("sequential batch maintenance failed: {e}"),
         }
     }
 
-    /// Applies a whole batch of edge updates with the SPAA'22-style
-    /// batch-dynamic algorithm and reports the changed region.
+    /// Applies a whole batch of edge updates and reports the changed
+    /// region.
     ///
-    /// Phases, each costing time proportional to the affected region:
-    ///
-    /// 1. **mutate** — every update is applied to the edge set (order
-    ///    matters only for classifying duplicates within the batch);
-    ///    endpoints of applied updates seed the repair.
-    /// 2. **peel** (`dynamic.peel` region, one invocation) — an h-index
-    ///    worklist fixpoint lowers coreness values: starting from the
-    ///    pre-batch values, `L(v) ← min(L(v), H({L(w) : w ∈ N(v)}))`
-    ///    until stable. At the fixpoint `L(v) ≤ H` for every vertex, so
-    ///    each level set `{L ≥ k}` has min internal degree `≥ k` — `L`
-    ///    is a sound lower bound of the new coreness, exact for the
-    ///    graph with only the removals applied.
-    /// 3. **promote** (`dynamic.promote` region per round) — candidates
-    ///    are gathered by traversal from the seeds through equal-value
-    ///    vertices; per level `k` the maximal set whose members keep
-    ///    `≥ k+1` supporters (neighbors of larger value or surviving
-    ///    co-candidates) is promoted one level. Rounds repeat with the
-    ///    promoted vertices (and their neighbors) as new seeds until no
-    ///    promotion happens, which reaches the exact new coreness.
+    /// Every update is applied to the edge set in order (order matters
+    /// only for classifying duplicates within the batch). A batch that
+    /// changed the edge set then builds one CSR snapshot (kept for
+    /// [`DynamicCore::take_csr`]) and recomputes coreness on it with
+    /// parallel PKC; `changed` is the ascending diff of the old and new
+    /// coreness. A batch that applied nothing opens no region.
     ///
     /// Counters `dynamic.affected_vertices` and
-    /// `dynamic.traversal_edges` report the size of the region the
-    /// repair actually looked at.
+    /// `dynamic.traversal_edges` report what the recompute examined: the
+    /// vertex count and the arc count (2m) of the new graph.
     ///
     /// On `Err` (cancellation, deadline, injected fault) the graph
     /// mutation is kept — the batch was already logged by durable
@@ -242,7 +225,6 @@ impl DynamicCore {
             seq: self.seq,
             ..BatchReport::default()
         };
-        let mut seed_set: FxHashSet<VertexId> = FxHashSet::default();
         for &u in updates {
             let (a, b, applied) = match u {
                 EdgeUpdate::Insert(a, b) => (a, b, self.g.insert_edge(a, b)),
@@ -250,49 +232,39 @@ impl DynamicCore {
             };
             if applied {
                 report.applied += 1;
-                seed_set.insert(a);
-                seed_set.insert(b);
+                report.touched.extend([a, b]);
             } else {
                 report.skipped += 1;
             }
         }
         if report.applied == 0 {
-            // The edge set is untouched: nothing to repair, no regions
-            // to open (so no-op batches cost no parallel machinery).
             return Ok(report);
         }
+        report.touched.sort_unstable();
+        report.touched.dedup();
         self.cache = None;
-        if self.coreness.len() < self.g.num_vertices() {
-            self.coreness.resize(self.g.num_vertices(), 0);
-        }
-        let mut seeds: Vec<VertexId> = seed_set.iter().copied().collect();
-        seeds.sort_unstable();
-        report.touched = seeds.clone();
 
-        match run_batch_engine(&self.g, &mut self.coreness, &seeds, exec) {
-            Ok(outcome) => {
-                exec.add_counter("dynamic.affected_vertices", outcome.affected);
-                exec.add_counter("dynamic.traversal_edges", outcome.traversed);
-                let mut changed: Vec<VertexId> = outcome
-                    .old_values
-                    .iter()
-                    .filter(|&(&v, &old)| self.coreness[v as usize] != old)
-                    .map(|(&v, _)| v)
-                    .collect();
-                changed.sort_unstable();
-                report.changed = changed;
-                Ok(report)
-            }
+        let csr = self.g.to_csr();
+        let cores = match try_pkc_core_decomposition(&csr, exec) {
+            Ok(cores) => cores,
             Err(e) => {
-                // The fixpoint was abandoned mid-flight; values may be
-                // torn. Restore the exact-coreness invariant so memory
-                // stays consistent with the (kept) graph mutation and
-                // the durable log.
-                let exact = core_decomposition(&self.g.to_csr());
-                self.coreness = exact.as_slice().to_vec();
-                Err(e)
+                // PKC was abandoned mid-flight; restore the exact-coreness
+                // invariant so memory stays consistent with the (kept)
+                // graph mutation and the durable log.
+                self.cores = core_decomposition(&csr);
+                self.csr = Some(csr);
+                return Err(e);
             }
-        }
+        };
+        exec.add_counter("dynamic.affected_vertices", csr.num_vertices() as u64);
+        exec.add_counter("dynamic.traversal_edges", csr.num_arcs() as u64);
+        let old = self.cores.as_slice();
+        report.changed = (0..cores.len() as VertexId)
+            .filter(|&v| cores.coreness(v) != old.get(v as usize).copied().unwrap_or(0))
+            .collect();
+        self.cores = cores;
+        self.csr = Some(csr);
+        Ok(report)
     }
 
     /// The HCD of the current graph, rebuilt (with PHCD on a CSR
@@ -300,276 +272,12 @@ impl DynamicCore {
     /// Returns `(graph snapshot, hierarchy)`.
     pub fn hcd(&mut self, exec: &Executor) -> &(CsrGraph, Hcd) {
         if self.cache.is_none() {
-            let snapshot = self.g.to_csr();
-            let cores = CoreDecomposition::from_coreness(self.coreness.clone());
-            let hcd = hcd_core::phcd(&snapshot, &cores, exec);
+            let snapshot = self.take_csr();
+            let hcd = hcd_core::phcd(&snapshot, &self.cores, exec);
             self.cache = Some((snapshot, hcd));
         }
         self.cache.as_ref().expect("just filled")
     }
-}
-
-/// The capped h-index bound: the largest `t <= vals[v]` such that at
-/// least `t` neighbors of `v` have value `>= t`. Returns the bound and
-/// the number of adjacency entries scanned.
-fn h_bound(g: &DynamicGraph, vals: &[u32], v: VertexId) -> (u32, u64) {
-    let cap = vals[v as usize];
-    let deg = g.degree(v) as u64;
-    if cap == 0 {
-        return (0, deg);
-    }
-    let mut cnt = vec![0u32; cap as usize + 1];
-    for x in g.neighbors(v) {
-        cnt[vals[x as usize].min(cap) as usize] += 1;
-    }
-    let mut at_least = 0u32;
-    for t in (1..=cap).rev() {
-        at_least += cnt[t as usize];
-        if at_least >= t {
-            return (t, deg);
-        }
-    }
-    (0, deg)
-}
-
-/// Peel + promote over the already-mutated graph. `coreness` holds the
-/// pre-batch values on entry and the exact post-batch values on `Ok`;
-/// on `Err` it may be torn (the caller recomputes).
-fn run_batch_engine(
-    g: &DynamicGraph,
-    coreness: &mut [u32],
-    seeds: &[VertexId],
-    exec: &Executor,
-) -> Result<EngineOutcome, ParError> {
-    let mut old_values: FxHashMap<VertexId, u32> = FxHashMap::default();
-    let mut affected: FxHashSet<VertexId> = seeds.iter().copied().collect();
-    let mut traversed: u64 = 0;
-
-    // --- peel: one parallel scan over the seeds, then the worklist ----
-    // The region computes the first h-index bound for every seed
-    // (read-only); the drops it finds seed the sequential cascade, whose
-    // cost is bounded by the region that actually shrinks.
-    let initial: Vec<(Vec<(VertexId, u32)>, u64)> = {
-        let vals: &[u32] = coreness;
-        exec.region("dynamic.peel")
-            .try_map_chunks(seeds.len(), |_, range| {
-                let mut drops: Vec<(VertexId, u32)> = Vec::new();
-                let mut edges = 0u64;
-                for i in range {
-                    let v = seeds[i];
-                    let (h, deg) = h_bound(g, vals, v);
-                    edges += deg;
-                    if h < vals[v as usize] {
-                        drops.push((v, h));
-                    }
-                }
-                Ok((drops, edges))
-            })?
-    };
-    let mut work: Vec<VertexId> = Vec::new();
-    let mut queued: FxHashSet<VertexId> = FxHashSet::default();
-    let lower = |v: VertexId,
-                 h: u32,
-                 coreness: &mut [u32],
-                 work: &mut Vec<VertexId>,
-                 queued: &mut FxHashSet<VertexId>,
-                 old_values: &mut FxHashMap<VertexId, u32>,
-                 affected: &mut FxHashSet<VertexId>,
-                 traversed: &mut u64| {
-        let old = coreness[v as usize];
-        old_values.entry(v).or_insert(old);
-        coreness[v as usize] = h;
-        for x in g.neighbors(v) {
-            *traversed += 1;
-            // Only neighbors that may have counted v above its new value
-            // can see their bound drop.
-            let xv = coreness[x as usize];
-            if h < xv && xv <= old && queued.insert(x) {
-                affected.insert(x);
-                work.push(x);
-            }
-        }
-    };
-    for (drops, edges) in initial {
-        traversed += edges;
-        for (v, h) in drops {
-            if h < coreness[v as usize] {
-                lower(
-                    v,
-                    h,
-                    coreness,
-                    &mut work,
-                    &mut queued,
-                    &mut old_values,
-                    &mut affected,
-                    &mut traversed,
-                );
-            }
-        }
-    }
-    while let Some(v) = work.pop() {
-        queued.remove(&v);
-        let (h, deg) = h_bound(g, coreness, v);
-        traversed += deg;
-        if h < coreness[v as usize] {
-            lower(
-                v,
-                h,
-                coreness,
-                &mut work,
-                &mut queued,
-                &mut old_values,
-                &mut affected,
-                &mut traversed,
-            );
-        }
-    }
-
-    // --- promote: rounds of gather → parallel support → evict → raise --
-    // Round-1 seeds: the update endpoints, everything the peel touched,
-    // and their neighbors (generous seeding is always sound; see the
-    // module tests for the completeness argument).
-    let mut round_seeds: Vec<VertexId> = Vec::new();
-    {
-        let mut seen: FxHashSet<VertexId> = FxHashSet::default();
-        let base: Vec<VertexId> = seeds
-            .iter()
-            .copied()
-            .chain(old_values.keys().copied())
-            .collect();
-        for v in base {
-            if seen.insert(v) {
-                round_seeds.push(v);
-            }
-            for x in g.neighbors(v) {
-                traversed += 1;
-                if seen.insert(x) {
-                    round_seeds.push(x);
-                }
-            }
-        }
-    }
-    loop {
-        // Gather candidate groups: traversal from each seed through
-        // vertices of the seed's current value.
-        let mut cand: Vec<VertexId> = Vec::new();
-        let mut cand_pos: FxHashMap<VertexId, u32> = FxHashMap::default();
-        let mut stack: Vec<VertexId> = Vec::new();
-        for &s in &round_seeds {
-            if cand_pos.contains_key(&s) {
-                continue;
-            }
-            cand_pos.insert(s, cand.len() as u32);
-            cand.push(s);
-            stack.push(s);
-            while let Some(w) = stack.pop() {
-                let k = coreness[w as usize];
-                for x in g.neighbors(w) {
-                    traversed += 1;
-                    if coreness[x as usize] == k && !cand_pos.contains_key(&x) {
-                        cand_pos.insert(x, cand.len() as u32);
-                        cand.push(x);
-                        stack.push(x);
-                    }
-                }
-            }
-        }
-        affected.extend(cand.iter().copied());
-
-        // Parallel support counts (read-only), then the sequential
-        // eviction cascade. A candidate at level k needs >= k+1
-        // supporters: neighbors of strictly larger value, or surviving
-        // co-candidates of the same level.
-        let mut sup = vec![0u32; cand.len()];
-        {
-            let vals: &[u32] = coreness;
-            let cand_ref = &cand;
-            let pos_ref = &cand_pos;
-            let chunks: Vec<(Vec<(u32, u32)>, u64)> = exec
-                .region("dynamic.promote")
-                .try_map_chunks(cand_ref.len(), |_, range| {
-                    let mut out = Vec::with_capacity(range.len());
-                    let mut edges = 0u64;
-                    for i in range {
-                        let v = cand_ref[i];
-                        let k = vals[v as usize];
-                        let mut s = 0u32;
-                        for x in g.neighbors(v) {
-                            edges += 1;
-                            let xv = vals[x as usize];
-                            if xv > k || (xv == k && pos_ref.contains_key(&x)) {
-                                s += 1;
-                            }
-                        }
-                        out.push((i as u32, s));
-                    }
-                    Ok((out, edges))
-                })?;
-            for (pairs, edges) in chunks {
-                traversed += edges;
-                for (i, s) in pairs {
-                    sup[i as usize] = s;
-                }
-            }
-        }
-        let mut evicted = vec![false; cand.len()];
-        let mut queue: Vec<u32> = (0..cand.len() as u32)
-            .filter(|&i| sup[i as usize] <= coreness[cand[i as usize] as usize])
-            .collect();
-        while let Some(i) = queue.pop() {
-            if evicted[i as usize] {
-                continue;
-            }
-            evicted[i as usize] = true;
-            let v = cand[i as usize];
-            let k = coreness[v as usize];
-            for x in g.neighbors(v) {
-                traversed += 1;
-                if coreness[x as usize] != k {
-                    continue;
-                }
-                if let Some(&j) = cand_pos.get(&x) {
-                    if !evicted[j as usize] {
-                        sup[j as usize] -= 1;
-                        if sup[j as usize] <= k {
-                            queue.push(j);
-                        }
-                    }
-                }
-            }
-        }
-        let promoted: Vec<VertexId> = (0..cand.len())
-            .filter(|&i| !evicted[i])
-            .map(|i| cand[i])
-            .collect();
-        if promoted.is_empty() {
-            break;
-        }
-        for &v in &promoted {
-            old_values.entry(v).or_insert(coreness[v as usize]);
-            coreness[v as usize] += 1;
-        }
-        round_seeds.clear();
-        let mut seen: FxHashSet<VertexId> = FxHashSet::default();
-        for &v in &promoted {
-            if seen.insert(v) {
-                round_seeds.push(v);
-            }
-            for x in g.neighbors(v) {
-                traversed += 1;
-                if seen.insert(x) {
-                    round_seeds.push(x);
-                }
-            }
-        }
-    }
-
-    affected.extend(old_values.keys().copied());
-    Ok(EngineOutcome {
-        affected: affected.len() as u64,
-        traversed,
-        old_values,
-    })
 }
 
 #[cfg(test)]
@@ -582,7 +290,7 @@ mod tests {
         assert_eq!(
             dc.coreness_slice(),
             expect.as_slice(),
-            "incremental coreness diverged from recomputation"
+            "maintained coreness diverged from recomputation"
         );
     }
 
@@ -811,7 +519,7 @@ mod tests {
     }
 
     #[test]
-    fn regions_and_counters_cover_the_batch_engine() {
+    fn regions_and_counters_cover_the_recompute() {
         let g = hcd_graph::GraphBuilder::new()
             .edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
             .build();
@@ -821,23 +529,27 @@ mod tests {
             .unwrap();
         let m = exec.take_metrics();
         let names: Vec<_> = m.regions.iter().map(|r| r.name).collect();
-        assert!(names.contains(&"dynamic.peel"), "{names:?}");
-        assert!(names.contains(&"dynamic.promote"), "{names:?}");
+        assert!(names.contains(&"pkc.scan"), "{names:?}");
+        assert!(names.contains(&"pkc.wave"), "{names:?}");
+        assert!(names.iter().all(|n| n.starts_with("pkc.")), "{names:?}");
+        // The recompute examined the whole new graph: n = 5, 2m = 10.
         let affected = m.get_counter("dynamic.affected_vertices").unwrap();
-        assert_eq!(affected.kind, "sum");
-        assert!(affected.value >= 2, "{affected:?}");
+        assert_eq!((affected.kind, affected.value), ("sum", 5));
         let traversed = m.get_counter("dynamic.traversal_edges").unwrap();
-        assert!(traversed.value >= affected.value, "{traversed:?}");
+        assert_eq!((traversed.kind, traversed.value), ("sum", 10));
+        // The CSR the batch built is the one handed out, and it is exact.
+        assert_eq!(dc.take_csr(), dc.graph().to_csr());
     }
 
     #[test]
-    fn faults_in_the_engine_leave_exact_coreness_behind() {
+    fn faults_in_the_recompute_leave_exact_coreness_behind() {
         use hcd_par::{Fault, FaultPlan};
         let g = hcd_graph::GraphBuilder::new()
             .edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
             .build();
-        // Panic in dynamic.peel (region 0), then cancel in the first
-        // dynamic.promote round (region 1 of a fresh plan).
+        // The batch isolates vertex 4, so PKC's level-0 pkc.scan (region
+        // 0) and the pkc.wave peeling it (region 1) both run a chunk:
+        // panic in the first region, then cancel in the next one.
         for (region, fault) in [(0, Fault::Panic), (1, Fault::Cancel)] {
             let exec = Executor::sequential();
             exec.set_fault_plan(FaultPlan::new().inject(region, 0, fault));
@@ -851,10 +563,14 @@ mod tests {
                 _ => assert!(matches!(err, ParError::Cancelled), "{err:?}"),
             }
             // The mutation is kept, the sequence number advanced, and
-            // coreness was repaired to the exact decomposition.
+            // coreness was restored to the exact decomposition.
             assert_eq!(dc.seq(), seq_before + 1);
             assert!(dc.graph().has_edge(1, 3));
             assert!(!dc.graph().has_edge(3, 4));
+            assert_matches_recompute(&dc);
+            // A clean batch afterwards reports against the restored state.
+            let report = dc.apply_batch(&[EdgeUpdate::Insert(3, 4)]);
+            assert_eq!(report.changed, vec![4]);
             assert_matches_recompute(&dc);
         }
     }

@@ -6,7 +6,7 @@
 //! sequence number lives in the file name so recovery knows exactly
 //! which WAL suffix to replay on top; everything else (coreness, the
 //! hierarchy) is recomputed from the graph, which the differential
-//! suite proves equivalent to the incrementally maintained state.
+//! suite proves equivalent to the writer's maintained state.
 //!
 //! Writes are atomic in the classic way: serialize to
 //! `ckpt-<seq>.bin.tmp`, fsync, rename over the final name, fsync the

@@ -29,8 +29,8 @@
 //! `generation` is the published snapshot generation *after* the event
 //! (for `fault-kept-old-snapshot` and `no-op`, the generation that
 //! keeps serving); `affected` is the number of vertices whose coreness
-//! the batch changed plus the forest region rebuilt around them —
-//! i.e. the size of the region `Hcd::repair` touched; `seq` is the
+//! the batch changed plus the endpoints its applied updates touched;
+//! `seq` is the
 //! WAL/acknowledgement sequence number of the triggering batch.
 //!
 //! Lines are flushed eagerly (one `write` + `flush` per event, at most

@@ -285,18 +285,17 @@ impl ServeNames {
 ///   the response's `generation` says exactly which state it saw;
 /// * the **writer** (serialized by an internal lock; any thread may
 ///   call it) applies an [`EdgeUpdate`] batch to the maintained
-///   [`DynamicCore`] incrementally, snapshots the graph, surgically
-///   repairs the published hierarchy around the batch's changed region
-///   ([`hcd_core::Hcd::repair`]), and publishes the result with an
-///   atomic epoch swap — update cost is proportional to the changed
-///   region, not the graph; batches that change nothing publish no new
-///   generation at all.
+///   [`DynamicCore`], which builds one CSR of the new graph and
+///   recomputes coreness on it with PKC; the writer then runs PHCD on
+///   that same CSR and publishes the result with an atomic epoch swap.
+///   Batches that change nothing publish no new generation at all.
 ///
 /// A rebuild failure (contained panic, cancellation, expired deadline —
-/// including injected faults in the `serve.rebuild` region) publishes
-/// nothing: the service keeps serving the previous snapshot, the
-/// coreness maintenance already done is kept, and the next successful
-/// [`HcdService::try_apply_batch`] publishes the cumulative state.
+/// including injected faults in the `pkc.*`, `serve.rebuild` and
+/// `phcd.*` regions) publishes nothing: the service keeps serving the
+/// previous snapshot, the writer keeps the batch, and the next
+/// successful [`HcdService::try_apply_batch`] publishes the cumulative
+/// state.
 pub struct HcdService {
     cell: EpochCell<Snapshot>,
     writer: Mutex<DynamicCore>,
@@ -306,11 +305,9 @@ pub struct HcdService {
     stale_reads: std::sync::atomic::AtomicU64,
     /// Whether the maintained writer state has run ahead of the
     /// published snapshot (a publish attempt failed after its batch was
-    /// applied). While set, the no-op fast path is disabled and the next
-    /// publication rebuilds the hierarchy from scratch instead of
-    /// surgically repairing the (stale) published forest. Logically
-    /// guarded by the writer lock; atomic so readers of the flag don't
-    /// need it.
+    /// applied). While set, the no-op fast path is disabled, so even an
+    /// all-no-op batch publishes the cumulative state. Logically guarded
+    /// by the writer lock; atomic so readers of the flag don't need it.
     writer_dirty: std::sync::atomic::AtomicBool,
     /// Structured writer event log (see [`crate::events`]); `None`
     /// unless attached. Leaf lock: taken only while already holding the
@@ -804,8 +801,8 @@ impl HcdService {
         })
     }
 
-    /// Applies an update batch and publishes the next snapshot, doing
-    /// work proportional to the changed region.
+    /// Applies an update batch and publishes the next snapshot, rebuilt
+    /// from scratch on one fresh CSR.
     ///
     /// Pipeline (all under the writer lock, never blocking readers):
     /// a **no-op fast path** — when every update is a duplicate insert,
@@ -814,24 +811,20 @@ impl HcdService {
     /// sequence counter, and the generation all stand still and
     /// `serve.noop_batches` ticks); otherwise a **write-ahead log
     /// append + fsync** when the service is durable (the batch is on
-    /// disk before anything observes it), incremental coreness
-    /// maintenance ([`DynamicCore::try_apply_batch`], regions
-    /// `dynamic.peel` / `dynamic.promote`), CSR + decomposition
-    /// snapshotting plus **surgical hierarchy repair**
-    /// ([`hcd_core::Hcd::repair`] on the published forest, seeded with
-    /// the batch report's exact changed region) in the fault-injectable
-    /// `serve.rebuild` region, one atomic epoch swap, then (per
+    /// disk before anything observes it), the batch applied to the
+    /// writer's edge set with coreness recomputed by PKC on the one CSR
+    /// the batch builds ([`DynamicCore::try_apply_batch`], regions
+    /// `pkc.*`), PHCD on that same CSR in the fault-injectable
+    /// `serve.rebuild` region (regions `phcd.*` nested inside, timed as
+    /// the `serve.rebuild` histogram), one atomic epoch swap, then (per
     /// [`DurabilityConfig::checkpoint_every`]) a snapshot checkpoint.
-    /// Only when the published forest is stale — a previous publish
-    /// attempt failed after applying its batch — does the writer fall
-    /// back to full PHCD reconstruction (regions `phcd.*`).
     ///
     /// On `Err`, nothing was published and the previous snapshot keeps
     /// serving. A WAL failure ([`ServeError::Wal`]) means the batch was
     /// not even logged or applied — `serve.wal_errors` ticks and the
     /// service stays exactly where it was. A pipeline failure
-    /// ([`ServeError::Par`]) happens *after* the append: the maintained
-    /// coreness state keeps the batch (riding along with the next
+    /// ([`ServeError::Par`]) happens *after* the append: the writer's
+    /// graph and coreness keep the batch (riding along with the next
     /// successful publication) and so does the log, so memory and disk
     /// agree. Checkpoint IO errors never fail the batch — the WAL
     /// already covers it; `serve.ckpt_errors` ticks and recovery simply
@@ -925,30 +918,19 @@ impl HcdService {
         exec.add_counter(self.names.batches, 1);
         let affected = (report.changed.len() + report.touched.len()) as u64;
 
-        // The published forest is exact for the pre-batch graph unless a
-        // previous publish failed; repair it with the batch's changed
-        // region instead of rebuilding from scratch.
-        let prev = (!was_dirty).then(|| self.cell.load());
-        // Snapshot the writer state (and repair the hierarchy) inside
+        // Rebuild the hierarchy on the CSR the writer just built, inside
         // the named rebuild region so deadlines, cancellation, and the
         // fault matrix govern it.
-        let parts: Mutex<Option<(CsrGraph, _, Option<hcd_core::Hcd>)>> = Mutex::new(None);
-        let writer_ref = &*writer;
-        let report_ref = &report;
+        let csr = writer.take_csr();
+        let cores = writer.decomposition();
+        let built: Mutex<Option<hcd_core::Hcd>> = Mutex::new(None);
         let rebuilt = exec.region(self.names.region_rebuild).try_for_each_chunk(
             1,
             || (),
             |_, _, _| {
                 exec.checkpoint()?;
-                let csr = writer_ref.graph().to_csr();
-                let cores = writer_ref.decomposition();
-                let hcd = prev.as_ref().map(|p| {
-                    let mut dirty = report_ref.changed.clone();
-                    dirty.extend_from_slice(&report_ref.touched);
-                    let _lat = exec.time("serve.repair");
-                    p.hcd.repair(&csr, &cores, &dirty)
-                });
-                *parts.lock() = Some((csr, cores, hcd));
+                let _lat = exec.time("serve.rebuild");
+                *built.lock() = Some(hcd_core::try_phcd(&csr, &cores, exec)?);
                 Ok(())
             },
         );
@@ -964,25 +946,7 @@ impl HcdService {
             });
             return Err(e);
         }
-        let (csr, cores, repaired) = parts.into_inner().expect("rebuild region ran");
-        let hcd = match repaired {
-            Some(hcd) => hcd,
-            None => match hcd_core::try_phcd(&csr, &cores, exec) {
-                Ok(hcd) => hcd,
-                Err(e) => {
-                    let e = ServeError::Par(e);
-                    self.with_events(|log| {
-                        log.fault_kept_old_snapshot(
-                            report.seq,
-                            self.cell.generation(),
-                            &e.to_string(),
-                            elapsed_ns(started),
-                        )
-                    });
-                    return Err(e);
-                }
-            },
-        };
+        let hcd = built.into_inner().expect("rebuild region ran");
 
         self.with_events(|log| {
             log.batch_applied(
@@ -996,6 +960,10 @@ impl HcdService {
         });
         let generation = self.cell.generation() + 1;
         let snapshot = Arc::new(Snapshot::from_parts(csr, cores, hcd, generation));
+        // Hold the retiring snapshot until the batch returns: freeing it
+        // inside `publish` would run under the cell's write lock, which
+        // stalls readers and is timed as the swap.
+        let _retired = self.cell.load();
         let published = {
             let _lat = exec.time("serve.publish");
             self.cell.publish(Arc::clone(&snapshot))
@@ -1166,24 +1134,38 @@ mod tests {
         use hcd_par::{Fault, FaultPlan};
         let exec = Executor::sequential();
         let svc = HcdService::new(&triangle_plus_tail(), &exec);
-        // Inject a panic into the first region of the *next* run — that
-        // is dynamic.peel (the batch engine opens it first).
+        // Panic in the first region of the next batch: PKC's level-0
+        // pkc.scan, which runs a chunk because the batch isolates 4.
         exec.set_fault_plan(FaultPlan::new().inject(0, 0, Fault::Panic));
         let err = svc
-            .try_apply_batch(&[EdgeUpdate::Insert(1, 3)], &exec)
+            .try_apply_batch(&[EdgeUpdate::Insert(1, 3), EdgeUpdate::Remove(3, 4)], &exec)
             .unwrap_err();
         assert!(matches!(err, ServeError::Par(ParError::Panicked { .. })));
+        // Cancel in the next region of the batch after: the level-1
+        // pkc.scan (level 0 has no vertex once 4 is reattached).
+        exec.set_fault_plan(FaultPlan::new().inject(1, 0, Fault::Cancel));
+        let err = svc
+            .try_apply_batch(&[EdgeUpdate::Insert(0, 4)], &exec)
+            .unwrap_err();
+        assert!(
+            matches!(err, ServeError::Par(ParError::Cancelled)),
+            "{err:?}"
+        );
         exec.clear_fault_plan();
         // Nothing was published.
         assert_eq!(svc.generation(), 0);
         let r = svc.try_core_containing(3, 1, &exec).unwrap();
         assert_eq!(r.generation, 0);
-        // The maintained update is retained: the next successful batch
+        // The writer kept both batches: the next successful batch
         // publishes the cumulative state.
         let resp = svc.try_apply_batch(&[], &exec).unwrap();
         assert_eq!(resp.generation, 1);
-        assert!(svc.snapshot().graph.num_edges() == 6); // 5 seed + inserted {1,3}
-        svc.snapshot().validate().unwrap();
+        let snap = svc.snapshot();
+        let edges: Vec<_> = snap.graph.edges().collect();
+        assert_eq!(edges, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (2, 3)]);
+        snap.validate().unwrap();
+        let fresh = Snapshot::try_build(&snap.graph, 1, &exec).unwrap();
+        assert_eq!(snap.fingerprint(), fresh.fingerprint());
     }
 
     #[test]
@@ -1208,11 +1190,18 @@ mod tests {
         assert!(names.contains(&"serve.query.member"), "{names:?}");
         assert!(names.contains(&"serve.query.batch"), "{names:?}");
         assert!(names.contains(&"serve.rebuild"), "{names:?}");
-        // The incremental maintenance engine ran through its regions.
-        assert!(names.contains(&"dynamic.peel"), "{names:?}");
-        assert!(names.contains(&"dynamic.promote"), "{names:?}");
-        assert!(m.get_counter("dynamic.affected_vertices").unwrap().value >= 1);
-        assert!(m.get_counter("dynamic.traversal_edges").unwrap().value >= 1);
+        // The batch recomputed coreness with PKC and rebuilt the
+        // hierarchy with PHCD on the same CSR.
+        assert!(names.contains(&"pkc.scan"), "{names:?}");
+        assert!(names.contains(&"pkc.wave"), "{names:?}");
+        assert!(names.contains(&"phcd.union"), "{names:?}");
+        assert!(
+            !names.iter().any(|n| n.starts_with("dynamic.")),
+            "{names:?}"
+        );
+        // ... over the whole new graph: n = 5, 2m = 12.
+        assert_eq!(m.get_counter("dynamic.affected_vertices").unwrap().value, 5);
+        assert_eq!(m.get_counter("dynamic.traversal_edges").unwrap().value, 12);
     }
 
     #[test]

@@ -40,9 +40,9 @@ impl Snapshot {
         })
     }
 
-    /// Assembles a snapshot from already-computed parts (the rebuild
-    /// path: the writer maintains coreness incrementally and only
-    /// reruns PHCD).
+    /// Assembles a snapshot from already-computed parts (the write
+    /// path: the writer has recomputed coreness on the CSR it built and
+    /// runs PHCD on that same CSR).
     pub fn from_parts(
         graph: CsrGraph,
         cores: CoreDecomposition,

@@ -130,7 +130,7 @@ p99 latencies in CI.
 serve-bench always arms metrics and latency histograms and finishes
 with a per-boundary latency report (p50/p99/p999/max for each
 serve.query.* read path and the writer-side apply / wal / fsync /
-checkpoint / repair / publish stages) read back out of the emitted
+checkpoint / rebuild / publish stages) read back out of the emitted
 hcd-metrics-v1 snapshot; --metrics additionally writes that snapshot
 to a file. --stats-interval N prints an in-flight one-line report
 every N operations while the workload runs. --events out.jsonl

@@ -20,8 +20,8 @@
 //!   parallel hierarchy construction (PHTD) on the same framework,
 //! * [`flow`] — max-flow and Goldberg's exact densest subgraph (test
 //!   oracle),
-//! * [`serve`] — the snapshot-isolated query service with batch-dynamic
-//!   updates and opt-in crash-safe durability (checksummed WAL +
+//! * [`serve`] — the snapshot-isolated query service with batched
+//!   edge updates and opt-in crash-safe durability (checksummed WAL +
 //!   atomic snapshot checkpoints + recovery),
 //! * [`datasets`] — seeded synthetic graph generators and the paper
 //!   dataset stand-in registry.

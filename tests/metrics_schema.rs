@@ -323,15 +323,14 @@ fn serve_bench_metrics_cover_the_serving_layer() {
     let doc = Json::parse(&text).expect("valid JSON");
     let names = validate_schema(&doc);
     // The workload mixes batched reads with rebuild/publish cycles; both
-    // serving regions must appear, alongside the incremental-maintenance
-    // regions the update batches open and the construction regions of
-    // the generation-0 build.
+    // serving regions must appear, alongside the PKC and PHCD regions
+    // that the generation-0 build and every update batch open.
     for region in [
         "serve.query.batch",
         "serve.rebuild",
         "phcd.kpc",
-        "dynamic.peel",
-        "dynamic.promote",
+        "pkc.scan",
+        "pkc.wave",
     ] {
         assert!(
             names.iter().any(|n| n == region),
@@ -351,13 +350,16 @@ fn serve_bench_metrics_cover_the_serving_layer() {
             )
         })
         .collect();
-    // The durable run adds write-ahead-log traffic to the counter set.
+    // The durable run adds write-ahead-log traffic to the counter set;
+    // each update batch reports what its coreness recompute examined.
     for counter in [
         "serve.queries",
         "serve.batches",
         "serve.swaps",
         "serve.wal_appends",
         "serve.wal_bytes",
+        "dynamic.affected_vertices",
+        "dynamic.traversal_edges",
     ] {
         let (_, kind, value) = counters
             .iter()
@@ -385,7 +387,7 @@ fn serve_bench_metrics_cover_the_serving_layer() {
     for hist in [
         "serve.query.batch",
         "serve.apply",
-        "serve.repair",
+        "serve.rebuild",
         "serve.publish",
         "serve.wal.append",
         "serve.wal.fsync",

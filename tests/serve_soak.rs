@@ -218,10 +218,10 @@ fn soak(mode: &str) {
     service.snapshot().validate().unwrap();
 }
 
-/// Panic, cancellation, and deadline failures injected into `serve.*`
-/// (and downstream `phcd.*`) regions abort the operation but leave the
-/// service serving the previous snapshot, which remains fully
-/// queryable; a later clean batch publishes the cumulative state.
+/// Panic, cancellation, and deadline failures injected into the write
+/// path's `pkc.*` regions and into a read region abort the operation
+/// but leave the service serving the previous snapshot, which remains
+/// fully queryable; a later clean batch publishes the cumulative state.
 #[test]
 fn injected_faults_leave_the_previous_snapshot_serving() {
     injected_faults_body("seq");
@@ -254,21 +254,22 @@ fn injected_faults_body(mode: &str) {
         .unwrap();
     let updates = [EdgeUpdate::Insert(2, 3), EdgeUpdate::Remove(0, 1)];
 
-    // Panic inside dynamic.peel, the first region a batch with applied
-    // updates opens (region 0 after the plan reset).
+    // Panic in the first region of the batch that runs a chunk. PKC
+    // opens one pkc.scan per level; this graph has min degree 1, so the
+    // level-0 scan (region 0 after the plan reset) is empty and region 1
+    // is the level-1 pkc.scan.
     let exec = mk_exec(mode);
-    exec.set_fault_plan(FaultPlan::new().inject(0, 0, Fault::Panic));
+    exec.set_fault_plan(FaultPlan::new().inject(1, 0, Fault::Panic));
     let err = service.try_apply_batch(&updates, &exec).unwrap_err();
     assert!(
         matches!(err, ServeError::Par(ParError::Panicked { .. })),
         "{err:?}"
     );
 
-    // Cancellation tripped one region downstream (the first
-    // dynamic.promote round — or, for a batch applying nothing on a
-    // stale forest, the first phcd region of the full-rebuild fallback).
+    // Cancellation tripped in the next region: the pkc.wave peeling
+    // level 1 (the failed batch kept its mutation; min degree is still 1).
     let exec = mk_exec(mode);
-    exec.set_fault_plan(FaultPlan::new().inject(1, 0, Fault::Cancel));
+    exec.set_fault_plan(FaultPlan::new().inject(2, 0, Fault::Cancel));
     let err = service
         .try_apply_batch(&[EdgeUpdate::Insert(4, 5)], &exec)
         .unwrap_err();
@@ -310,10 +311,10 @@ fn injected_faults_body(mode: &str) {
 
     // The maintained (but unpublished) updates ride along with the next
     // clean publication: the failed batches mutated the writer's graph
-    // before their regions aborted (the engine repairs coreness exactly
-    // on the error path), so the forest is stale and the empty batch —
-    // which would otherwise take the no-op fast path — rebuilds in full
-    // and publishes the cumulative state.
+    // before their regions aborted (the writer restores exact coreness
+    // on the error path), so the published snapshot is behind and the
+    // empty batch — which would otherwise take the no-op fast path —
+    // publishes the cumulative state.
     let resp = service.try_apply_batch(&[], &clean).unwrap();
     assert_eq!(resp.generation, 2);
     let snap = service.snapshot();
