@@ -139,43 +139,26 @@ impl Hcd {
         s
     }
 
-    /// Maps every vertex id through `to_old` (`to_old[new] = old`) and
-    /// renumbers nodes into PHCD's construction order over the mapped
-    /// ids — levels descending, within a level ascending minimum member.
+    /// Renumbers nodes into PHCD's construction order — levels
+    /// descending, within a level ascending minimum member — with each
+    /// node's vertices and children sorted and `tid` remapped to match.
     ///
     /// Because vertex ranks are the stable `(coreness, id)` order and a
     /// fresh node's pivot is its minimum-rank (= minimum-id) member in
-    /// the shell, this reproduces exactly the ids PHCD would have
-    /// assigned on the unrelabeled graph: building on `g.relabel(&p)`
-    /// and calling `relabel_vertices(p.inverse())` is byte-identical to
-    /// building on `g` directly.
-    pub fn relabel_vertices(&self, to_old: &[VertexId]) -> Hcd {
-        assert_eq!(
-            self.tid.len(),
-            to_old.len(),
-            "permutation length must match vertex count"
-        );
-        let mapped: Vec<TreeNode> = self
-            .nodes
-            .iter()
-            .map(|n| {
-                let mut vertices: Vec<VertexId> =
-                    n.vertices.iter().map(|&v| to_old[v as usize]).collect();
-                vertices.sort_unstable();
-                TreeNode {
-                    k: n.k,
-                    vertices,
-                    parent: n.parent,
-                    children: n.children.clone(),
-                }
-            })
-            .collect();
-        let mut order: Vec<u32> = (0..mapped.len() as u32).collect();
+    /// the shell, this is exactly the numbering PHCD assigns, so a
+    /// forest assembled in any node order renumbers to the bytes a
+    /// from-scratch build would produce.
+    pub(crate) fn renumber(self) -> Hcd {
+        let mut assembled = self.nodes;
+        for n in &mut assembled {
+            n.vertices.sort_unstable();
+        }
+        let mut order: Vec<u32> = (0..assembled.len() as u32).collect();
         order.sort_by_key(|&i| {
-            let n = &mapped[i as usize];
+            let n = &assembled[i as usize];
             (std::cmp::Reverse(n.k), n.vertices[0])
         });
-        let mut new_id = vec![0u32; mapped.len()];
+        let mut new_id = vec![0u32; assembled.len()];
         for (pos, &old) in order.iter().enumerate() {
             new_id[old as usize] = pos as u32;
         }
@@ -189,21 +172,18 @@ impl Hcd {
         let nodes: Vec<TreeNode> = order
             .iter()
             .map(|&old| {
-                let n = &mapped[old as usize];
+                let n = &mut assembled[old as usize];
                 let mut children: Vec<u32> = n.children.iter().map(|&c| remap(c)).collect();
                 children.sort_unstable();
                 TreeNode {
                     k: n.k,
-                    vertices: n.vertices.clone(),
+                    vertices: std::mem::take(&mut n.vertices),
                     parent: remap(n.parent),
                     children,
                 }
             })
             .collect();
-        let mut tid = vec![NO_NODE; self.tid.len()];
-        for (new_v, &t) in self.tid.iter().enumerate() {
-            tid[to_old[new_v] as usize] = remap(t);
-        }
+        let tid = self.tid.into_iter().map(remap).collect();
         Hcd::from_parts(nodes, tid)
     }
 

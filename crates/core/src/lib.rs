@@ -15,9 +15,6 @@
 //! * [`phcd()`](phcd::phcd) — **Algorithm 2 (PHCD)**: the paper's parallel construction
 //!   via union-find with pivot, correct under sequential, real-thread,
 //!   and simulated execution.
-//! * [`ordered`] — locality-ordered construction: hub-first relabeling
-//!   before the PKC + PHCD pipeline, with all outputs mapped back to
-//!   original vertex ids (bit-identical to an unordered build).
 //! * [`lcps()`](lcps::lcps) — the serial state-of-the-art baseline: Matula–Beck
 //!   priority search \[7\].
 //! * [`rc`] — local k-core search, the ingredient of the divide-and-
@@ -38,7 +35,6 @@ pub mod io;
 pub mod lb;
 pub mod lcps;
 pub mod oracle;
-pub mod ordered;
 pub mod phcd;
 pub mod query;
 pub mod rank;
@@ -49,7 +45,6 @@ pub mod stats;
 pub use index::{CanonicalHcd, Hcd, TreeNode, NO_NODE};
 pub use lcps::lcps;
 pub use oracle::naive_hcd;
-pub use ordered::{build_with_order, try_build_with_order, VertexOrder};
 pub use phcd::{phcd, try_phcd};
 pub use rank::VertexRanks;
 

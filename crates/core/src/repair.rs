@@ -44,9 +44,8 @@
 //! oracle: at each level, if the representative falls in `R_k` the
 //! parent candidate is the fresh node of its component; otherwise the
 //! component is untouched and the old ancestor chain (provably kept) is
-//! authoritative. The result is renumbered through
-//! [`Hcd::relabel_vertices`] with the identity map, which reproduces
-//! PHCD's deterministic construction order.
+//! authoritative. The result is renumbered through `Hcd::renumber`,
+//! which reproduces PHCD's deterministic construction order.
 
 use hcd_decomp::CoreDecomposition;
 use hcd_graph::{CsrGraph, FxHashMap, FxHashSet, VertexId};
@@ -290,11 +289,7 @@ impl Hcd {
             "repair left a vertex without a node"
         );
 
-        // Renumber into PHCD's deterministic construction order via the
-        // relabel machinery (identity permutation: ids are unchanged,
-        // only node numbering and orderings are normalized).
-        let identity: Vec<VertexId> = (0..new_n as VertexId).collect();
-        Hcd::from_parts(nodes, tid).relabel_vertices(&identity)
+        Hcd::from_parts(nodes, tid).renumber()
     }
 }
 
@@ -302,11 +297,13 @@ impl Hcd {
 mod tests {
     use hcd_decomp::core_decomposition;
     use hcd_graph::{CsrGraph, GraphBuilder, VertexId};
+    use hcd_par::Executor;
 
-    use crate::naive_hcd;
+    use crate::{naive_hcd, phcd};
 
     /// Repairs the old graph's oracle hierarchy into the new graph's and
-    /// checks it against a from-scratch oracle build.
+    /// checks it against a from-scratch oracle build, and byte for byte
+    /// against PHCD's numbering (which `Hcd::renumber` must reproduce).
     fn check_repair(old: &CsrGraph, new: &CsrGraph, touched: &[VertexId]) {
         let old_cores = core_decomposition(old);
         let new_cores = core_decomposition(new);
@@ -330,6 +327,10 @@ mod tests {
             .unwrap_or_else(|e| panic!("repair produced an invalid hierarchy: {e}"));
         let fresh = naive_hcd(new, &new_cores);
         assert_eq!(repaired.canonicalize(), fresh.canonicalize());
+        let built = phcd(new, &new_cores, &Executor::sequential());
+        assert_eq!(repaired.nodes(), built.nodes());
+        assert_eq!(repaired.tids(), built.tids());
+        assert_eq!(repaired.roots(), built.roots());
     }
 
     fn figure1_pair() -> (CsrGraph, CsrGraph) {

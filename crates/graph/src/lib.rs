@@ -9,9 +9,6 @@
 //! * [`io`] — text edge-list and compact binary readers/writers,
 //! * [`traversal`] — BFS and connected components,
 //! * [`subgraph`] — induced subgraphs with id remapping,
-//! * [`permute`] — vertex relabeling ([`Permutation`], [`CsrGraph::relabel`])
-//!   for locality-ordered construction, with inverse maps back to
-//!   original ids,
 //! * [`hash`] — a fast integer-keyed hash map (FxHash-style), used across
 //!   the workspace instead of SipHash-based `std` maps.
 //!
@@ -25,7 +22,6 @@ pub mod csr;
 pub mod error;
 pub mod hash;
 pub mod io;
-pub mod permute;
 pub mod stats;
 pub mod subgraph;
 pub mod traversal;
@@ -35,7 +31,6 @@ pub use crc32::{crc32, Crc32};
 pub use csr::{CsrGraph, VertexId};
 pub use error::{GraphError, IoFormatError};
 pub use hash::{FxHashMap, FxHashSet};
-pub use permute::Permutation;
 pub use subgraph::InducedSubgraph;
 
 #[cfg(test)]

@@ -4,7 +4,6 @@ use proptest::prelude::*;
 
 use crate::builder::build_from_edges;
 use crate::io::{read_binary, read_edge_list, write_binary, write_edge_list};
-use crate::permute::Permutation;
 use crate::subgraph::InducedSubgraph;
 use crate::traversal::connected_components;
 use crate::VertexId;
@@ -63,46 +62,6 @@ proptest! {
         // Endpoints of every edge share a label.
         for (u, v) in g.edges() {
             prop_assert_eq!(labels[u as usize], labels[v as usize]);
-        }
-    }
-
-    #[test]
-    fn relabel_roundtrips_through_inverse(edges in arb_edges(30, 120), keys in prop::collection::vec(any::<u32>(), 30)) {
-        let g = build_from_edges(edges, 30);
-        // Arbitrary permutation from random sort keys (ties fall back to
-        // id order inside by_key_desc, so this is always a bijection).
-        let p = Permutation::by_key_desc(&keys[..g.num_vertices()]);
-        let r = g.relabel(&p);
-        prop_assert!(r.check_invariants().is_ok());
-        prop_assert_eq!(r.num_edges(), g.num_edges());
-        // Vertex ids round-trip and per-vertex structure is preserved.
-        for v in g.vertices() {
-            prop_assert_eq!(p.to_old(p.to_new(v)), v);
-            prop_assert_eq!(r.degree(p.to_new(v)), g.degree(v));
-        }
-        for (u, v) in g.edges() {
-            prop_assert!(r.has_edge(p.to_new(u), p.to_new(v)));
-        }
-        // Relabeling by the inverse permutation restores the original.
-        let inv = Permutation::from_order(p.forward().to_vec()).unwrap();
-        prop_assert_eq!(r.relabel(&inv), g.clone());
-        // Per-vertex values indexed by new ids unmap to old indexing.
-        let by_new: Vec<u32> = (0..r.num_vertices() as VertexId).map(|v| r.degree(v) as u32).collect();
-        let by_old = p.unmap_values(&by_new);
-        for v in g.vertices() {
-            prop_assert_eq!(by_old[v as usize], g.degree(v) as u32);
-        }
-    }
-
-    #[test]
-    fn degree_order_is_sorted_and_deterministic(edges in arb_edges(40, 150)) {
-        let g = build_from_edges(edges, 0);
-        let p = Permutation::degree_order(&g);
-        prop_assert_eq!(p.clone(), Permutation::degree_order(&g));
-        let r = g.relabel(&p);
-        // New ids are in non-increasing degree order.
-        for new in 1..r.num_vertices() as VertexId {
-            prop_assert!(r.degree(new - 1) >= r.degree(new));
         }
     }
 

@@ -62,44 +62,6 @@ use crate::metrics::ChunkStats;
 /// unassisted — correctness never depends on publication.
 pub(crate) const ASSIST_SLOTS: usize = 8;
 
-/// Configuration for [`Executor::try_assist_with`].
-///
-/// [`Executor::try_assist_with`]: crate::Executor::try_assist_with
-#[derive(Debug, Clone)]
-pub struct ExecutorConfig {
-    workers: usize,
-    pin_threads: bool,
-}
-
-impl ExecutorConfig {
-    /// Configuration for `workers` logical workers, pinning disabled.
-    pub fn new(workers: usize) -> Self {
-        ExecutorConfig {
-            workers,
-            pin_threads: false,
-        }
-    }
-
-    /// Requests pinning each pool worker to a core (worker `i` to CPU
-    /// `i mod cores`) via `sched_setaffinity`. Where the syscall is
-    /// unavailable (non-Linux, non-x86-64, miri) or fails, the worker
-    /// runs unpinned and the fallback is counted — never an error.
-    pub fn pin_threads(mut self, on: bool) -> Self {
-        self.pin_threads = on;
-        self
-    }
-
-    /// The configured logical worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Whether thread pinning was requested.
-    pub fn pinning(&self) -> bool {
-        self.pin_threads
-    }
-}
-
 /// Per-region outcome the executor folds into counters and the
 /// assisting-thread gauge.
 #[derive(Debug, Default, Clone, Copy)]
@@ -113,50 +75,6 @@ pub(crate) struct RunOutcome {
     /// High-water mark of threads simultaneously inside the loop
     /// (owner included).
     pub(crate) max_assisting: usize,
-}
-
-// --- thread pinning ---------------------------------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PinOutcome {
-    Pinned,
-    Fallback,
-}
-
-/// Pins the calling thread to one CPU. The workspace has no libc
-/// dependency (offline shims only), so on x86-64 Linux this is the raw
-/// `sched_setaffinity` syscall; everywhere else it reports a fallback
-/// and the caller proceeds unpinned.
-#[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
-fn pin_current_thread(cpu: usize) -> PinOutcome {
-    const SYS_SCHED_SETAFFINITY: usize = 203;
-    let mut mask = [0u64; 16]; // up to 1024 CPUs
-    let cores = std::thread::available_parallelism().map_or(1, |v| v.get());
-    let cpu = cpu % cores.min(mask.len() * 64);
-    mask[cpu / 64] |= 1 << (cpu % 64);
-    let ret: isize;
-    unsafe {
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") SYS_SCHED_SETAFFINITY as isize => ret,
-            in("rdi") 0usize, // pid 0 = calling thread
-            in("rsi") std::mem::size_of_val(&mask),
-            in("rdx") mask.as_ptr(),
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-    }
-    if ret == 0 {
-        PinOutcome::Pinned
-    } else {
-        PinOutcome::Fallback
-    }
-}
-
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(miri))))]
-fn pin_current_thread(_cpu: usize) -> PinOutcome {
-    PinOutcome::Fallback
 }
 
 // --- loop descriptor ---------------------------------------------------
@@ -360,13 +278,10 @@ struct Shared {
     /// park.
     gate: Mutex<u64>,
     gate_cv: Condvar,
-    pin_requested: bool,
-    pin_fallbacks: AtomicUsize,
-    ready: AtomicUsize,
 }
 
 impl Shared {
-    fn new(pin_requested: bool) -> Shared {
+    fn new() -> Shared {
         Shared {
             slots: (0..ASSIST_SLOTS)
                 .map(|_| Slot {
@@ -376,9 +291,6 @@ impl Shared {
             shutdown: AtomicBool::new(false),
             gate: Mutex::new(0),
             gate_cv: Condvar::new(),
-            pin_requested,
-            pin_fallbacks: AtomicUsize::new(0),
-            ready: AtomicUsize::new(0),
         }
     }
 
@@ -443,18 +355,8 @@ impl Shared {
     }
 }
 
-fn worker_main(shared: Arc<Shared>, idx: usize) {
-    if shared.pin_requested && pin_current_thread(idx) == PinOutcome::Fallback {
-        shared.pin_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-    let mut last_seen = {
-        // Signal readiness under the gate so the constructor observes a
-        // settled pin_fallbacks count before it returns.
-        let g = shared.gate.lock().unwrap();
-        shared.ready.fetch_add(1, Ordering::Release);
-        shared.gate_cv.notify_all();
-        *g
-    };
+fn worker_main(shared: Arc<Shared>) {
+    let mut last_seen = *shared.gate.lock().unwrap();
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
@@ -484,17 +386,17 @@ pub(crate) struct AssistPool {
 }
 
 impl AssistPool {
-    pub(crate) fn new(workers: usize, pin_threads: bool) -> Result<AssistPool, BuildError> {
+    pub(crate) fn new(workers: usize) -> Result<AssistPool, BuildError> {
         if workers == 0 {
             return Err(BuildError::ZeroWorkers);
         }
-        let shared = Arc::new(Shared::new(pin_threads));
+        let shared = Arc::new(Shared::new());
         let mut threads = Vec::with_capacity(workers);
         for i in 0..workers {
             let s = Arc::clone(&shared);
             match std::thread::Builder::new()
                 .name(format!("hcd-assist-{i}"))
-                .spawn(move || worker_main(s, i))
+                .spawn(move || worker_main(s))
             {
                 Ok(h) => threads.push(h),
                 Err(e) => {
@@ -507,20 +409,7 @@ impl AssistPool {
                 }
             }
         }
-        // Wait for every worker to pin (or fall back) and report in.
-        {
-            let mut g = shared.gate.lock().unwrap();
-            while shared.ready.load(Ordering::Acquire) < workers {
-                g = shared.gate_cv.wait(g).unwrap();
-            }
-        }
         Ok(AssistPool { shared, threads })
-    }
-
-    /// Workers that requested pinning but run unpinned (0 when pinning
-    /// was not requested or succeeded everywhere).
-    pub(crate) fn pin_fallbacks(&self) -> usize {
-        self.shared.pin_fallbacks.load(Ordering::Relaxed)
     }
 
     /// Runs one region: publishes the loop descriptor, self-schedules
@@ -575,7 +464,7 @@ impl Drop for AssistPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BuildError, Executor, ExecutorConfig, ParError};
+    use crate::{BuildError, Executor, ParError};
     use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
     /// Loop sizes shrink under miri so the nightly
@@ -620,7 +509,7 @@ mod tests {
 
     #[test]
     fn assist_array_prefers_the_busiest_live_loop() {
-        let shared = Shared::new(false);
+        let shared = Shared::new();
         let runner = |_: usize, _: Range<usize>| {};
         let small =
             Arc::new(unsafe { LoopJob::new(0, (0..2).map(|i| i..i + 1).collect(), &runner, None) });
@@ -724,28 +613,9 @@ mod tests {
     }
 
     #[test]
-    fn assist_pin_threads_degrades_gracefully() {
-        let exec = Executor::try_assist_with(ExecutorConfig::new(3).pin_threads(true)).unwrap();
-        let acc = AtomicUsize::new(0);
-        exec.region("test").for_each_index(N, |_| {
-            acc.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(acc.into_inner(), N);
-        // Each worker either pinned or fell back; never an error.
-        assert!(exec.pin_fallbacks() <= 3);
-        // Without the flag, no fallbacks are ever reported.
-        let unpinned = Executor::assist(2);
-        assert_eq!(unpinned.pin_fallbacks(), 0);
-    }
-
-    #[test]
     fn assist_zero_workers_rejected() {
         assert!(matches!(
             Executor::try_assist(0),
-            Err(BuildError::ZeroWorkers)
-        ));
-        assert!(matches!(
-            Executor::try_assist_with(ExecutorConfig::new(0)),
             Err(BuildError::ZeroWorkers)
         ));
     }

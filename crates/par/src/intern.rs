@@ -1,7 +1,7 @@
 //! A global name interner for dynamically composed metric names.
 //!
-//! The whole observability stack — [`crate::metrics::Recorder`] counter
-//! keys, [`crate::hist::HistRegistry`] histogram names, region names —
+//! The whole observability stack — `Recorder` counter keys,
+//! [`crate::hist::HistRegistry`] histogram names, region names —
 //! deliberately takes `&'static str` so the hot paths never hash or
 //! clone strings. That is the right call for names known at compile
 //! time, but multi-tenant serving composes names at runtime

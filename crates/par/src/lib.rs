@@ -23,8 +23,7 @@
 //!   from the cursor, and idle pool workers join the busiest live loop
 //!   instead of parking. Chunk *tables* are unchanged, but chunk stats
 //!   record per-worker participation spans, so the recorded imbalance
-//!   ratio reflects scheduler-achieved per-worker balance. Optional
-//!   thread pinning via [`ExecutorConfig::pin_threads`].
+//!   ratio reflects scheduler-achieved per-worker balance.
 //!
 //! All modes use identical chunk boundaries, so an algorithm's
 //! behaviour (including any tie-breaking that depends on the work
@@ -91,7 +90,6 @@ pub mod intern;
 pub mod metrics;
 pub mod trace;
 
-pub use assist::ExecutorConfig;
 pub use chunks::{split_even, split_weighted};
 pub use diff::{diff_metrics, DiffEntry, DiffOptions, DiffReport, Snapshot, SnapshotHistogram};
 pub use epoch::{EpochCell, EpochCounter};
@@ -238,17 +236,7 @@ impl Executor {
 
     /// Fallible version of [`Executor::assist`].
     pub fn try_assist(workers: usize) -> Result<Self, BuildError> {
-        Self::try_assist_with(ExecutorConfig::new(workers))
-    }
-
-    /// Builds an assist-mode executor from an [`ExecutorConfig`],
-    /// including optional thread pinning
-    /// ([`ExecutorConfig::pin_threads`], graceful fallback where
-    /// `sched_setaffinity` is unavailable — see
-    /// [`Executor::pin_fallbacks`]).
-    pub fn try_assist_with(config: ExecutorConfig) -> Result<Self, BuildError> {
-        let workers = config.workers();
-        let pool = assist::AssistPool::new(workers, config.pinning())?;
+        let pool = assist::AssistPool::new(workers)?;
         Ok(Executor {
             mode: Mode::Assist { pool, workers },
             ctrl: Ctrl::default(),
@@ -264,16 +252,6 @@ impl Executor {
             Mode::Sequential => 1,
             Mode::Simulated { workers, .. } => *workers,
             Mode::Assist { workers, .. } => *workers,
-        }
-    }
-
-    /// In assist mode with [`ExecutorConfig::pin_threads`], the number
-    /// of pool workers that could not be pinned and run unpinned
-    /// (graceful fallback). Zero in every other configuration.
-    pub fn pin_fallbacks(&self) -> usize {
-        match &self.mode {
-            Mode::Assist { pool, .. } => pool.pin_fallbacks(),
-            _ => 0,
         }
     }
 

@@ -15,7 +15,7 @@
 //!   hierarchy, and publishes the next snapshot with an atomic epoch
 //!   swap. Readers never wait on a rebuild and never observe a torn
 //!   index; every response carries the generation it was answered from;
-//! * [`QueryBatch`]-style execution — [`HcdService::try_query_batch`]
+//! * batched execution — [`HcdService::try_query_batch`]
 //!   answers many independent queries in one parallel region
 //!   (`serve.query.batch`), all from the *same* snapshot;
 //! * [`workload`] — the seeded mixed read/update workload behind

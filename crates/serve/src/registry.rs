@@ -8,7 +8,7 @@
 //! * its own WAL/checkpoint directory (`<base>/<tenant>/` — two
 //!   tenants can never write the same file),
 //! * its own `serve.<tenant>.*` counter namespace (interned once via
-//!   [`hcd_par::intern`]), and
+//!   [`hcd_par::intern()`]), and
 //! * its own optional [`QueryCache`](crate::cache::QueryCache) — cache
 //!   keys never leave the service that owns them, so cross-tenant
 //!   cache bleed is structurally impossible.

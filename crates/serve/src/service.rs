@@ -344,9 +344,9 @@ impl HcdService {
 
     /// Re-namespaces this instance's counters and regions to
     /// `serve.<tenant>.*` (interned once per distinct tenant). Latency
-    /// histograms stay global — see [`ServeNames`]. Call before the
-    /// service is shared; [`crate::ServiceRegistry`] does this for
-    /// every tenant it hosts.
+    /// histograms stay global: the histogram registry has a fixed slot
+    /// budget. Call before the service is shared;
+    /// [`crate::ServiceRegistry`] does this for every tenant it hosts.
     pub fn with_tenant(mut self, tenant: &str) -> Self {
         self.names = ServeNames::for_tenant(tenant);
         self.tenant = Some(intern(tenant));

@@ -1,7 +1,7 @@
 //! One immutable, generation-stamped index state.
 
-use hcd_core::Hcd;
-use hcd_decomp::CoreDecomposition;
+use hcd_core::{try_phcd, Hcd};
+use hcd_decomp::{try_pkc_core_decomposition, CoreDecomposition};
 use hcd_graph::CsrGraph;
 use hcd_par::{Executor, ParError};
 
@@ -31,7 +31,8 @@ impl Snapshot {
     /// decomposition + PHCD, both under `exec` (regions `pkc.*`,
     /// `phcd.*` — the same pipeline as a from-scratch construction).
     pub fn try_build(g: &CsrGraph, generation: u64, exec: &Executor) -> Result<Self, ParError> {
-        let (cores, hcd) = hcd_core::try_build_with_order(g, hcd_core::VertexOrder::None, exec)?;
+        let cores = try_pkc_core_decomposition(g, exec)?;
+        let hcd = try_phcd(g, &cores, exec)?;
         Ok(Snapshot {
             graph: g.clone(),
             cores,

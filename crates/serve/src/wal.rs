@@ -1,6 +1,6 @@
 //! Append-only write-ahead log for update batches.
 //!
-//! Every acknowledged [`EdgeUpdate`](hcd_dynamic::EdgeUpdate) batch is
+//! Every acknowledged [`hcd_dynamic::EdgeUpdate`] batch is
 //! appended here *before* it is applied to the maintained
 //! [`DynamicCore`](hcd_dynamic::DynamicCore), so a crash between the
 //! append and the epoch swap loses no acknowledged work: recovery

@@ -156,7 +156,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Element count for [`vec`]: an exact count or a half-open range.
+    /// Element count for [`vec()`]: an exact count or a half-open range.
     pub struct SizeRange {
         lo: usize,
         hi: usize, // exclusive

@@ -1,11 +1,11 @@
 //! `hcd-cli` — command-line front end for the library.
 //!
 //! ```text
-//! hcd-cli stats  <graph> [-p P] [--order O] [--metrics M.json] [--trace T.json]
-//! hcd-cli build  <graph> -o index.hcd [-p P] [--order O] [--timeout-ms T] [--metrics M.json] [--trace T.json]
-//! hcd-cli search <graph> [-m METRIC] [-p P] [--order O] [--timeout-ms T] [--metrics M.json] [--trace T.json]
+//! hcd-cli stats  <graph> [-p P] [--timeout-ms T] [--metrics M.json] [--trace T.json]
+//! hcd-cli build  <graph> -o index.hcd [-p P] [--timeout-ms T] [--metrics M.json] [--trace T.json]
+//! hcd-cli search <graph> [-m METRIC] [-p P] [--timeout-ms T] [--metrics M.json] [--trace T.json]
 //! hcd-cli core   <graph> -v VERTEX -k K                   # the k-core containing v
-//! hcd-cli dot    <graph> [-p P] [--order O]               # Graphviz DOT of the HCD
+//! hcd-cli dot    <graph> [-p P] [--timeout-ms T]          # Graphviz DOT of the HCD
 //! hcd-cli gen    <model> <out> [--seed S]                 # generate a synthetic graph
 //! hcd-cli serve-bench <graph> [--durable DIR] [--seed S] [--ops N] [--batch B] [--read-ratio R] [--cache] [--hot-fraction F] [--events E.jsonl] [--stats-interval N] [-p P] [--timeout-ms T] [--metrics M.json] [--trace T.json]
 //! hcd-cli serve-bench <graph> --tenants N --offered-qps R [--ticks T] [--watermark W] [--deadline-ms D] [--no-cache] ...   # open-loop mode
@@ -17,6 +17,7 @@
 //! Graphs are text edge lists (`u v` per line, `#` comments) or the
 //! compact binary format (`.bin`), auto-detected by extension.
 //! `--metrics -` / `--trace -` write the JSON document to stdout.
+//! Every command rejects flags it does not accept (exit 2).
 //!
 //! ## Exit codes
 //!
@@ -85,14 +86,14 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  hcd-cli stats  <graph> [-p threads] [--mode M] [--pin-threads] [--order none|degree] [--metrics out.json] [--trace out.json]
-  hcd-cli build  <graph> -o <index.hcd> [-p threads] [--mode M] [--pin-threads] [--order none|degree] [--timeout-ms T] [--metrics out.json] [--trace out.json]
-  hcd-cli search <graph> [-m metric] [-p threads] [--mode M] [--pin-threads] [--order none|degree] [--timeout-ms T] [--metrics out.json] [--trace out.json]
+  hcd-cli stats  <graph> [-p threads] [--mode M] [--timeout-ms T] [--metrics out.json] [--trace out.json]
+  hcd-cli build  <graph> -o <index.hcd> [-p threads] [--mode M] [--timeout-ms T] [--metrics out.json] [--trace out.json]
+  hcd-cli search <graph> [-m metric] [-p threads] [--mode M] [--timeout-ms T] [--metrics out.json] [--trace out.json]
   hcd-cli core   <graph> -v <vertex> -k <k>
-  hcd-cli dot    <graph> [-p threads] [--order none|degree]
+  hcd-cli dot    <graph> [-p threads] [--mode M] [--timeout-ms T]
   hcd-cli gen    <rmat|ba|er|ws|tree> <out.txt> [--seed S]
-  hcd-cli serve-bench <graph> [--durable DIR] [--seed S] [--ops N] [--batch B] [--read-ratio R] [--cache] [--hot-fraction F] [--events out.jsonl] [--stats-interval N] [-p threads] [--mode M] [--pin-threads] [--timeout-ms T] [--metrics out.json] [--trace out.json]
-  hcd-cli serve-bench <graph> --tenants N --offered-qps R [--ticks T] [--watermark W] [--deadline-ms D] [--no-cache] [--hot-fraction F] [--durable DIR] [--seed S] [--batch B] [-p threads] [--mode M] [--metrics out.json]
+  hcd-cli serve-bench <graph> [--durable DIR] [--seed S] [--ops N] [--batch B] [--read-ratio R] [--cache] [--hot-fraction F] [--events out.jsonl] [--stats-interval N] [-p threads] [--mode M] [--timeout-ms T] [--metrics out.json] [--trace out.json]
+  hcd-cli serve-bench <graph> --tenants N --offered-qps R [--ticks T] [--watermark W] [--deadline-ms D] [--no-cache] [--hot-fraction F] [--update-every U] [--durable DIR] [--seed S] [--batch B] [-p threads] [--mode M] [--timeout-ms T] [--metrics out.json]
   hcd-cli wal-inspect <dir|wal.log>
   hcd-cli metrics-diff <old.json> <new.json> [--threshold X] [--abs-floor-ns N] [--counters-only]
   hcd-cli help
@@ -106,13 +107,7 @@ persistent work-assisting pool, the default for -p > 1: workers claim
 chunks from an atomic cursor and idle workers join the busiest live
 loop). All modes produce identical chunk boundaries, so algorithm
 counters are comparable across modes with metrics-diff --counters-only.
---pin-threads (assist only, including the -p > 1 default) pins pool
-workers to cores when the OS supports it and silently falls back where
-it does not.
-
---order degree relabels vertices hubs-first before construction for
-cache locality and union-find batching, then maps every output back to
-original ids; results are bit-identical to --order none (the default).
+Every command rejects a flag it does not list above (exit 2).
 
 --timeout-ms arms a deadline checked at chunk boundaries and at coarse
 strides inside hot loops; on expiry the command exits with code 124.
@@ -258,29 +253,88 @@ fn usage(msg: impl Into<String>) -> CliError {
     CliError::Usage(msg.into())
 }
 
+/// The flags each command accepts (`None`: unknown command). Flags in
+/// [`SWITCHES`] take no value; every other flag consumes the next
+/// argument.
+fn accepted_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "stats" => &["-p", "--mode", "--timeout-ms", "--metrics", "--trace"],
+        "build" => &["-o", "-p", "--mode", "--timeout-ms", "--metrics", "--trace"],
+        "search" => &["-m", "-p", "--mode", "--timeout-ms", "--metrics", "--trace"],
+        "core" => &["-v", "-k"],
+        "dot" => &["-p", "--mode", "--timeout-ms"],
+        "gen" => &["--seed"],
+        "serve-bench" => &[
+            "--durable",
+            "--seed",
+            "--ops",
+            "--batch",
+            "--read-ratio",
+            "--cache",
+            "--hot-fraction",
+            "--events",
+            "--stats-interval",
+            "--tenants",
+            "--offered-qps",
+            "--ticks",
+            "--watermark",
+            "--deadline-ms",
+            "--update-every",
+            "--no-cache",
+            "-p",
+            "--mode",
+            "--timeout-ms",
+            "--metrics",
+            "--trace",
+        ],
+        "metrics-diff" => &["--threshold", "--abs-floor-ns", "--counters-only"],
+        "wal-inspect" | "help" | "--help" | "-h" => &[],
+        _ => return None,
+    })
+}
+
+/// The flags that take no value.
+const SWITCHES: [&str; 3] = ["--cache", "--no-cache", "--counters-only"];
+
+/// Rejects any flag-shaped argument after the command that the command
+/// does not accept, so a typo or a removed option fails loudly instead
+/// of being ignored. Flag values are skipped, so `-p -1` reaches the
+/// value parser and `--metrics -` stays a stdout target.
+fn check_flags(cmd: &str, accepted: &[&str], args: &[String]) -> Result<(), CliError> {
+    let mut rest = args.iter().skip(1);
+    while let Some(a) = rest.next() {
+        if a.len() < 2 || !a.starts_with('-') {
+            continue;
+        }
+        if !accepted.contains(&a.as_str()) {
+            return Err(usage(format!("unknown flag {a:?} for {cmd}")));
+        }
+        if !SWITCHES.contains(&a.as_str()) {
+            rest.next();
+        }
+    }
+    Ok(())
+}
+
 fn run(args: &[String]) -> Result<(), CliError> {
     let cmd = args.first().ok_or_else(|| usage("missing command"))?;
+    if let Some(accepted) = accepted_flags(cmd) {
+        check_flags(cmd, accepted, args)?;
+    }
     match cmd.as_str() {
         "stats" => {
             let path = args.get(1).ok_or_else(|| usage("missing graph path"))?;
-            let order = order_option(args)?;
-            with_metrics(args, exec_options(args)?, |exec| stats(path, order, exec))
+            with_metrics(args, exec_options(args)?, |exec| stats(path, exec))
         }
         "build" => {
             let path = args.get(1).ok_or_else(|| usage("missing graph path"))?;
             let out = flag_value(args, "-o")?.ok_or_else(|| usage("missing -o <index.hcd>"))?;
-            let order = order_option(args)?;
-            with_metrics(args, exec_options(args)?, |exec| {
-                build(path, &out, order, exec)
-            })
+            with_metrics(args, exec_options(args)?, |exec| build(path, &out, exec))
         }
         "search" => {
             let path = args.get(1).ok_or_else(|| usage("missing graph path"))?;
             let metric = flag_value(args, "-m")?;
-            let order = order_option(args)?;
-            with_metrics(args, exec_options(args)?, |exec| {
-                search(path, metric, order, exec)
-            })
+            with_metrics(args, exec_options(args)?, |exec| search(path, metric, exec))
         }
         "core" => core_query(
             args.get(1).ok_or_else(|| usage("missing graph path"))?,
@@ -289,7 +343,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
         ),
         "dot" => dot(
             args.get(1).ok_or_else(|| usage("missing graph path"))?,
-            order_option(args)?,
             exec_options(args)?,
         ),
         "gen" => gen(
@@ -332,16 +385,6 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-/// Parses `--order none|degree` (default `none`).
-fn order_option(args: &[String]) -> Result<VertexOrder, CliError> {
-    match flag_value(args, "--order")? {
-        None => Ok(VertexOrder::None),
-        Some(s) => {
-            VertexOrder::parse(&s).ok_or_else(|| usage(format!("bad --order {s:?} (none|degree)")))
-        }
-    }
-}
-
 fn load(path: &str) -> Result<CsrGraph, CliError> {
     let g = if path.ends_with(".bin") {
         hcd::graph::io::read_binary_file(path)
@@ -352,7 +395,7 @@ fn load(path: &str) -> Result<CsrGraph, CliError> {
 }
 
 /// Builds the executor shared by a whole command from its `-p`,
-/// `--mode`, `--pin-threads`, and `--timeout-ms` flags: `-p 1` (or a
+/// `--mode`, and `--timeout-ms` flags: `-p 1` (or a
 /// single-core machine) selects the sequential mode, anything larger the
 /// work-assisting pool (`assist`) unless `--mode` says otherwise, and a
 /// timeout arms a deadline that every parallel region checks. This is
@@ -369,22 +412,15 @@ fn exec_options(args: &[String]) -> Result<Executor, CliError> {
     let mode = mode
         .as_deref()
         .unwrap_or(if threads == 1 { "seq" } else { "assist" });
-    let pin = has_flag(args, "--pin-threads");
     // threads == 0 reaches the try_* constructors so the typed
     // BuildError (ZeroWorkers) produces the usage message.
     let bad_p = |e| usage(format!("bad -p: {e}"));
     let exec = match mode {
         "seq" => Executor::sequential(),
         "sim" => Executor::try_simulated(threads).map_err(bad_p)?,
-        "assist" => Executor::try_assist_with(ExecutorConfig::new(threads).pin_threads(pin))
-            .map_err(bad_p)?,
+        "assist" => Executor::try_assist(threads).map_err(bad_p)?,
         other => return Err(usage(format!("bad --mode {other:?} (seq|sim|assist)"))),
     };
-    if pin && mode != "assist" {
-        return Err(usage(
-            "--pin-threads requires the assist executor (--mode assist, or -p > 1)".to_string(),
-        ));
-    }
     if let Some(ms) = flag_value(args, "--timeout-ms")? {
         let ms = ms
             .parse::<u64>()
@@ -481,17 +517,16 @@ fn metrics_diff(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-fn pipeline(
-    g: &CsrGraph,
-    order: VertexOrder,
-    exec: &Executor,
-) -> Result<(CoreDecomposition, Hcd), CliError> {
-    try_build_with_order(g, order, exec).map_err(par_err)
+/// PKC core decomposition, then PHCD, on the graph as loaded.
+fn pipeline(g: &CsrGraph, exec: &Executor) -> Result<(CoreDecomposition, Hcd), CliError> {
+    let cores = try_pkc_core_decomposition(g, exec).map_err(par_err)?;
+    let hcd = try_phcd(g, &cores, exec).map_err(par_err)?;
+    Ok((cores, hcd))
 }
 
-fn stats(path: &str, order: VertexOrder, exec: &Executor) -> Result<(), CliError> {
+fn stats(path: &str, exec: &Executor) -> Result<(), CliError> {
     let g = load(path)?;
-    let (cores, hcd) = pipeline(&g, order, exec)?;
+    let (cores, hcd) = pipeline(&g, exec)?;
     println!("n     = {}", g.num_vertices());
     println!("m     = {}", g.num_edges());
     println!("davg  = {:.2}", g.avg_degree());
@@ -502,9 +537,9 @@ fn stats(path: &str, order: VertexOrder, exec: &Executor) -> Result<(), CliError
     Ok(())
 }
 
-fn build(path: &str, out: &str, order: VertexOrder, exec: &Executor) -> Result<(), CliError> {
+fn build(path: &str, out: &str, exec: &Executor) -> Result<(), CliError> {
     let g = load(path)?;
-    let (_, hcd) = pipeline(&g, order, exec)?;
+    let (_, hcd) = pipeline(&g, exec)?;
     let file = std::fs::File::create(out)
         .map_err(|e| CliError::Runtime(format!("cannot create {out}: {e}")))?;
     hcd::core::io::write_hcd(&hcd, file)
@@ -521,15 +556,10 @@ fn parse_metric(m: Option<String>) -> Result<Metric, CliError> {
         .ok_or_else(|| usage(format!("unknown metric {name:?}")))
 }
 
-fn search(
-    path: &str,
-    metric: Option<String>,
-    order: VertexOrder,
-    exec: &Executor,
-) -> Result<(), CliError> {
+fn search(path: &str, metric: Option<String>, exec: &Executor) -> Result<(), CliError> {
     let g = load(path)?;
     let metric = parse_metric(metric)?;
-    let (cores, hcd) = pipeline(&g, order, exec)?;
+    let (cores, hcd) = pipeline(&g, exec)?;
     let ctx = SearchContext::try_with_executor(&g, &cores, &hcd, exec).map_err(par_err)?;
     match try_pbks(&ctx, &metric, exec).map_err(par_err)? {
         None => println!("graph is empty"),
@@ -552,7 +582,7 @@ fn core_query(path: &str, v: &str, k: &str) -> Result<(), CliError> {
     if v as usize >= g.num_vertices() {
         return Err(CliError::Runtime(format!("vertex {v} out of range")));
     }
-    let (cores, hcd) = pipeline(&g, VertexOrder::None, &Executor::sequential())?;
+    let (cores, hcd) = pipeline(&g, &Executor::sequential())?;
     match core_containing(&hcd, &cores, v, k) {
         None => println!(
             "vertex {v} has coreness {} < {k}: no such core",
@@ -576,9 +606,9 @@ fn core_query(path: &str, v: &str, k: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-fn dot(path: &str, order: VertexOrder, exec: Executor) -> Result<(), CliError> {
+fn dot(path: &str, exec: Executor) -> Result<(), CliError> {
     let g = load(path)?;
-    let (_, hcd) = pipeline(&g, order, &exec)?;
+    let (_, hcd) = pipeline(&g, &exec)?;
     print!("{}", hcd.to_dot());
     Ok(())
 }

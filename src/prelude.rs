@@ -1,7 +1,7 @@
 //! One-stop imports for the common workflow:
 //! build graph → core decomposition → HCD → subgraph search.
 
-pub use hcd_graph::{CsrGraph, GraphBuilder, InducedSubgraph, Permutation, VertexId};
+pub use hcd_graph::{CsrGraph, GraphBuilder, InducedSubgraph, VertexId};
 
 pub use hcd_unionfind::{
     BatchStats, ConcurrentPivotUnionFind, PivotUnionFind, UfCounts, UnionBatch, UnionFindPivot,
@@ -16,16 +16,13 @@ pub use hcd_core::phcd::{phcd_with_ranks, try_phcd_with_ranks};
 pub use hcd_core::query::{
     core_containing, core_node_at, cores_per_level, hierarchy_position, in_k_core, same_k_core,
 };
-pub use hcd_core::{
-    build_with_order, lcps, naive_hcd, phcd, try_build_with_order, try_phcd, Hcd, TreeNode,
-    VertexOrder, VertexRanks,
-};
+pub use hcd_core::{lcps, naive_hcd, phcd, try_phcd, Hcd, TreeNode, VertexRanks};
 
 pub use hcd_par::{
     diff_metrics, intern, BuildError, CancelToken, CounterValue, CrashPoint, Deadline, DiffEntry,
-    DiffOptions, DiffReport, EventKind, Executor, ExecutorConfig, Fault, FaultPlan,
-    HistogramSnapshot, ParError, RegionMetrics, RunMetrics, Snapshot, SnapshotHistogram, Trace,
-    TraceEvent, CHECKPOINT_STRIDE, METRICS_SCHEMA, TRACE_SCHEMA,
+    DiffOptions, DiffReport, EventKind, Executor, Fault, FaultPlan, HistogramSnapshot, ParError,
+    RegionMetrics, RunMetrics, Snapshot, SnapshotHistogram, Trace, TraceEvent, CHECKPOINT_STRIDE,
+    METRICS_SCHEMA, TRACE_SCHEMA,
 };
 
 pub use hcd_search::bestk::{best_k, core_set_scores, try_best_k, try_core_set_scores};

@@ -141,35 +141,29 @@ fn stats_accepts_every_executor_mode() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    // Pinning is assist-only, including the -p > 1 default; elsewhere it
-    // is a usage error (exit 2).
-    for pinned in [
-        vec!["-p", "2", "--mode", "assist", "--pin-threads"],
-        vec!["-p", "2", "--pin-threads"],
+    // Removed options and typos are usage errors, never silently
+    // ignored: every row exits 2 and names the rejected flag.
+    for (rejected, flag) in [
+        (vec!["--order", "degree"], "--order"),
+        (vec!["-p", "2", "--pin-threads"], "--pin-threads"),
+        (
+            vec!["-p", "2", "--mode", "assist", "--pin-threads"],
+            "--pin-threads",
+        ),
+        (vec!["--treads", "4", "--timeout", "1"], "--treads"),
     ] {
         let out = cli()
             .arg("stats")
             .arg(&graph)
-            .args(&pinned)
+            .args(&rejected)
             .output()
             .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{rejected:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            out.status.success(),
-            "{pinned:?}: {}",
-            String::from_utf8_lossy(&out.stderr)
+            err.contains(&format!("unknown flag \"{flag}\" for stats")),
+            "{rejected:?}: {err}"
         );
-    }
-    for unpinnable in [
-        vec!["-p", "2", "--mode", "sim", "--pin-threads"],
-        vec!["-p", "1", "--pin-threads"],
-    ] {
-        let out = cli()
-            .arg("stats")
-            .arg(&graph)
-            .args(&unpinnable)
-            .output()
-            .unwrap();
-        assert_eq!(out.status.code(), Some(2), "{unpinnable:?}");
     }
     // The static-schedule thread mode is gone: naming it is a usage
     // error that lists the modes that remain.
@@ -191,6 +185,38 @@ fn stats_accepts_every_executor_mode() {
         "{err}"
     );
     std::fs::remove_file(&graph).ok();
+}
+
+#[test]
+fn every_documented_flag_is_accepted() {
+    // Each `hcd-cli <cmd>` usage line names the flags of that command;
+    // none of them may trip the unknown-flag check. The graph path does
+    // not exist, so each run fails fast after flag checking (any file a
+    // flag writes lands in the scratch directory).
+    let dir = tmp("documented_flags");
+    std::fs::create_dir_all(&dir).unwrap();
+    let help = cli().arg("help").output().unwrap();
+    let text = String::from_utf8_lossy(&help.stdout);
+    let mut checked = 0;
+    for line in text.lines().filter_map(|l| l.strip_prefix("  hcd-cli ")) {
+        let mut words = line.split_whitespace();
+        let cmd = words.next().unwrap();
+        for flag in words.map(|w| w.trim_start_matches('[').trim_end_matches(']')) {
+            if flag.len() < 2 || !flag.starts_with('-') {
+                continue;
+            }
+            let out = cli()
+                .current_dir(&dir)
+                .args([cmd, "missing-a.txt", "missing-b.txt", flag, "1"])
+                .output()
+                .unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(!err.contains("unknown flag"), "{cmd} {flag}: {err}");
+            checked += 1;
+        }
+    }
+    assert!(checked > 30, "only {checked} documented flags found");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -488,7 +514,7 @@ fn help_documents_every_exit_code() {
         }
         // The executor mode list lives in one place; help must name
         // every mode the parser accepts, including assist.
-        for needle in ["--mode", "seq", "sim", "assist", "--pin-threads"] {
+        for needle in ["--mode", "seq", "sim", "assist"] {
             assert!(text.contains(needle), "{cmd} help missing {needle:?}");
         }
         // The open-loop serving knobs are documented too.
@@ -554,65 +580,6 @@ fn counters_only_ignores_wall_time_but_gates_counters() {
 
     std::fs::remove_file(&old).ok();
     std::fs::remove_file(&new).ok();
-}
-
-#[test]
-fn build_with_degree_order_writes_identical_index() {
-    let graph = tmp("order.txt");
-    let plain = tmp("order_plain.hcd");
-    let ordered = tmp("order_degree.hcd");
-    assert!(cli()
-        .args(["gen", "ba", graph.to_str().unwrap(), "--seed", "9"])
-        .status()
-        .unwrap()
-        .success());
-    assert!(cli()
-        .args([
-            "build",
-            graph.to_str().unwrap(),
-            "-o",
-            plain.to_str().unwrap(),
-        ])
-        .status()
-        .unwrap()
-        .success());
-    assert!(cli()
-        .args([
-            "build",
-            graph.to_str().unwrap(),
-            "-o",
-            ordered.to_str().unwrap(),
-            "--order",
-            "degree",
-            "-p",
-            "2",
-        ])
-        .status()
-        .unwrap()
-        .success());
-    // The relabeled build maps back to the exact same serialized index.
-    let a = std::fs::read(&plain).unwrap();
-    let b = std::fs::read(&ordered).unwrap();
-    assert!(!a.is_empty());
-    assert_eq!(a, b, "--order degree must not change the written index");
-
-    // An unknown order is a usage error.
-    let out = cli()
-        .args([
-            "build",
-            graph.to_str().unwrap(),
-            "-o",
-            plain.to_str().unwrap(),
-            "--order",
-            "random",
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-
-    std::fs::remove_file(&graph).ok();
-    std::fs::remove_file(&plain).ok();
-    std::fs::remove_file(&ordered).ok();
 }
 
 /// Generates a graph and runs one durable `serve-bench` pass into

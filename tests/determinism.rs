@@ -59,40 +59,3 @@ fn vertex_ranks_identical_across_modes() {
     assert_eq!(b.vsort(), c.vsort());
     assert_eq!(a.ranks(), c.ranks());
 }
-
-#[test]
-fn ordered_build_is_bitwise_identical_to_unordered_across_modes() {
-    // --order degree relabels the graph before construction; the mapped-
-    // back output must be byte-identical to the unordered build in every
-    // executor mode, not merely canonically equal.
-    for abbrev in ["A", "H", "LJ"] {
-        let g = Dataset::by_abbrev(abbrev).unwrap().generate(Scale::Tiny);
-        let (ref_cores, ref_hcd) = build_with_order(&g, VertexOrder::None, &Executor::sequential());
-        for exec in [
-            Executor::sequential(),
-            Executor::simulated(3),
-            Executor::assist(4),
-        ] {
-            let (cores, hcd) = build_with_order(&g, VertexOrder::Degree, &exec);
-            assert_eq!(ref_cores, cores, "{abbrev} coreness ({})", exec.mode_name());
-            assert_eq!(
-                ref_hcd.nodes(),
-                hcd.nodes(),
-                "{abbrev} ({})",
-                exec.mode_name()
-            );
-            assert_eq!(
-                ref_hcd.tids(),
-                hcd.tids(),
-                "{abbrev} ({})",
-                exec.mode_name()
-            );
-            assert_eq!(
-                ref_hcd.roots(),
-                hcd.roots(),
-                "{abbrev} ({})",
-                exec.mode_name()
-            );
-        }
-    }
-}

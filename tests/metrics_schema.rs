@@ -1,14 +1,14 @@
 //! Validates the `--metrics` JSON emitted by `hcd-cli` against the
 //! documented `hcd-metrics-v1` schema, end to end: generate a graph, run
-//! a command with `--metrics`, parse the file with a dependency-free
-//! JSON reader, and check every structural and arithmetic invariant the
-//! schema promises. CI runs the same validation on an RMAT graph.
+//! a command with `--metrics`, parse the file with `hcd::par::diff::Json`
+//! (the reader behind `metrics-diff`), and check every structural and
+//! arithmetic invariant the schema promises. CI runs the same
+//! validation on an RMAT graph.
 
 use std::path::PathBuf;
 use std::process::Command;
 
-mod common;
-use common::Json;
+use hcd::par::diff::Json;
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_hcd-cli"))
@@ -43,26 +43,29 @@ const REGION_FIELDS: [&str; 13] = [
 /// returns the region names in emission order.
 fn validate_schema(doc: &Json) -> Vec<String> {
     assert_eq!(
-        doc.get("schema").and_then(Json::str),
+        doc.get("schema").and_then(Json::as_str),
         Some("hcd-metrics-v1"),
         "schema tag"
     );
     let total_wall = doc
         .get("total_wall_ns")
-        .and_then(Json::num)
+        .and_then(Json::as_f64)
         .expect("total_wall_ns");
     let total_charged = doc
         .get("total_charged_ns")
-        .and_then(Json::num)
+        .and_then(Json::as_f64)
         .expect("total_charged_ns");
     assert!(total_wall >= 0.0 && total_charged >= 0.0);
 
-    let regions = doc.get("regions").and_then(Json::arr).expect("regions[]");
+    let regions = doc
+        .get("regions")
+        .and_then(Json::as_arr)
+        .expect("regions[]");
     let mut names = Vec::new();
     let mut sum_wall = 0.0;
     let mut sum_charged = 0.0;
     for r in regions {
-        let name = r.get("name").and_then(Json::str).expect("region name");
+        let name = r.get("name").and_then(Json::as_str).expect("region name");
         assert!(
             name.chars()
                 .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-')),
@@ -71,24 +74,24 @@ fn validate_schema(doc: &Json) -> Vec<String> {
         for field in REGION_FIELDS {
             let v = r
                 .get(field)
-                .and_then(Json::num)
+                .and_then(Json::as_f64)
                 .unwrap_or_else(|| panic!("{name}: missing {field}"));
             assert!(v >= 0.0, "{name}.{field} = {v}");
         }
-        let chunks = r.get("chunks").and_then(Json::num).unwrap();
-        let invocations = r.get("invocations").and_then(Json::num).unwrap();
-        let sum = r.get("chunk_sum_ns").and_then(Json::num).unwrap();
-        let max = r.get("chunk_max_ns").and_then(Json::num).unwrap();
-        let min = r.get("chunk_min_ns").and_then(Json::num).unwrap();
+        let chunks = r.get("chunks").and_then(Json::as_f64).unwrap();
+        let invocations = r.get("invocations").and_then(Json::as_f64).unwrap();
+        let sum = r.get("chunk_sum_ns").and_then(Json::as_f64).unwrap();
+        let max = r.get("chunk_max_ns").and_then(Json::as_f64).unwrap();
+        let min = r.get("chunk_min_ns").and_then(Json::as_f64).unwrap();
         assert!(invocations >= 1.0, "{name}: recorded without running");
-        let workers = r.get("workers").and_then(Json::num).unwrap();
+        let workers = r.get("workers").and_then(Json::as_f64).unwrap();
         assert!(workers >= 1.0, "{name}: recorded without a worker");
         // An invocation over an empty index range runs zero chunks, so
         // `chunks` is not bounded below by `invocations`.
         assert!(chunks > 0.0 || sum == 0.0, "{name}: timed chunkless run");
         assert!(max <= sum, "{name}: chunk_max > chunk_sum");
         assert!(min <= max || max == 0.0, "{name}: chunk_min > chunk_max");
-        sum_wall += r.get("wall_ns").and_then(Json::num).unwrap();
+        sum_wall += r.get("wall_ns").and_then(Json::as_f64).unwrap();
         sum_charged += max;
         names.push(name.to_string());
     }
@@ -100,15 +103,18 @@ fn validate_schema(doc: &Json) -> Vec<String> {
 
     // Algorithm counters (added in v1 as an always-present array): each
     // entry carries a name, a non-negative value, and a fold kind.
-    let counters = doc.get("counters").and_then(Json::arr).expect("counters[]");
+    let counters = doc
+        .get("counters")
+        .and_then(Json::as_arr)
+        .expect("counters[]");
     for c in counters {
-        let name = c.get("name").and_then(Json::str).expect("counter name");
+        let name = c.get("name").and_then(Json::as_str).expect("counter name");
         let value = c
             .get("value")
-            .and_then(Json::num)
+            .and_then(Json::as_f64)
             .unwrap_or_else(|| panic!("{name}: missing value"));
         assert!(value >= 0.0, "{name} = {value}");
-        let kind = c.get("kind").and_then(Json::str).unwrap();
+        let kind = c.get("kind").and_then(Json::as_str).unwrap();
         assert!(kind == "sum" || kind == "max", "{name}: kind {kind:?}");
     }
 
@@ -117,24 +123,27 @@ fn validate_schema(doc: &Json) -> Vec<String> {
     // quantiles that must be ordered and bracketed by min/max.
     let hists = doc.get("histograms").expect("histograms section");
     assert_eq!(
-        hists.get("version").and_then(Json::num),
+        hists.get("version").and_then(Json::as_f64),
         Some(1.0),
         "histograms.version"
     );
     assert_eq!(
-        hists.get("sub_bits").and_then(Json::num),
+        hists.get("sub_bits").and_then(Json::as_f64),
         Some(2.0),
         "histograms.sub_bits"
     );
     let entries = hists
         .get("entries")
-        .and_then(Json::arr)
+        .and_then(Json::as_arr)
         .expect("histograms.entries[]");
     for h in entries {
-        let name = h.get("name").and_then(Json::str).expect("histogram name");
+        let name = h
+            .get("name")
+            .and_then(Json::as_str)
+            .expect("histogram name");
         let field = |f: &str| {
             h.get(f)
-                .and_then(Json::num)
+                .and_then(Json::as_f64)
                 .unwrap_or_else(|| panic!("{name}: missing {f}"))
         };
         let count = field("count");
@@ -157,14 +166,14 @@ fn validate_schema(doc: &Json) -> Vec<String> {
         );
         let buckets = h
             .get("buckets")
-            .and_then(Json::arr)
+            .and_then(Json::as_arr)
             .unwrap_or_else(|| panic!("{name}: missing buckets"));
         let bucket_total: f64 = buckets
             .iter()
             .map(|b| {
-                let pair = b.arr().unwrap_or_else(|| panic!("{name}: bucket pair"));
+                let pair = b.as_arr().unwrap_or_else(|| panic!("{name}: bucket pair"));
                 assert_eq!(pair.len(), 2, "{name}: bucket pair arity");
-                pair[1].num().unwrap()
+                pair[1].as_f64().unwrap()
             })
             .sum();
         assert_eq!(bucket_total, count, "{name}: bucket counts don't sum");
@@ -227,10 +236,10 @@ fn build_metrics_cover_every_phcd_region() {
     // The build pipeline flushes its typed algorithm counters.
     let counters: Vec<&str> = doc
         .get("counters")
-        .and_then(Json::arr)
+        .and_then(Json::as_arr)
         .unwrap()
         .iter()
-        .map(|c| c.get("name").and_then(Json::str).unwrap())
+        .map(|c| c.get("name").and_then(Json::as_str).unwrap())
         .collect();
     for counter in [
         "pkc.levels",
@@ -339,14 +348,14 @@ fn serve_bench_metrics_cover_the_serving_layer() {
     }
     let counters: Vec<(&str, &str, f64)> = doc
         .get("counters")
-        .and_then(Json::arr)
+        .and_then(Json::as_arr)
         .unwrap()
         .iter()
         .map(|c| {
             (
-                c.get("name").and_then(Json::str).unwrap(),
-                c.get("kind").and_then(Json::str).unwrap(),
-                c.get("value").and_then(Json::num).unwrap(),
+                c.get("name").and_then(Json::as_str).unwrap(),
+                c.get("kind").and_then(Json::as_str).unwrap(),
+                c.get("value").and_then(Json::as_f64).unwrap(),
             )
         })
         .collect();
@@ -379,10 +388,10 @@ fn serve_bench_metrics_cover_the_serving_layer() {
     let hist_names: Vec<&str> = doc
         .get("histograms")
         .and_then(|h| h.get("entries"))
-        .and_then(Json::arr)
+        .and_then(Json::as_arr)
         .unwrap()
         .iter()
-        .map(|h| h.get("name").and_then(Json::str).unwrap())
+        .map(|h| h.get("name").and_then(Json::as_str).unwrap())
         .collect();
     for hist in [
         "serve.query.batch",
@@ -441,10 +450,10 @@ fn metrics_file_is_written_even_when_the_deadline_fires() {
     let doc = Json::parse(&text).expect("valid JSON");
     let names = validate_schema(&doc);
     // The aborted region recorded its failure.
-    let regions = doc.get("regions").and_then(Json::arr).unwrap();
+    let regions = doc.get("regions").and_then(Json::as_arr).unwrap();
     let aborted: f64 = regions
         .iter()
-        .map(|r| r.get("deadline_exceeded").and_then(Json::num).unwrap())
+        .map(|r| r.get("deadline_exceeded").and_then(Json::as_f64).unwrap())
         .sum();
     assert!(aborted >= 1.0, "no deadline recorded in {names:?}");
     std::fs::remove_file(&graph).ok();
@@ -499,13 +508,13 @@ fn closed_loop_cache_flag_emits_cache_counters_and_lookup_histogram() {
     validate_schema(&doc);
     let counters: Vec<(&str, f64)> = doc
         .get("counters")
-        .and_then(Json::arr)
+        .and_then(Json::as_arr)
         .unwrap()
         .iter()
         .map(|c| {
             (
-                c.get("name").and_then(Json::str).unwrap(),
-                c.get("value").and_then(Json::num).unwrap(),
+                c.get("name").and_then(Json::as_str).unwrap(),
+                c.get("value").and_then(Json::as_f64).unwrap(),
             )
         })
         .collect();
@@ -519,10 +528,10 @@ fn closed_loop_cache_flag_emits_cache_counters_and_lookup_histogram() {
     let hist_names: Vec<&str> = doc
         .get("histograms")
         .and_then(|h| h.get("entries"))
-        .and_then(Json::arr)
+        .and_then(Json::as_arr)
         .unwrap()
         .iter()
-        .map(|h| h.get("name").and_then(Json::str).unwrap())
+        .map(|h| h.get("name").and_then(Json::as_str).unwrap())
         .collect();
     assert!(
         hist_names.contains(&"serve.cache.lookup"),
@@ -592,10 +601,10 @@ fn open_loop_serve_bench_emits_tenant_namespaced_metrics() {
     );
     let counters: Vec<&str> = doc
         .get("counters")
-        .and_then(Json::arr)
+        .and_then(Json::as_arr)
         .unwrap()
         .iter()
-        .map(|c| c.get("name").and_then(Json::str).unwrap())
+        .map(|c| c.get("name").and_then(Json::as_str).unwrap())
         .collect();
     for counter in [
         "serve.t0.queries",
@@ -622,10 +631,10 @@ fn open_loop_serve_bench_emits_tenant_namespaced_metrics() {
     let hist_names: Vec<&str> = doc
         .get("histograms")
         .and_then(|h| h.get("entries"))
-        .and_then(Json::arr)
+        .and_then(Json::as_arr)
         .unwrap()
         .iter()
-        .map(|h| h.get("name").and_then(Json::str).unwrap())
+        .map(|h| h.get("name").and_then(Json::as_str).unwrap())
         .collect();
     for hist in ["serve.query.batch", "serve.cache.lookup"] {
         assert!(

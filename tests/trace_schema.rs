@@ -7,8 +7,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-mod common;
-use common::Json;
+use hcd::par::diff::Json;
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_hcd-cli"))
@@ -37,24 +36,24 @@ fn gen_graph(name: &str, model: &str) -> PathBuf {
 /// Asserts the full `hcd-trace-v1` contract on a parsed document.
 fn validate_trace(doc: &Json) {
     assert_eq!(
-        doc.get("schema").and_then(Json::str),
+        doc.get("schema").and_then(Json::as_str),
         Some("hcd-trace-v1"),
         "schema tag"
     );
     let dropped = doc
         .get("droppedEvents")
-        .and_then(Json::num)
+        .and_then(Json::as_f64)
         .expect("droppedEvents");
     assert!(dropped >= 0.0);
     assert_eq!(
-        doc.get("displayTimeUnit").and_then(Json::str),
+        doc.get("displayTimeUnit").and_then(Json::as_str),
         Some("ms"),
         "displayTimeUnit"
     );
 
     let events = doc
         .get("traceEvents")
-        .and_then(Json::arr)
+        .and_then(Json::as_arr)
         .expect("traceEvents[]");
     assert!(!events.is_empty(), "no events recorded");
 
@@ -68,19 +67,19 @@ fn validate_trace(doc: &Json) {
     let mut instants = 0usize;
 
     for e in events {
-        let ph = e.get("ph").and_then(Json::str).expect("ph");
+        let ph = e.get("ph").and_then(Json::as_str).expect("ph");
         // Counter events are process-scoped and carry no tid.
-        let tid = e.get("tid").and_then(Json::num).unwrap_or(-1.0) as i64;
-        assert_eq!(e.get("pid").and_then(Json::num), Some(1.0), "pid");
+        let tid = e.get("tid").and_then(Json::as_f64).unwrap_or(-1.0) as i64;
+        assert_eq!(e.get("pid").and_then(Json::as_f64), Some(1.0), "pid");
         assert!(tid >= 0 || ph == "C", "{ph} event without tid");
         match ph {
             "M" => {
-                let name = e.get("name").and_then(Json::str).unwrap();
+                let name = e.get("name").and_then(Json::as_str).unwrap();
                 if name == "thread_name" {
                     let label = e
                         .get("args")
                         .and_then(|a| a.get("name"))
-                        .and_then(Json::str)
+                        .and_then(Json::as_str)
                         .expect("thread_name label");
                     if tid == 0 {
                         assert_eq!(label, "regions");
@@ -91,7 +90,7 @@ fn validate_trace(doc: &Json) {
                 }
             }
             "B" => {
-                assert!(e.get("ts").and_then(Json::num).is_some(), "B needs ts");
+                assert!(e.get("ts").and_then(Json::as_f64).is_some(), "B needs ts");
                 *depth.entry(tid).or_insert(0) += 1;
                 used_tids.push(tid);
             }
@@ -101,7 +100,7 @@ fn validate_trace(doc: &Json) {
                 assert!(*d >= 0, "E without B on tid {tid}");
             }
             "i" => {
-                let s = e.get("s").and_then(Json::str).expect("instant scope");
+                let s = e.get("s").and_then(Json::as_str).expect("instant scope");
                 assert!(s == "p" || s == "t", "instant scope {s:?}");
                 instants += 1;
             }
@@ -111,7 +110,7 @@ fn validate_trace(doc: &Json) {
                     Json::Obj(m) => m.iter().next().expect("C args value"),
                     _ => panic!("C args not an object"),
                 };
-                assert!(v.num().expect("counter value") >= 0.0);
+                assert!(v.as_f64().expect("counter value") >= 0.0);
                 counter_events += 1;
             }
             other => panic!("unexpected phase {other:?}"),
@@ -164,14 +163,14 @@ fn build_trace_is_valid_chrome_json_with_worker_and_counter_tracks() {
     validate_trace(&doc);
 
     // Region spans for the whole pipeline appear on the region track.
-    let events = doc.get("traceEvents").and_then(Json::arr).unwrap();
+    let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
     let region_names: Vec<&str> = events
         .iter()
         .filter(|e| {
-            e.get("ph").and_then(Json::str) == Some("B")
-                && e.get("tid").and_then(Json::num) == Some(0.0)
+            e.get("ph").and_then(Json::as_str) == Some("B")
+                && e.get("tid").and_then(Json::as_f64) == Some(0.0)
         })
-        .map(|e| e.get("name").and_then(Json::str).unwrap())
+        .map(|e| e.get("name").and_then(Json::as_str).unwrap())
         .collect();
     for region in ["pkc.scan", "pkc.wave", "phcd.union"] {
         assert!(
@@ -213,7 +212,7 @@ fn search_trace_and_metrics_combine() {
     validate_trace(&tdoc);
     let mdoc = Json::parse(&std::fs::read_to_string(&metrics).unwrap()).expect("metrics JSON");
     assert_eq!(
-        mdoc.get("schema").and_then(Json::str),
+        mdoc.get("schema").and_then(Json::as_str),
         Some("hcd-metrics-v1")
     );
     std::fs::remove_file(&graph).ok();
@@ -251,14 +250,14 @@ fn serve_bench_trace_shows_query_and_rebuild_spans() {
     validate_trace(&doc);
     // The region track interleaves serving spans with the construction
     // spans each rebuild triggers.
-    let events = doc.get("traceEvents").and_then(Json::arr).unwrap();
+    let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
     let region_names: Vec<&str> = events
         .iter()
         .filter(|e| {
-            e.get("ph").and_then(Json::str) == Some("B")
-                && e.get("tid").and_then(Json::num) == Some(0.0)
+            e.get("ph").and_then(Json::as_str) == Some("B")
+                && e.get("tid").and_then(Json::as_f64) == Some(0.0)
         })
-        .map(|e| e.get("name").and_then(Json::str).unwrap())
+        .map(|e| e.get("name").and_then(Json::as_str).unwrap())
         .collect();
     for region in ["serve.query.batch", "serve.rebuild", "phcd.union"] {
         assert!(
@@ -288,17 +287,20 @@ fn trace_is_written_even_when_the_deadline_fires() {
     assert_eq!(out.status.code(), Some(124), "deadline exit code");
     let text = std::fs::read_to_string(&trace).expect("trace written for aborted runs too");
     let doc = Json::parse(&text).expect("valid JSON");
-    assert_eq!(doc.get("schema").and_then(Json::str), Some("hcd-trace-v1"));
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_str),
+        Some("hcd-trace-v1")
+    );
     // The aborted region still closed its span (RegionExit is recorded
     // on the error path as well), so spans stay balanced.
-    let events = doc.get("traceEvents").and_then(Json::arr).unwrap();
+    let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
     let b = events
         .iter()
-        .filter(|e| e.get("ph").and_then(Json::str) == Some("B"))
+        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("B"))
         .count();
     let e = events
         .iter()
-        .filter(|e| e.get("ph").and_then(Json::str) == Some("E"))
+        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("E"))
         .count();
     assert_eq!(b, e, "unbalanced spans in aborted trace");
     std::fs::remove_file(&graph).ok();
@@ -317,6 +319,9 @@ fn trace_to_stdout_with_dash() {
     // The JSON document follows the human-readable stats output.
     let json_start = text.find("{\n").expect("JSON document on stdout");
     let doc = Json::parse(&text[json_start..]).expect("valid JSON on stdout");
-    assert_eq!(doc.get("schema").and_then(Json::str), Some("hcd-trace-v1"));
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_str),
+        Some("hcd-trace-v1")
+    );
     std::fs::remove_file(&graph).ok();
 }
