@@ -11,9 +11,10 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use hcd_graph::VertexId;
-use hcd_par::{Executor, ParError, CHECKPOINT_STRIDE};
+use hcd_par::{Executor, ParError};
 
 use crate::metrics::{Metric, MetricKind, PrimaryValues};
+use crate::motifs::{try_count_motifs, MotifNames};
 use crate::preprocess::SearchContext;
 
 /// Score and primary values of one k-core set.
@@ -39,117 +40,40 @@ pub fn core_set_scores(
     }
 }
 
-/// Fallible version of [`core_set_scores`]: returns `Err` if the
-/// contribution region panics, is cancelled, or exceeds the executor's
-/// deadline. The triangle enumeration is `O(m^1.5)` — by far the longest
-/// loop of this extension — so it polls the cancellation checkpoint at a
-/// coarse per-wedge work stride; a deadline takes effect within one
-/// `CHECKPOINT_STRIDE` of scanned edges rather than after the full pass
-/// (see `hcd_par` failure model).
+/// Fallible version of [`core_set_scores`]: returns `Err` if a region
+/// panics, is cancelled, or exceeds the executor's deadline. Type-B
+/// metrics run the `O(m^1.5)` triangle kernel shared with PBKS, bucketed
+/// by coreness; it polls the cancellation checkpoint every
+/// `CHECKPOINT_STRIDE` probes, so a deadline takes effect mid-pass
+/// rather than after it (see `hcd_par` failure model).
 pub fn try_core_set_scores(
     ctx: &SearchContext<'_>,
     metric: &Metric,
     exec: &Executor,
 ) -> Result<Vec<LevelScore>, ParError> {
-    let kmax = ctx.cores.kmax() as usize;
-    let nk = kmax + 1;
+    let nk = ctx.cores.kmax() as usize + 1;
     let n_acc: Vec<AtomicU64> = (0..nk).map(|_| AtomicU64::new(0)).collect();
     let m2_acc: Vec<AtomicU64> = (0..nk).map(|_| AtomicU64::new(0)).collect();
     let b_acc: Vec<AtomicI64> = (0..nk).map(|_| AtomicI64::new(0)).collect();
-    let ta_acc: Vec<AtomicU64> = (0..nk).map(|_| AtomicU64::new(0)).collect();
-    let tp_acc: Vec<AtomicU64> = (0..nk).map(|_| AtomicU64::new(0)).collect();
-    let type_b = metric.kind() == MetricKind::TypeB;
-    let n = ctx.g.num_vertices();
-
-    struct Scratch {
-        marks: Vec<bool>,
-        counts: Vec<u32>,
-    }
 
     exec.region("bestk.contrib").try_for_each_chunk(
-        n,
-        || Scratch {
-            marks: vec![false; n],
-            counts: vec![0; nk],
-        },
-        |_, scratch, range| {
-            let mut since = 0usize;
+        ctx.g.num_vertices(),
+        || (),
+        |_, _, range| {
             for v in range {
                 let v = v as VertexId;
                 let cv = ctx.cores.coreness(v) as usize;
                 let gt = ctx.gt(v) as u64;
-                let eq = ctx.eq(v) as u64;
-                let lt = ctx.lt(v) as i64;
                 n_acc[cv].fetch_add(1, Ordering::Relaxed);
-                m2_acc[cv].fetch_add(2 * gt + eq, Ordering::Relaxed);
-                b_acc[cv].fetch_add(lt - gt as i64, Ordering::Relaxed);
-                since += 1;
-                if since >= CHECKPOINT_STRIDE {
-                    exec.checkpoint()?;
-                    since = 0;
-                }
-                if !type_b {
-                    continue;
-                }
-
-                // Triangles: credit the level of the lowest-rank corner.
-                let dv = ctx.g.degree(v);
-                let rv = ctx.ranks.rank(v);
-                for &u in ctx.g.neighbors(v) {
-                    scratch.marks[u as usize] = true;
-                }
-                for &u in ctx.g.neighbors(v) {
-                    let du = ctx.g.degree(u);
-                    if du < dv || (du == dv && u < v) {
-                        // The wedge scan below is the O(m^1.5) hot loop:
-                        // poll once per scanned adjacency stride so a
-                        // deadline fires mid-vertex, not after it.
-                        since += du;
-                        if since >= CHECKPOINT_STRIDE {
-                            exec.checkpoint()?;
-                            since = 0;
-                        }
-                        let ru = ctx.ranks.rank(u);
-                        for &w in ctx.g.neighbors(u) {
-                            if scratch.marks[w as usize] {
-                                let rw = ctx.ranks.rank(w);
-                                if rw < ru && rw < rv {
-                                    ta_acc[ctx.cores.coreness(w) as usize]
-                                        .fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                    }
-                }
-                for &u in ctx.g.neighbors(v) {
-                    scratch.marks[u as usize] = false;
-                }
-
-                // Triplets centered at v, credited to the level at which
-                // they appear (minimum endpoint coreness).
-                let mut gt_k = gt + eq;
-                tp_acc[cv].fetch_add(gt_k * gt_k.saturating_sub(1) / 2, Ordering::Relaxed);
-                if cv > 0 {
-                    for &u in ctx.g.neighbors(v) {
-                        let cu = ctx.cores.coreness(u) as usize;
-                        if cu < cv {
-                            scratch.counts[cu] += 1;
-                        }
-                    }
-                    for k in (0..cv).rev() {
-                        let cnt = scratch.counts[k] as u64;
-                        if cnt > 0 {
-                            tp_acc[k]
-                                .fetch_add(cnt * (cnt - 1) / 2 + gt_k * cnt, Ordering::Relaxed);
-                            gt_k += cnt;
-                            scratch.counts[k] = 0;
-                        }
-                    }
-                }
+                m2_acc[cv].fetch_add(2 * gt + ctx.eq(v) as u64, Ordering::Relaxed);
+                b_acc[cv].fetch_add(ctx.lt(v) as i64 - gt as i64, Ordering::Relaxed);
             }
             Ok(())
         },
     )?;
+    let motifs = (metric.kind() == MetricKind::TypeB)
+        .then(|| try_count_motifs(ctx, exec, &BESTK_MOTIFS, ctx.cores.as_slice(), nk))
+        .transpose()?;
 
     // Suffix sums: K_k = shells k..=kmax.
     let totals = ctx.totals();
@@ -159,8 +83,10 @@ pub fn try_core_set_scores(
         acc.n += n_acc[k].load(Ordering::Relaxed);
         acc.m2 += m2_acc[k].load(Ordering::Relaxed);
         acc.b += b_acc[k].load(Ordering::Relaxed);
-        acc.triangles += ta_acc[k].load(Ordering::Relaxed);
-        acc.triplets += tp_acc[k].load(Ordering::Relaxed);
+        if let Some(m) = &motifs {
+            acc.triangles += m.triangles[k];
+            acc.triplets += m.triplets[k];
+        }
         let primaries = acc.into_primary();
         out.push(LevelScore {
             k: k as u32,
@@ -171,6 +97,12 @@ pub fn try_core_set_scores(
     out.reverse();
     Ok(out)
 }
+
+const BESTK_MOTIFS: MotifNames = MotifNames {
+    orient: "bestk.orient",
+    triangles: "bestk.triangles",
+    probes: "bestk.triangle_probes",
+};
 
 /// The best `k` for the metric: `argmax_k score(K_k)` (ties toward the
 /// larger, more selective `k`).
@@ -272,12 +204,13 @@ mod tests {
 
     #[test]
     fn deadline_fires_inside_triangle_loop_within_one_stride() {
-        // A 70-clique: the wedge scan alone is far past CHECKPOINT_STRIDE
-        // edge reads. Sequential mode runs the whole region as a single
-        // chunk, so after the pre-chunk deadline check passes there are no
-        // further chunk boundaries — only the in-body stride poll can
-        // observe the deadline expiring mid-chunk (armed here by an
-        // injected straggler delay that outlasts it).
+        // A 70-clique: the forward pass probes Σ i·(69 − i) ≈ 54k `N⁺`
+        // entries, far past CHECKPOINT_STRIDE. Sequential mode runs each
+        // region as a single chunk, so once the triangle region's
+        // pre-chunk deadline check passes there are no further chunk
+        // boundaries — only the in-body stride poll can observe the
+        // deadline expiring mid-chunk (armed here by an injected
+        // straggler delay on that region, which outlasts it).
         let mut b = hcd_graph::GraphBuilder::new();
         for u in 0..70u32 {
             for v in (u + 1)..70 {
@@ -288,13 +221,18 @@ mod tests {
         let cores = hcd_decomp::core_decomposition(&g);
         let hcd = hcd_core::phcd(&g, &cores, &Executor::sequential());
         let ctx = SearchContext::new(&g, &cores, &hcd);
-        let exec = Executor::sequential();
-        exec.set_fault_plan(hcd_par::FaultPlan::new().inject(0, 0, hcd_par::Fault::Delay(50_000)));
+        let exec = Executor::sequential().with_metrics();
+        // Regions: 0 = bestk.contrib, 1 = bestk.orient, 2 = bestk.triangles.
+        exec.set_fault_plan(hcd_par::FaultPlan::new().inject(2, 0, hcd_par::Fault::Delay(50_000)));
         exec.set_deadline(hcd_par::Deadline::from_now(
             std::time::Duration::from_millis(10),
         ));
         let err = try_core_set_scores(&ctx, &Metric::ClusteringCoefficient, &exec).unwrap_err();
         assert_eq!(err, hcd_par::ParError::DeadlineExceeded);
+        let m = exec.take_metrics();
+        let tri = m.get("bestk.triangles").expect("triangle region ran");
+        assert_eq!(tri.deadline_exceeded, 1);
+        assert_eq!(tri.checkpoints, 1, "the first stride poll fired");
         // The executor survives; cleared, the same query completes.
         exec.clear_deadline();
         exec.clear_fault_plan();

@@ -110,8 +110,9 @@ pub fn bks_scores_with(
         nodes_at[node.k as usize].push(i as u32);
     }
 
-    // Triangle counting (type-B only): serial enumeration identical in
-    // output to PBKS's, attributed to the lowest-rank corner.
+    // Triangle counting (type-B only): the paper's serial enumeration,
+    // attributed to the lowest-rank corner. PBKS's κ-oriented pass
+    // credits every triangle to the same tree node (see `motifs`).
     if metric.kind() == MetricKind::TypeB {
         let mut marks = vec![false; g.num_vertices()];
         for v in g.vertices() {

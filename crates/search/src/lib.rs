@@ -8,8 +8,9 @@
 //! **type-B**.
 //!
 //! * [`pbks()`](pbks::pbks) — **the paper's parallel algorithm** (Algorithms 3–5):
-//!   vertex-centric contribution counting with lowest-vertex-rank motif
-//!   attribution, followed by parallel bottom-up tree accumulation.
+//!   vertex-centric contribution counting, a triangle pass over
+//!   κ-oriented edges that finds each triangle once at its κ-minimum
+//!   corner, and parallel bottom-up tree accumulation.
 //!   Work-efficient: `O(n)` for type-A after `O(m)` preprocessing,
 //!   `O(m^1.5)` for type-B.
 //! * [`bks()`](bks::bks) — the serial baseline \[10\]: coreness-descending sweep over
@@ -30,6 +31,7 @@ pub mod clique;
 pub mod densest;
 pub mod influence;
 pub mod metrics;
+mod motifs;
 pub mod pbks;
 pub mod preprocess;
 

@@ -3,10 +3,11 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use hcd_graph::VertexId;
-use hcd_par::{Executor, ParError, CHECKPOINT_STRIDE};
+use hcd_par::{Executor, ParError};
 
 use crate::accumulate::try_accumulate_bottom_up;
 use crate::metrics::{Metric, MetricKind, PrimaryValues};
+use crate::motifs::{try_count_motifs, MotifNames};
 use crate::preprocess::SearchContext;
 
 /// The winning k-core of a subgraph search.
@@ -100,134 +101,30 @@ pub(crate) fn try_type_a_contributions(
         .collect())
 }
 
-/// Computes the triangle and triplet contributions (Algorithm 5, lines
-/// 2–15), added onto `contribs` in place.
-///
-/// *Triangles* are enumerated once per edge `(v, u)` with
-/// `(d(u), u) < (d(v), v)`, checking `u`'s neighbors against a per-worker
-/// membership bitmap of `N(v)`; each triangle is credited to the tree
-/// node of its lowest-vertex-rank corner — `O(Σ min(d(u), d(v))) =
-/// O(m^1.5)` work. *Triplets* centered at `v` are counted per coreness
-/// level with a per-worker counting array indexed by coreness, reset via
-/// a touched list — `O(d(v) + c(v)) = O(d(v))` per vertex, no adjacency
-/// sorting needed.
+/// Computes the triangle and triplet contributions (Algorithm 5), added
+/// onto `contribs` in place: the shared κ-oriented kernel, bucketed by
+/// tree node. Each triangle is enumerated once, at its κ-minimum corner,
+/// in `O(Σ_v Σ_{u ∈ N⁺(v)} |N⁺(u)|) = O(m^1.5)` work after an `O(m)`
+/// orientation scan that also buckets the triplets (see
+/// [`crate::motifs`]).
 pub(crate) fn try_type_b_contributions(
     ctx: &SearchContext<'_>,
     exec: &Executor,
     contribs: &mut [Contrib],
 ) -> Result<(), ParError> {
-    let num_nodes = ctx.hcd.num_nodes();
-    let ta: Vec<AtomicU64> = (0..num_nodes).map(|_| AtomicU64::new(0)).collect();
-    let tp: Vec<AtomicU64> = (0..num_nodes).map(|_| AtomicU64::new(0)).collect();
-    let n = ctx.g.num_vertices();
-    let kmax = ctx.cores.kmax() as usize;
-
-    struct Scratch {
-        /// Membership bitmap of N(v) for the triangle pass.
-        marks: Vec<bool>,
-        /// Count of N(v) ∩ H_k for the triplet pass.
-        counts: Vec<u32>,
-        /// One representative of N(v) ∩ H_k.
-        reps: Vec<VertexId>,
-    }
-
-    // Triangle work is wildly skewed (proportional to the degrees around
-    // each vertex), so chunk by degree weight rather than vertex count.
-    let deg_prefix: Vec<u64> = {
-        let mut p = Vec::with_capacity(n + 1);
-        p.push(0u64);
-        for v in 0..n as u32 {
-            p.push(p.last().unwrap() + ctx.g.degree(v) as u64 + 1);
-        }
-        p
-    };
-    // The triangle pass is the most expensive loop in the search — poll
-    // the cancellation checkpoint at a coarse per-vertex work stride.
-    // Neighbor probes (the inner `w` loop) are the pass's true work
-    // measure, O(Σ min(d(u), d(v))); tallied chunk-locally and flushed
-    // with one atomic add per chunk.
-    let probe_work = AtomicU64::new(0);
-    exec.region("pbks.triangles").try_for_each_chunk_weighted(
-        &deg_prefix,
-        || Scratch {
-            marks: vec![false; n],
-            counts: vec![0; kmax + 1],
-            reps: vec![0; kmax + 1],
-        },
-        |_, scratch, range| {
-            let mut probes = 0u64;
-            let mut since = 0usize;
-            for v in range {
-                let v = v as VertexId;
-                let dv = ctx.g.degree(v);
-                let cv = ctx.cores.coreness(v);
-                let rv = ctx.ranks.rank(v);
-                since += dv + 1;
-                if since >= CHECKPOINT_STRIDE {
-                    exec.checkpoint()?;
-                    since = 0;
-                }
-
-                // --- Triangles (lines 2-7) ---
-                for &u in ctx.g.neighbors(v) {
-                    scratch.marks[u as usize] = true;
-                }
-                for &u in ctx.g.neighbors(v) {
-                    let du = ctx.g.degree(u);
-                    if du < dv || (du == dv && u < v) {
-                        let ru = ctx.ranks.rank(u);
-                        probes += du as u64;
-                        for &w in ctx.g.neighbors(u) {
-                            if scratch.marks[w as usize] {
-                                let rw = ctx.ranks.rank(w);
-                                if rw < ru && rw < rv {
-                                    ta[ctx.hcd.tid(w) as usize].fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                    }
-                }
-                for &u in ctx.g.neighbors(v) {
-                    scratch.marks[u as usize] = false;
-                }
-
-                // --- Triplets (lines 8-15) ---
-                let mut gt_k = (ctx.gt(v) + ctx.eq(v)) as u64;
-                tp[ctx.hcd.tid(v) as usize]
-                    .fetch_add(gt_k * gt_k.saturating_sub(1) / 2, Ordering::Relaxed);
-                if cv > 0 {
-                    // Bucket lower-coreness neighbors by coreness.
-                    for &u in ctx.g.neighbors(v) {
-                        let cu = ctx.cores.coreness(u);
-                        if cu < cv {
-                            scratch.counts[cu as usize] += 1;
-                            scratch.reps[cu as usize] = u;
-                        }
-                    }
-                    for k in (0..cv).rev() {
-                        let cnt = scratch.counts[k as usize] as u64;
-                        if cnt > 0 {
-                            let w = scratch.reps[k as usize];
-                            let pairs = cnt * (cnt - 1) / 2 + gt_k * cnt;
-                            tp[ctx.hcd.tid(w) as usize].fetch_add(pairs, Ordering::Relaxed);
-                            gt_k += cnt;
-                            scratch.counts[k as usize] = 0;
-                        }
-                    }
-                }
-            }
-            probe_work.fetch_add(probes, Ordering::Relaxed);
-            Ok(())
-        },
-    )?;
-    exec.add_counter("pbks.triangle_probes", probe_work.load(Ordering::Relaxed));
-
+    let counts = try_count_motifs(ctx, exec, &PBKS_MOTIFS, ctx.hcd.tids(), contribs.len())?;
     for (i, c) in contribs.iter_mut().enumerate() {
-        c.triangles += ta[i].load(Ordering::Relaxed);
-        c.triplets += tp[i].load(Ordering::Relaxed);
+        c.triangles += counts.triangles[i];
+        c.triplets += counts.triplets[i];
     }
     Ok(())
 }
+
+const PBKS_MOTIFS: MotifNames = MotifNames {
+    orient: "pbks.orient",
+    triangles: "pbks.triangles",
+    probes: "pbks.triangle_probes",
+};
 
 /// Scores every k-core (tree node) under `metric`: contributions →
 /// bottom-up accumulation → `get_metric` (Algorithm 3). Returns

@@ -21,7 +21,8 @@ pub struct SearchContext<'a> {
     pub cores: &'a CoreDecomposition,
     /// Its HCD.
     pub hcd: &'a Hcd,
-    /// The vertex-rank order (for lowest-rank motif attribution).
+    /// The vertex-rank order: BKS's level sweep and its lowest-rank
+    /// motif attribution (PBKS and best-k do not read it).
     pub ranks: VertexRanks,
     gt: Vec<u32>,
     eq: Vec<u32>,

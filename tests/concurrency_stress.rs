@@ -7,6 +7,7 @@
 //! interleavings they exercise are genuinely multi-threaded.
 
 use hcd::prelude::*;
+use hcd::search::PrimaryValues;
 
 #[test]
 fn repeated_parallel_phcd_runs_on_adversarial_graph() {
@@ -159,31 +160,6 @@ fn injected_panic_matrix_pkc() {
     }
 }
 
-#[test]
-fn injected_panic_matrix_pbks() {
-    let g = rmat(10, 12, None, 5);
-    let cores = core_decomposition(&g);
-    let hcd = phcd(&g, &cores, &Executor::sequential());
-    let ctx = SearchContext::new(&g, &cores, &hcd);
-    let metric = Metric::ClusteringCoefficient; // type-B: exercises the triangle pass
-    let reference = pbks_scores(&ctx, &metric, &Executor::sequential());
-    for (mode, exec) in fault_modes() {
-        for chunk in chunk_positions(&exec) {
-            exec.set_fault_plan(FaultPlan::new().inject(0, chunk, Fault::Panic));
-            let err = try_pbks_scores(&ctx, &metric, &exec)
-                .expect_err(&format!("{mode}: panic in chunk {chunk} must surface"));
-            assert!(
-                matches!(err, ParError::Panicked { .. }),
-                "{mode}: expected Panicked, got {err}"
-            );
-            exec.clear_fault_plan();
-            let got = try_pbks_scores(&ctx, &metric, &exec)
-                .unwrap_or_else(|e| panic!("{mode}: clean rerun failed: {e}"));
-            assert_eq!(got.1, reference.1, "{mode} chunk {chunk}");
-        }
-    }
-}
-
 /// One matrix cell: a fault to inject and the error shape it must surface as.
 type AbortCase = (&'static str, Fault, fn(&ParError) -> bool);
 
@@ -200,27 +176,152 @@ fn abort_faults() -> [AbortCase; 2] {
     ]
 }
 
+/// Sweeps a fault over every region of one call: each abort fault at
+/// each chunk position of each region index, on every executor mode.
+///
+/// `run` is the fallible call and `clean` its sequential reference
+/// output. A fault at chunk 0 must always surface (chunk 0 of every
+/// region is non-empty); one at a later position may land on an empty
+/// chunk, and the run must then be clean. After each cell the fault is
+/// cleared and a rerun on the same executor must reproduce `clean`
+/// exactly. Returns the names of the regions the faults landed in.
+fn sweep_every_region<T, F>(clean: &T, run: F) -> std::collections::BTreeSet<&'static str>
+where
+    T: PartialEq + std::fmt::Debug,
+    F: Fn(&Executor) -> Result<T, ParError>,
+{
+    let regions: u64 = {
+        let m = metered(&Executor::sequential(), |e| {
+            run(e).expect("fault-free run");
+        });
+        m.regions.iter().map(|r| r.invocations).sum()
+    };
+    let mut hit = std::collections::BTreeSet::new();
+    for (mode, exec) in fault_modes() {
+        for region in 0..regions as usize {
+            for chunk in chunk_positions(&exec) {
+                for (what, fault, is_expected) in abort_faults() {
+                    let cell = format!("{mode}: {what} at region {region} chunk {chunk}");
+                    exec.set_metrics_enabled(true);
+                    exec.set_fault_plan(FaultPlan::new().inject(region, chunk, fault));
+                    let result = run(&exec);
+                    exec.clear_fault_plan();
+                    let m = exec.take_metrics();
+                    exec.set_metrics_enabled(false);
+                    match result {
+                        Err(err) => assert!(is_expected(&err), "{cell}: got {err}"),
+                        Ok(got) => {
+                            assert!(chunk != 0, "{cell} must surface");
+                            assert_eq!(&got, clean, "{cell} missed, yet the run differs");
+                        }
+                    }
+                    hit.extend(
+                        m.regions
+                            .iter()
+                            .filter(|r| r.faults_injected > 0)
+                            .map(|r| r.name),
+                    );
+                    let got = run(&exec).unwrap_or_else(|e| panic!("{cell}: rerun failed: {e}"));
+                    assert_eq!(&got, clean, "{cell}: rerun differs");
+                }
+            }
+        }
+    }
+    hit
+}
+
+/// PBKS scores as bit patterns, so a rerun must match the reference
+/// bit for bit (NaN included), next to the accumulated primaries.
+fn pbks_bits(
+    ctx: &SearchContext<'_>,
+    metric: &Metric,
+    exec: &Executor,
+) -> Result<(Vec<u64>, Vec<PrimaryValues>), ParError> {
+    let (scores, primaries) = try_pbks_scores(ctx, metric, exec)?;
+    Ok((scores.iter().map(|s| s.to_bits()).collect(), primaries))
+}
+
+#[test]
+fn injected_fault_matrix_pbks() {
+    let g = rmat(9, 10, None, 5);
+    let cores = core_decomposition(&g);
+    let hcd = phcd(&g, &cores, &Executor::sequential());
+    let ctx = SearchContext::new(&g, &cores, &hcd);
+    let metric = Metric::ClusteringCoefficient; // type-B: orient + triangle pass
+    let clean = pbks_bits(&ctx, &metric, &Executor::sequential()).unwrap();
+    let hit = sweep_every_region(&clean, |e| pbks_bits(&ctx, &metric, e));
+    let want = [
+        "accumulate.level",
+        "pbks.orient",
+        "pbks.score",
+        "pbks.triangles",
+        "pbks.type_a",
+    ];
+    assert_eq!(hit.into_iter().collect::<Vec<_>>(), want);
+}
+
 #[test]
 fn injected_fault_matrix_bestk() {
     let g = rmat(10, 12, None, 5);
     let cores = core_decomposition(&g);
     let hcd = phcd(&g, &cores, &Executor::sequential());
     let ctx = SearchContext::new(&g, &cores, &hcd);
-    let metric = Metric::ClusteringCoefficient; // type-B: triangle pass
-    let reference = best_k(&ctx, &metric, &Executor::sequential());
+    let metric = Metric::ClusteringCoefficient; // type-B: orient + triangle pass
+    let clean = try_best_k(&ctx, &metric, &Executor::sequential()).unwrap();
+    let hit = sweep_every_region(&clean, |e| try_best_k(&ctx, &metric, e));
+    let want = ["bestk.contrib", "bestk.orient", "bestk.triangles"];
+    assert_eq!(hit.into_iter().collect::<Vec<_>>(), want);
+}
+
+#[test]
+fn triangle_pass_polls_on_a_hub_heavy_graph() {
+    // RMAT hubs put thousands of probes into single vertices: the
+    // forward pass must still poll the checkpoint every stride.
+    let g = rmat(14, 16, None, 3);
+    let cores = core_decomposition(&g);
+    let hcd = phcd(&g, &cores, &Executor::sequential());
+    let ctx = SearchContext::new(&g, &cores, &hcd);
     for (mode, exec) in fault_modes() {
-        for chunk in chunk_positions(&exec) {
-            for (what, fault, is_expected) in abort_faults() {
-                exec.set_fault_plan(FaultPlan::new().inject(0, chunk, fault));
-                let err = try_best_k(&ctx, &metric, &exec)
-                    .expect_err(&format!("{mode}: {what} in chunk {chunk} must surface"));
-                assert!(is_expected(&err), "{mode}: {what}, got {err}");
-                exec.clear_fault_plan();
-                let got = try_best_k(&ctx, &metric, &exec)
-                    .unwrap_or_else(|e| panic!("{mode}: clean rerun failed: {e}"));
-                assert_eq!(got, reference, "{mode} {what} chunk {chunk}");
-            }
+        let m = metered(&exec, |e| {
+            pbks_scores(&ctx, &Metric::ClusteringCoefficient, e);
+        });
+        for name in ["pbks.orient", "pbks.triangles"] {
+            let r = m.get(name).unwrap_or_else(|| panic!("{mode}: no {name}"));
+            assert!(r.checkpoints > 0, "{mode}: {name} never polled");
         }
+        assert!(counter(&m, "pbks.triangle_probes") > 0, "{mode}");
+    }
+}
+
+#[test]
+fn deadline_fires_in_the_orient_scan() {
+    // A straggler in the orientation scan outlasts the deadline: the
+    // search must stop there with DeadlineExceeded, before the triangle
+    // pass starts, and the same executor must then finish a clean run.
+    let g = rmat(10, 12, None, 5);
+    let cores = core_decomposition(&g);
+    let hcd = phcd(&g, &cores, &Executor::sequential());
+    let ctx = SearchContext::new(&g, &cores, &hcd);
+    let metric = Metric::ClusteringCoefficient;
+    let clean = pbks_scores(&ctx, &metric, &Executor::sequential());
+    for (mode, exec) in fault_modes() {
+        exec.set_metrics_enabled(true);
+        // Regions: 0 = pbks.type_a, 1 = pbks.orient.
+        exec.set_fault_plan(FaultPlan::new().inject(1, 0, Fault::Delay(50_000)));
+        exec.set_deadline(Deadline::from_now(std::time::Duration::from_millis(20)));
+        let err = try_pbks_scores(&ctx, &metric, &exec).unwrap_err();
+        assert_eq!(err, ParError::DeadlineExceeded, "{mode}");
+        let m = exec.take_metrics();
+        exec.set_metrics_enabled(false);
+        assert!(
+            m.get("pbks.orient").unwrap().deadline_exceeded > 0,
+            "{mode}"
+        );
+        assert!(m.get("pbks.triangles").is_none(), "{mode}: pass started");
+        exec.clear_deadline();
+        exec.clear_fault_plan();
+        let got = try_pbks_scores(&ctx, &metric, &exec).unwrap();
+        assert_eq!(got.1, clean.1, "{mode}");
     }
 }
 

@@ -282,10 +282,12 @@ fn search_metrics_cover_the_pbks_pipeline() {
     let text = std::fs::read_to_string(&metrics).expect("metrics file written");
     let names = validate_schema(&Json::parse(&text).expect("valid JSON"));
     // The search pipeline layers preprocessing and scoring on top of the
-    // construction regions; a type-B metric also runs the triangle pass.
+    // construction regions; a type-B metric also runs the orientation
+    // scan and the triangle pass.
     for region in [
         "search.preprocess",
         "pbks.type_a",
+        "pbks.orient",
         "pbks.triangles",
         "pbks.score",
     ] {
