@@ -1,13 +1,13 @@
 //! Algorithm 2: PHCD — parallel HCD construction.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 use parking_lot::Mutex;
 
 use hcd_decomp::CoreDecomposition;
 use hcd_graph::{CsrGraph, FxHashMap, VertexId};
 use hcd_par::{Executor, ParError, CHECKPOINT_STRIDE};
-use hcd_unionfind::{ConcurrentPivotUnionFind, UnionBatch, UnionFindPivot};
+use hcd_unionfind::{ConcurrentPivotUnionFind, UnionFindPivot};
 
 use crate::index::{Hcd, TreeNode, NO_NODE};
 use crate::rank::VertexRanks;
@@ -119,10 +119,6 @@ pub fn try_phcd_with_ranks(
     };
 
     let mut union_phases = 0u64;
-    // Batching traffic across all levels; each worker flushes its private
-    // batch at chunk end, so these are exact once the region joins.
-    let batch_staged = AtomicU64::new(0);
-    let batch_flushed = AtomicU64::new(0);
     for k in (0..=kmax).rev() {
         let (lo, hi) = ranks.shell_bounds(k);
         if lo == hi {
@@ -158,18 +154,12 @@ pub fn try_phcd_with_ranks(
 
         // Step 2: connect the shell to the existing graph. Equal-coreness
         // edges appear in both endpoints' lists; process them once (from
-        // the lower-rank side). Each worker stages its edges in a private
-        // [`UnionBatch`] that locally coalesces redundant edges, so the
-        // shared structure sees only spanning edges — far fewer finds,
-        // link CASes, and pivot merges around hubs. Scratch is created
-        // per chunk, so the batch is always flushed (and its counts
-        // folded) before the chunk ends and the region barrier is
-        // reached. This is the hot adjacency loop, so it polls the
-        // cancellation checkpoint at a coarse edge stride.
+        // the lower-rank side). This is the hot adjacency loop, so it
+        // polls the cancellation checkpoint at a coarse edge stride.
         exec.region("phcd.union").try_for_each_chunk_weighted(
             shell_weights,
-            UnionBatch::new,
-            |_, batch, range| {
+            || (),
+            |_, _, range| {
                 let mut since = 0usize;
                 for i in range {
                     let rv = (lo + i) as u32;
@@ -177,7 +167,7 @@ pub fn try_phcd_with_ranks(
                     for &u in g.neighbors(v) {
                         let ru = rank[u as usize];
                         if ru > rv {
-                            batch.stage(&uf, rv, ru);
+                            uf.union(rv, ru);
                         }
                     }
                     since += g.degree(v);
@@ -186,10 +176,6 @@ pub fn try_phcd_with_ranks(
                         since = 0;
                     }
                 }
-                batch.flush(&uf);
-                let s = batch.stats();
-                batch_staged.fetch_add(s.staged, Ordering::Relaxed);
-                batch_flushed.fetch_add(s.flushed, Ordering::Relaxed);
                 Ok(())
             },
         )?;
@@ -284,8 +270,6 @@ pub fn try_phcd_with_ranks(
     exec.add_counter("phcd.uf.unions", uc.unions);
     exec.add_counter("phcd.uf.cas_retries", uc.cas_retries);
     exec.add_counter("phcd.uf.pivot_merges", uc.pivot_merges);
-    exec.add_counter("phcd.uf.batch_staged", batch_staged.into_inner());
-    exec.add_counter("phcd.uf.batch_flushed", batch_flushed.into_inner());
 
     // Finalize: sorted, deterministic index.
     let num_nodes = node_k.len();

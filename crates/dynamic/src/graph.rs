@@ -1,117 +1,224 @@
-//! Mutable adjacency-set graph.
+//! A mutable graph whose edge store is one shared, sorted CSR.
 
-use hcd_graph::{CsrGraph, FxHashSet, VertexId};
+use std::sync::Arc;
+
+use hcd_graph::{CsrGraph, VertexId};
+
+use crate::maintain::{BatchReport, EdgeUpdate};
 
 /// An undirected simple graph that supports edge insertion and removal.
 ///
-/// Adjacency is kept in hash sets for `O(1)` expected updates and
-/// membership tests; convert to [`CsrGraph`] for the (immutable,
-/// cache-friendly) algorithms of the rest of the workspace.
-#[derive(Debug, Clone, Default)]
+/// The edge set is the sorted [`CsrGraph`] itself, behind an [`Arc`] so
+/// the graph a batch produced can be published without a copy. A batch
+/// ([`DynamicCore::try_apply_batch`](crate::DynamicCore::try_apply_batch))
+/// builds the next CSR in one merge pass: untouched row ranges are
+/// copied whole and only the rows of the batch's net arc changes are
+/// merged. Membership is a binary search in a sorted row. The single-edge
+/// [`DynamicGraph::insert_edge`] / [`DynamicGraph::remove_edge`] are
+/// one-update merges, `O(n + m)` each.
+#[derive(Debug, Clone)]
 pub struct DynamicGraph {
-    adj: Vec<FxHashSet<VertexId>>,
-    num_edges: usize,
+    csr: Arc<CsrGraph>,
 }
 
 impl DynamicGraph {
     /// An edgeless graph with `n` vertices.
     pub fn new(n: usize) -> Self {
         DynamicGraph {
-            adj: vec![FxHashSet::default(); n],
-            num_edges: 0,
+            csr: Arc::new(CsrGraph::empty(n)),
         }
     }
 
-    /// Imports a static graph.
+    /// Imports a static graph (one copy of its arrays).
     pub fn from_csr(g: &CsrGraph) -> Self {
-        let mut dg = DynamicGraph::new(g.num_vertices());
-        for (u, v) in g.edges() {
-            dg.insert_edge(u, v);
-        }
-        dg
+        Self::from_shared(Arc::new(g.clone()))
+    }
+
+    /// Wraps an already shared CSR without copying it.
+    pub(crate) fn from_shared(csr: Arc<CsrGraph>) -> Self {
+        DynamicGraph { csr }
+    }
+
+    /// The current edge set, shared: cloning the `Arc` is the snapshot.
+    pub fn csr(&self) -> &Arc<CsrGraph> {
+        &self.csr
     }
 
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.adj.len()
+        self.csr.num_vertices()
     }
 
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.csr.num_edges()
     }
 
     /// Degree of `v`.
     pub fn degree(&self, v: VertexId) -> usize {
-        self.adj[v as usize].len()
+        self.csr.degree(v)
     }
 
-    /// Whether `{u, v}` is present.
+    /// Whether `{u, v}` is present (`false` when either endpoint is
+    /// out of range).
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.adj[u as usize].contains(&v)
+        let n = self.num_vertices();
+        (u as usize) < n && (v as usize) < n && self.csr.has_edge(u, v)
     }
 
-    /// Iterates the neighbors of `v` (unordered).
+    /// Iterates the neighbors of `v` in ascending order.
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        self.adj[v as usize].iter().copied()
-    }
-
-    /// Ensures vertex ids up to `v` exist.
-    pub fn ensure_vertex(&mut self, v: VertexId) {
-        if v as usize >= self.adj.len() {
-            self.adj.resize_with(v as usize + 1, FxHashSet::default);
-        }
+        self.csr.neighbors(v).iter().copied()
     }
 
     /// Inserts `{u, v}`; returns `false` if it already existed or is a
     /// self-loop. Grows the vertex set as needed.
     pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        if u == v {
-            return false;
-        }
-        self.ensure_vertex(u.max(v));
-        if !self.adj[u as usize].insert(v) {
-            return false;
-        }
-        self.adj[v as usize].insert(u);
-        self.num_edges += 1;
-        true
+        self.apply_one(EdgeUpdate::Insert(u, v))
     }
 
     /// Removes `{u, v}`; returns `false` if it was absent.
     pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        if u as usize >= self.adj.len() || v as usize >= self.adj.len() {
-            return false;
-        }
-        if !self.adj[u as usize].remove(&v) {
-            return false;
-        }
-        self.adj[v as usize].remove(&u);
-        self.num_edges -= 1;
-        true
+        self.apply_one(EdgeUpdate::Remove(u, v))
     }
 
-    /// Snapshots into an immutable CSR graph.
-    ///
-    /// Each adjacency set is already duplicate- and self-loop-free, so
-    /// the rows are copied straight into place and sorted there.
-    pub fn to_csr(&self) -> CsrGraph {
-        let mut offsets = Vec::with_capacity(self.adj.len() + 1);
-        let mut neighbors = Vec::with_capacity(2 * self.num_edges);
-        offsets.push(0);
-        for nbrs in &self.adj {
-            let start = neighbors.len();
-            neighbors.extend(nbrs.iter().copied());
-            neighbors[start..].sort_unstable();
-            offsets.push(neighbors.len());
-        }
-        CsrGraph::from_csr(offsets, neighbors)
+    fn apply_one(&mut self, update: EdgeUpdate) -> bool {
+        let mut report = BatchReport::default();
+        self.apply(std::slice::from_ref(&update), &mut report);
+        report.applied == 1
     }
+
+    /// A copy of the current edge set as an owned CSR.
+    pub fn to_csr(&self) -> CsrGraph {
+        (*self.csr).clone()
+    }
+
+    /// Applies `updates` in order and fills `report`'s `applied`,
+    /// `skipped` and `touched` (ascending, deduplicated).
+    ///
+    /// Updates to different pairs commute, so a stable sort by pair keeps
+    /// each pair's updates in batch order and replays every group from the
+    /// pair's presence before the batch (one binary search). Only pairs
+    /// whose final presence differs from their initial one become arc
+    /// changes; cancelling updates still count as applied. An applied
+    /// insert grows the vertex set to cover its endpoints, even when a
+    /// later update of the batch removes the edge again.
+    pub(crate) fn apply(&mut self, updates: &[EdgeUpdate], report: &mut BatchReport) {
+        let mut pairs: Vec<(VertexId, VertexId, bool)> = Vec::with_capacity(updates.len());
+        for &update in updates {
+            let (a, b, insert) = match update {
+                EdgeUpdate::Insert(a, b) => (a, b, true),
+                EdgeUpdate::Remove(a, b) => (a, b, false),
+            };
+            if a == b {
+                report.skipped += 1;
+            } else {
+                pairs.push((a.min(b), a.max(b), insert));
+            }
+        }
+        pairs.sort_by_key(|&(u, v, _)| (u, v));
+
+        let g = &*self.csr;
+        let mut n = g.num_vertices();
+        // Net arc changes, both directions: (source, target, inserted).
+        let mut arcs: Vec<(VertexId, VertexId, bool)> = Vec::new();
+        let mut start = 0;
+        while start < pairs.len() {
+            let (u, v, _) = pairs[start];
+            let end = start + pairs[start..].partition_point(|p| (p.0, p.1) == (u, v));
+            let before = self.has_edge(u, v);
+            let mut present = before;
+            for &(_, _, insert) in &pairs[start..end] {
+                if insert == present {
+                    report.skipped += 1;
+                    continue;
+                }
+                present = insert;
+                report.applied += 1;
+                report.touched.extend([u, v]);
+                if insert {
+                    n = n.max(v as usize + 1);
+                }
+            }
+            if present != before {
+                arcs.extend([(u, v, present), (v, u, present)]);
+            }
+            start = end;
+        }
+        report.touched.sort_unstable();
+        report.touched.dedup();
+        if report.applied > 0 {
+            arcs.sort_unstable_by_key(|&(s, t, _)| (s, t));
+            self.csr = Arc::new(merge(g, n, &arcs));
+        }
+    }
+}
+
+/// The CSR of `g` with `n >= g.num_vertices()` vertices after applying
+/// `arcs` (sorted by `(source, target)`; every insert absent from `g`,
+/// every removal present). Row ranges without a change are copied whole
+/// and their offsets shifted; each changed row is merged with its sorted
+/// changes.
+fn merge(g: &CsrGraph, n: usize, arcs: &[(VertexId, VertexId, bool)]) -> CsrGraph {
+    let old_offsets = g.offsets();
+    let old = g.raw_neighbors();
+    let inserted = arcs.iter().filter(|a| a.2).count();
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut neighbors = Vec::with_capacity(old.len() + 2 * inserted - arcs.len());
+    offsets.push(0);
+
+    // Copies rows `lo..hi` unchanged; rows past the old graph are empty.
+    let copy_rows =
+        |lo: usize, hi: usize, offsets: &mut Vec<usize>, neighbors: &mut Vec<VertexId>| {
+            let old_hi = hi.min(g.num_vertices());
+            if lo < old_hi {
+                let (from, base) = (old_offsets[lo], neighbors.len());
+                neighbors.extend_from_slice(&old[from..old_offsets[old_hi]]);
+                offsets.extend(
+                    old_offsets[lo + 1..=old_hi]
+                        .iter()
+                        .map(|&o| o - from + base),
+                );
+            }
+            offsets.resize(offsets.len() + (hi - lo.max(old_hi)), neighbors.len());
+        };
+
+    let mut next_row = 0;
+    let mut start = 0;
+    while start < arcs.len() {
+        let row = arcs[start].0 as usize;
+        let end = start + arcs[start..].partition_point(|a| a.0 as usize == row);
+        copy_rows(next_row, row, &mut offsets, &mut neighbors);
+        let old_row = if row < g.num_vertices() {
+            g.neighbors(row as VertexId)
+        } else {
+            &[]
+        };
+        let mut kept = 0;
+        for &(_, target, insert) in &arcs[start..end] {
+            let cut = kept + old_row[kept..].partition_point(|&x| x < target);
+            neighbors.extend_from_slice(&old_row[kept..cut]);
+            kept = cut;
+            if insert {
+                neighbors.push(target);
+            } else {
+                debug_assert_eq!(old_row.get(kept), Some(&target));
+                kept += 1;
+            }
+        }
+        neighbors.extend_from_slice(&old_row[kept..]);
+        offsets.push(neighbors.len());
+        next_row = row + 1;
+        start = end;
+    }
+    copy_rows(next_row, n, &mut offsets, &mut neighbors);
+    CsrGraph::from_csr(offsets, neighbors)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcd_graph::GraphBuilder;
 
     #[test]
     fn insert_remove_roundtrip() {
@@ -136,7 +243,7 @@ mod tests {
 
     #[test]
     fn csr_roundtrip() {
-        let csr = hcd_graph::GraphBuilder::new()
+        let csr = GraphBuilder::new()
             .edges([(0, 1), (1, 2), (2, 0), (3, 4)])
             .min_vertices(6)
             .build();
@@ -144,8 +251,8 @@ mod tests {
         assert_eq!(dg.to_csr(), csr);
 
         // Seeded churn with removals and vertices appended past the
-        // initial range: the direct conversion must equal the builder's
-        // output for the same edge set.
+        // initial range: the merged CSR must equal the builder's output
+        // for the same edge set.
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xC5B);
         let mut g = DynamicGraph::new(40);
@@ -163,7 +270,7 @@ mod tests {
         for u in 0..g.num_vertices() as VertexId {
             edges.extend(g.neighbors(u).filter(|&v| u < v).map(|v| (u, v)));
         }
-        let built = hcd_graph::GraphBuilder::new()
+        let built = GraphBuilder::new()
             .edges(edges)
             .min_vertices(g.num_vertices())
             .build();
@@ -178,5 +285,19 @@ mod tests {
         let mut g = DynamicGraph::new(2);
         assert!(!g.remove_edge(0, 7));
         assert_eq!(g.num_edges(), 0);
+        assert_eq!(g.num_vertices(), 2);
+    }
+
+    #[test]
+    fn a_noop_batch_keeps_sharing_the_same_csr() {
+        let mut g = DynamicGraph::from_csr(&GraphBuilder::new().edges([(0, 1)]).build());
+        let before = Arc::clone(g.csr());
+        let mut report = BatchReport::default();
+        g.apply(
+            &[EdgeUpdate::Insert(1, 0), EdgeUpdate::Remove(0, 5)],
+            &mut report,
+        );
+        assert_eq!((report.applied, report.skipped), (0, 2));
+        assert!(Arc::ptr_eq(&before, g.csr()));
     }
 }

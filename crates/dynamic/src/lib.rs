@@ -4,11 +4,14 @@
 //! dynamic counterpart of PHCD. This crate maintains coreness under
 //! batches of edge insertions and removals by recomputation:
 //!
-//! * [`DynamicGraph`] — an adjacency-set graph supporting edge insertion
-//!   and removal, convertible to/from [`hcd_graph::CsrGraph`];
+//! * [`DynamicGraph`] — the edge set as one sorted [`hcd_graph::CsrGraph`]
+//!   behind an `Arc`. A batch sorts its net arc changes and builds the
+//!   next CSR in one merge pass: untouched row ranges are copied whole,
+//!   only the touched rows are merged, and no-op and duplicate detection
+//!   is a binary search in a sorted row;
 //! * [`DynamicCore`] — coreness kept exact after every batch:
-//!   [`DynamicCore::apply_batch`] mutates the edge set, builds one CSR
-//!   snapshot of the new graph, and recomputes coreness on it with
+//!   [`DynamicCore::apply_batch`] merges the batch (histogram
+//!   `dynamic.merge`) and recomputes coreness on the new CSR with
 //!   parallel PKC (Liu & Dong, *Parallel k-Core Decomposition: Theory
 //!   and Practice*, see PAPERS.md). The [`BatchReport`] names the
 //!   vertices whose coreness moved and the endpoints the applied updates
@@ -17,14 +20,16 @@
 //!   maintenance exactly as they govern construction; counters
 //!   `dynamic.affected_vertices` / `dynamic.traversal_edges` report the
 //!   n and 2m the recompute examined;
-//! * the CSR a batch built is handed out once by
-//!   [`DynamicCore::take_csr`], so the serving layer runs PHCD on it
-//!   without converting the graph a second time; [`DynamicCore::hcd`]
-//!   rebuilds the hierarchy on demand for other callers.
+//! * the merged CSR is shared ([`DynamicGraph::csr`]), so the serving
+//!   layer runs PHCD on it and publishes it without a copy;
+//!   [`DynamicCore::hcd`] rebuilds the hierarchy on demand for other
+//!   callers.
 //!
 //! A full recompute beats an incremental traversal on graphs with one
 //! giant core (DESIGN.md, "Write path: rebuild on publish"). Every
-//! update path is property-tested against a sequential recomputation.
+//! update path is checked against a sequential recomputation, and the
+//! merge against a `BTreeSet` model on every single update of every
+//! graph on at most five vertices.
 
 pub mod graph;
 pub mod maintain;

@@ -1,4 +1,6 @@
-//! Batch core maintenance by recomputation on one fresh CSR.
+//! Batch core maintenance by recomputation on the merged CSR.
+
+use std::sync::Arc;
 
 use hcd_core::Hcd;
 use hcd_decomp::{core_decomposition, try_pkc_core_decomposition, CoreDecomposition};
@@ -52,12 +54,13 @@ impl BatchReport {
 /// A dynamic graph with exact coreness after every batch and an
 /// on-demand HCD.
 ///
-/// Each batch that changes the edge set builds one CSR snapshot of the
-/// new graph and recomputes coreness on it with parallel PKC (regions
+/// Each batch that changes the edge set merges its net arc changes into
+/// the next CSR ([`DynamicGraph`], timed as the `dynamic.merge`
+/// histogram) and recomputes coreness on it with parallel PKC (regions
 /// `pkc.*`), so cancellation, deadlines, fault injection and metrics
-/// govern maintenance exactly as they govern construction. The snapshot
-/// is kept for [`DynamicCore::take_csr`], so a caller that publishes the
-/// new state never converts the graph twice.
+/// govern maintenance exactly as they govern construction. The CSR is
+/// shared ([`DynamicGraph::csr`]), so a caller that publishes the new
+/// state never copies the graph.
 ///
 /// # Examples
 ///
@@ -75,10 +78,9 @@ impl BatchReport {
 pub struct DynamicCore {
     g: DynamicGraph,
     cores: CoreDecomposition,
-    /// The CSR snapshot of `g` built by the last batch that changed it,
-    /// until [`DynamicCore::take_csr`] or [`DynamicCore::hcd`] takes it.
-    csr: Option<CsrGraph>,
-    cache: Option<(CsrGraph, Hcd)>,
+    /// The hierarchy of the current graph, once [`DynamicCore::hcd`]
+    /// built it; cleared by every edge-changing batch.
+    cache: Option<Hcd>,
     /// Batches applied so far; stamps [`BatchReport::seq`].
     seq: u64,
 }
@@ -86,21 +88,24 @@ pub struct DynamicCore {
 impl DynamicCore {
     /// An edgeless dynamic graph with `n` vertices (all coreness 0).
     pub fn new(n: usize) -> Self {
-        DynamicCore {
-            g: DynamicGraph::new(n),
-            cores: CoreDecomposition::from_coreness(vec![0; n]),
-            csr: None,
-            cache: None,
-            seq: 0,
-        }
+        Self::from_parts(
+            Arc::new(CsrGraph::empty(n)),
+            CoreDecomposition::from_coreness(vec![0; n]),
+        )
     }
 
     /// Imports a static graph, computing its decomposition once.
     pub fn from_csr(g: &CsrGraph) -> Self {
+        Self::from_parts(Arc::new(g.clone()), core_decomposition(g))
+    }
+
+    /// Wraps a shared graph and its already computed core decomposition,
+    /// copying neither.
+    pub fn from_parts(g: Arc<CsrGraph>, cores: CoreDecomposition) -> Self {
+        debug_assert_eq!(cores.len(), g.num_vertices());
         DynamicCore {
-            g: DynamicGraph::from_csr(g),
-            cores: core_decomposition(g),
-            csr: None,
+            g: DynamicGraph::from_shared(g),
+            cores,
             cache: None,
             seq: 0,
         }
@@ -139,26 +144,14 @@ impl DynamicCore {
         self.cores.clone()
     }
 
-    /// A CSR snapshot of the current edge set: the one the last
-    /// edge-changing batch built, moved out, or a fresh conversion when
-    /// there is none (no batch since construction, or already taken).
-    pub fn take_csr(&mut self) -> CsrGraph {
-        self.csr.take().unwrap_or_else(|| self.g.to_csr())
-    }
-
     /// Whether every update in `batch` would be a no-op against the
     /// current edge set: duplicate inserts, self-loops, and removals of
     /// absent edges. Because a no-op update leaves the graph untouched,
     /// checking each update against the *unmutated* graph is exact.
     pub fn batch_is_noop(&self, updates: &[EdgeUpdate]) -> bool {
-        let n = self.g.num_vertices() as u64;
         updates.iter().all(|&u| match u {
-            EdgeUpdate::Insert(a, b) => {
-                a == b || ((a as u64) < n && (b as u64) < n && self.g.has_edge(a, b))
-            }
-            EdgeUpdate::Remove(a, b) => {
-                (a as u64) >= n || (b as u64) >= n || !self.g.has_edge(a, b)
-            }
+            EdgeUpdate::Insert(a, b) => a == b || self.g.has_edge(a, b),
+            EdgeUpdate::Remove(a, b) => !self.g.has_edge(a, b),
         })
     }
 
@@ -198,12 +191,13 @@ impl DynamicCore {
     /// Applies a whole batch of edge updates and reports the changed
     /// region.
     ///
-    /// Every update is applied to the edge set in order (order matters
-    /// only for classifying duplicates within the batch). A batch that
-    /// changed the edge set then builds one CSR snapshot (kept for
-    /// [`DynamicCore::take_csr`]) and recomputes coreness on it with
-    /// parallel PKC; `changed` is the ascending diff of the old and new
-    /// coreness. A batch that applied nothing opens no region.
+    /// The updates are applied in order (order matters only for
+    /// classifying repeated updates of one pair within the batch), and
+    /// their net arc changes are merged into the next CSR in one pass
+    /// (histogram `dynamic.merge`). A batch that changed the edge set then
+    /// recomputes coreness on that CSR with parallel PKC; `changed` is the
+    /// ascending diff of the old and new coreness. A batch that applied
+    /// nothing opens no region.
     ///
     /// Counters `dynamic.affected_vertices` and
     /// `dynamic.traversal_edges` report what the recompute examined: the
@@ -225,34 +219,23 @@ impl DynamicCore {
             seq: self.seq,
             ..BatchReport::default()
         };
-        for &u in updates {
-            let (a, b, applied) = match u {
-                EdgeUpdate::Insert(a, b) => (a, b, self.g.insert_edge(a, b)),
-                EdgeUpdate::Remove(a, b) => (a, b, self.g.remove_edge(a, b)),
-            };
-            if applied {
-                report.applied += 1;
-                report.touched.extend([a, b]);
-            } else {
-                report.skipped += 1;
-            }
+        {
+            let _merge = exec.time("dynamic.merge");
+            self.g.apply(updates, &mut report);
         }
         if report.applied == 0 {
             return Ok(report);
         }
-        report.touched.sort_unstable();
-        report.touched.dedup();
         self.cache = None;
 
-        let csr = self.g.to_csr();
-        let cores = match try_pkc_core_decomposition(&csr, exec) {
+        let csr = self.g.csr();
+        let cores = match try_pkc_core_decomposition(csr, exec) {
             Ok(cores) => cores,
             Err(e) => {
                 // PKC was abandoned mid-flight; restore the exact-coreness
                 // invariant so memory stays consistent with the (kept)
                 // graph mutation and the durable log.
-                self.cores = core_decomposition(&csr);
-                self.csr = Some(csr);
+                self.cores = core_decomposition(csr);
                 return Err(e);
             }
         };
@@ -263,26 +246,25 @@ impl DynamicCore {
             .filter(|&v| cores.coreness(v) != old.get(v as usize).copied().unwrap_or(0))
             .collect();
         self.cores = cores;
-        self.csr = Some(csr);
         Ok(report)
     }
 
-    /// The HCD of the current graph, rebuilt (with PHCD on a CSR
-    /// snapshot) only when updates occurred since the last call.
-    /// Returns `(graph snapshot, hierarchy)`.
-    pub fn hcd(&mut self, exec: &Executor) -> &(CsrGraph, Hcd) {
-        if self.cache.is_none() {
-            let snapshot = self.take_csr();
-            let hcd = hcd_core::phcd(&snapshot, &self.cores, exec);
-            self.cache = Some((snapshot, hcd));
-        }
-        self.cache.as_ref().expect("just filled")
+    /// The current graph and its HCD, rebuilt with PHCD only when
+    /// updates occurred since the last call.
+    pub fn hcd(&mut self, exec: &Executor) -> (&CsrGraph, &Hcd) {
+        let csr = self.g.csr();
+        let hcd = self
+            .cache
+            .get_or_insert_with(|| hcd_core::phcd(csr, &self.cores, exec));
+        (csr, hcd)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcd_graph::GraphBuilder;
+    use std::collections::BTreeSet;
 
     fn assert_matches_recompute(dc: &DynamicCore) {
         let snapshot = dc.graph().to_csr();
@@ -537,8 +519,12 @@ mod tests {
         assert_eq!((affected.kind, affected.value), ("sum", 5));
         let traversed = m.get_counter("dynamic.traversal_edges").unwrap();
         assert_eq!((traversed.kind, traversed.value), ("sum", 10));
-        // The CSR the batch built is the one handed out, and it is exact.
-        assert_eq!(dc.take_csr(), dc.graph().to_csr());
+        // The merged CSR is exact.
+        let expect = GraphBuilder::new()
+            .edges([(0, 1), (1, 2), (2, 0), (2, 3), (1, 3)])
+            .min_vertices(5)
+            .build();
+        assert_eq!(**dc.graph().csr(), expect);
     }
 
     #[test]
@@ -574,6 +560,118 @@ mod tests {
             assert_matches_recompute(&dc);
         }
     }
+
+    /// The batch contract on a `BTreeSet` edge set: every update in
+    /// order, filling `applied`, `skipped` and `touched` (not `changed`).
+    fn model_apply(
+        edges: &mut BTreeSet<(VertexId, VertexId)>,
+        n: &mut usize,
+        updates: &[EdgeUpdate],
+    ) -> BatchReport {
+        let mut report = BatchReport::default();
+        for &update in updates {
+            let (a, b, insert) = match update {
+                EdgeUpdate::Insert(a, b) => (a, b, true),
+                EdgeUpdate::Remove(a, b) => (a, b, false),
+            };
+            let key = (a.min(b), a.max(b));
+            let applied = a != b
+                && if insert {
+                    edges.insert(key)
+                } else {
+                    edges.remove(&key)
+                };
+            if !applied {
+                report.skipped += 1;
+                continue;
+            }
+            report.applied += 1;
+            report.touched.extend([a, b]);
+            if insert {
+                *n = (*n).max(key.1 as usize + 1);
+            }
+        }
+        report.touched.sort_unstable();
+        report.touched.dedup();
+        report
+    }
+
+    /// Applies `updates` as one batch to the graph `edges` on `n`
+    /// vertices and checks the merged CSR, the no-op test and the whole
+    /// [`BatchReport`] against the model.
+    pub(super) fn check_against_model(
+        edges: &BTreeSet<(VertexId, VertexId)>,
+        n: usize,
+        updates: &[EdgeUpdate],
+    ) {
+        let build = |edges: &BTreeSet<(VertexId, VertexId)>, n: usize| {
+            GraphBuilder::new()
+                .edges(edges.iter().copied())
+                .min_vertices(n)
+                .build()
+        };
+        let before = build(edges, n);
+        let mut dc = DynamicCore::from_csr(&before);
+        let (mut want_edges, mut want_n) = (edges.clone(), n);
+        let mut want = model_apply(&mut want_edges, &mut want_n, updates);
+        want.seq = 1;
+        let after = build(&want_edges, want_n);
+        if want.applied > 0 {
+            let (old, new) = (core_decomposition(&before), core_decomposition(&after));
+            want.changed = (0..want_n as VertexId)
+                .filter(|&v| {
+                    new.coreness(v) != old.as_slice().get(v as usize).copied().unwrap_or(0)
+                })
+                .collect();
+        }
+        let context = format!("{updates:?} on {edges:?} over {n} vertices");
+        assert_eq!(dc.batch_is_noop(updates), want.applied == 0, "{context}");
+        let report = dc.apply_batch(updates);
+        let merged = dc.graph().csr();
+        merged
+            .check_invariants()
+            .unwrap_or_else(|e| panic!("{context}: {e}"));
+        assert_eq!(**merged, after, "{context}");
+        assert_eq!(report, want, "{context}");
+        assert_eq!(
+            dc.coreness_slice(),
+            core_decomposition(&after).as_slice(),
+            "{context}"
+        );
+    }
+
+    #[test]
+    fn every_single_update_on_every_graph_up_to_five_vertices() {
+        let pairs: Vec<(VertexId, VertexId)> = (0..5)
+            .flat_map(|u| (u + 1..5).map(move |v| (u, v)))
+            .collect();
+        let mut graphs = 0;
+        for n in 0..=5usize {
+            let local: Vec<_> = pairs.iter().filter(|p| (p.1 as usize) < n).collect();
+            for mask in 0u32..1 << local.len() {
+                graphs += 1;
+                let edges: BTreeSet<_> = (0..local.len())
+                    .filter(|&i| mask >> i & 1 == 1)
+                    .map(|i| *local[i])
+                    .collect();
+                // Insert and remove each of the 10 pairs (in both
+                // orientations, and past `n` for the smaller graphs), a
+                // self-loop, and an insert that appends two vertices.
+                let mut updates: Vec<EdgeUpdate> = pairs
+                    .iter()
+                    .flat_map(|&(u, v)| [EdgeUpdate::Insert(u, v), EdgeUpdate::Remove(v, u)])
+                    .collect();
+                updates.extend([
+                    EdgeUpdate::Insert(2, 2),
+                    EdgeUpdate::Insert(n as VertexId + 1, 0),
+                ]);
+                for update in updates {
+                    check_against_model(&edges, n, &[update]);
+                }
+            }
+        }
+        assert_eq!(graphs, 1 + 1 + 2 + 8 + 64 + 1024);
+    }
 }
 
 #[cfg(test)]
@@ -598,6 +696,40 @@ mod proptests {
             }),
             1..len,
         )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn merged_batches_match_a_btreeset_mirror(
+            base in prop::collection::vec((0..8u32, 0..8u32), 0..24),
+            n in 0..9usize,
+            ops in prop::collection::vec((0..4u32, 0..12u32, 0..12u32), 1..24),
+        ) {
+            let edges: std::collections::BTreeSet<_> = base
+                .iter()
+                .filter(|&&(a, b)| a != b && (a.max(b) as usize) < n)
+                .map(|&(a, b)| (a.min(b), a.max(b)))
+                .collect();
+            // Endpoints reach past `n`, so inserts grow the vertex set.
+            // Kinds 2 and 3 put an in-batch duplicate and an
+            // insert → remove → insert of one pair into the batch.
+            let updates: Vec<EdgeUpdate> = ops
+                .iter()
+                .flat_map(|&(kind, a, b)| match kind {
+                    0 => vec![EdgeUpdate::Insert(a, b)],
+                    1 => vec![EdgeUpdate::Remove(a, b)],
+                    2 => vec![EdgeUpdate::Insert(a, b), EdgeUpdate::Insert(b, a)],
+                    _ => vec![
+                        EdgeUpdate::Insert(a, b),
+                        EdgeUpdate::Remove(b, a),
+                        EdgeUpdate::Insert(a, b),
+                    ],
+                })
+                .collect();
+            super::tests::check_against_model(&edges, n, &updates);
+        }
     }
 
     proptest! {

@@ -11,7 +11,8 @@
 //! * [`HcdService`] — concurrent readers answer [`Query`]s against the
 //!   current snapshot (loaded with one `Arc` clone from an
 //!   `hcd_par::EpochCell`) while a single writer applies **batched**
-//!   edge updates through `hcd_dynamic::DynamicCore`, rebuilds the
+//!   edge updates through `hcd_dynamic::DynamicCore` (merged into the
+//!   next CSR, which the published snapshot shares), rebuilds the
 //!   hierarchy, and publishes the next snapshot with an atomic epoch
 //!   swap. Readers never wait on a rebuild and never observe a torn
 //!   index; every response carries the generation it was answered from;

@@ -172,7 +172,7 @@ impl HcdService {
         }
         let final_seq = writer.seq();
 
-        let csr = writer.take_csr();
+        let csr = std::sync::Arc::clone(writer.graph().csr());
         let cores = writer.decomposition();
         let hcd = hcd_core::try_phcd(&csr, &cores, exec)?;
         let snapshot = Snapshot::from_parts(csr, cores, hcd, final_seq);

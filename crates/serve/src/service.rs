@@ -285,9 +285,10 @@ impl ServeNames {
 ///   the response's `generation` says exactly which state it saw;
 /// * the **writer** (serialized by an internal lock; any thread may
 ///   call it) applies an [`EdgeUpdate`] batch to the maintained
-///   [`DynamicCore`], which builds one CSR of the new graph and
-///   recomputes coreness on it with PKC; the writer then runs PHCD on
-///   that same CSR and publishes the result with an atomic epoch swap.
+///   [`DynamicCore`], which merges the batch into the next CSR of the
+///   graph and recomputes coreness on it with PKC; the writer then runs
+///   PHCD on that same CSR and publishes the result with an atomic epoch
+///   swap. The published snapshot and the writer share that CSR.
 ///   Batches that change nothing publish no new generation at all.
 ///
 /// A rebuild failure (contained panic, cancellation, expired deadline —
@@ -328,7 +329,7 @@ impl HcdService {
     /// Builds the generation-0 snapshot from `g` and starts serving it.
     pub fn try_new(g: &CsrGraph, exec: &Executor) -> Result<Self, ParError> {
         let snapshot = Snapshot::try_build(g, 0, exec)?;
-        let writer = DynamicCore::from_csr(g);
+        let writer = DynamicCore::from_parts(Arc::clone(&snapshot.graph), snapshot.cores.clone());
         Ok(HcdService {
             cell: EpochCell::new(snapshot),
             writer: Mutex::new(writer),
@@ -802,7 +803,7 @@ impl HcdService {
     }
 
     /// Applies an update batch and publishes the next snapshot, rebuilt
-    /// from scratch on one fresh CSR.
+    /// from scratch on the CSR the batch was merged into.
     ///
     /// Pipeline (all under the writer lock, never blocking readers):
     /// a **no-op fast path** — when every update is a duplicate insert,
@@ -811,10 +812,10 @@ impl HcdService {
     /// sequence counter, and the generation all stand still and
     /// `serve.noop_batches` ticks); otherwise a **write-ahead log
     /// append + fsync** when the service is durable (the batch is on
-    /// disk before anything observes it), the batch applied to the
-    /// writer's edge set with coreness recomputed by PKC on the one CSR
-    /// the batch builds ([`DynamicCore::try_apply_batch`], regions
-    /// `pkc.*`), PHCD on that same CSR in the fault-injectable
+    /// disk before anything observes it), the batch merged into the
+    /// writer's CSR (histogram `dynamic.merge`) with coreness recomputed
+    /// by PKC on it ([`DynamicCore::try_apply_batch`], regions `pkc.*`),
+    /// PHCD on that same CSR in the fault-injectable
     /// `serve.rebuild` region (regions `phcd.*` nested inside, timed as
     /// the `serve.rebuild` histogram), one atomic epoch swap, then (per
     /// [`DurabilityConfig::checkpoint_every`]) a snapshot checkpoint.
@@ -918,10 +919,10 @@ impl HcdService {
         exec.add_counter(self.names.batches, 1);
         let affected = (report.changed.len() + report.touched.len()) as u64;
 
-        // Rebuild the hierarchy on the CSR the writer just built, inside
+        // Rebuild the hierarchy on the CSR the writer just merged, inside
         // the named rebuild region so deadlines, cancellation, and the
         // fault matrix govern it.
-        let csr = writer.take_csr();
+        let csr = Arc::clone(writer.graph().csr());
         let cores = writer.decomposition();
         let built: Mutex<Option<hcd_core::Hcd>> = Mutex::new(None);
         let rebuilt = exec.region(self.names.region_rebuild).try_for_each_chunk(

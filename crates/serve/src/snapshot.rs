@@ -1,5 +1,7 @@
 //! One immutable, generation-stamped index state.
 
+use std::sync::Arc;
+
 use hcd_core::{try_phcd, Hcd};
 use hcd_decomp::{try_pkc_core_decomposition, CoreDecomposition};
 use hcd_graph::CsrGraph;
@@ -16,8 +18,9 @@ use hcd_par::{Executor, ParError};
 /// [`Response`](crate::Response).
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    /// The graph this snapshot serves.
-    pub graph: CsrGraph,
+    /// The graph this snapshot serves, shared with the writer that
+    /// merges the next batch into it.
+    pub graph: Arc<CsrGraph>,
     /// Its core decomposition.
     pub cores: CoreDecomposition,
     /// Its hierarchical core decomposition.
@@ -34,7 +37,7 @@ impl Snapshot {
         let cores = try_pkc_core_decomposition(g, exec)?;
         let hcd = try_phcd(g, &cores, exec)?;
         Ok(Snapshot {
-            graph: g.clone(),
+            graph: Arc::new(g.clone()),
             cores,
             hcd,
             generation,
@@ -42,16 +45,16 @@ impl Snapshot {
     }
 
     /// Assembles a snapshot from already-computed parts (the write
-    /// path: the writer has recomputed coreness on the CSR it built and
-    /// runs PHCD on that same CSR).
+    /// path: the writer has recomputed coreness on the CSR it merged and
+    /// runs PHCD on that same CSR, which the snapshot then shares).
     pub fn from_parts(
-        graph: CsrGraph,
+        graph: impl Into<Arc<CsrGraph>>,
         cores: CoreDecomposition,
         hcd: Hcd,
         generation: u64,
     ) -> Self {
         Snapshot {
-            graph,
+            graph: graph.into(),
             cores,
             hcd,
             generation,

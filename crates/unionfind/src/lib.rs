@@ -11,19 +11,13 @@
 //!   finds), in the style of Anderson–Woll / Jayanti–Tarjan, with a pivot
 //!   min-merge protocol that converges at quiescence (see module docs of
 //!   [`concurrent`]).
-//! * [`UnionBatch`] — a thread-local edge coalescer: workers pre-merge
-//!   their chunk's edges in a private buffer and forward only spanning
-//!   edges, cutting finds, CAS retries, and pivot-merge contention on
-//!   the shared structure (see module docs of [`batch`]).
 //!
 //! Both structure variants implement the common [`UnionFindPivot`] trait
 //! so the PHCD algorithm is generic over the execution mode.
 
-pub mod batch;
 pub mod concurrent;
 pub mod seq;
 
-pub use batch::{BatchStats, UnionBatch};
 pub use concurrent::ConcurrentPivotUnionFind;
 pub use seq::PivotUnionFind;
 

@@ -2,9 +2,9 @@
 //!
 //! The paper's dynamic counterpart ([15] in its references) maintains
 //! the hierarchy under updates; this example drives `hcd-dynamic`:
-//! each batch of edge updates is applied to the edge set, and coreness
-//! is recomputed with PKC on one fresh CSR of the new graph, with the
-//! HCD refreshed on demand.
+//! each batch of edge updates is merged into the next CSR of the graph,
+//! and coreness is recomputed on it with PKC, with the HCD refreshed on
+//! demand.
 //!
 //! ```text
 //! cargo run --release --example dynamic_updates

@@ -125,7 +125,7 @@ p99 latencies in CI.
 serve-bench always arms metrics and latency histograms and finishes
 with a per-boundary latency report (p50/p99/p999/max for each
 serve.query.* read path and the writer-side apply / wal / fsync /
-checkpoint / rebuild / publish stages) read back out of the emitted
+merge / checkpoint / rebuild / publish stages) read back out of the emitted
 hcd-metrics-v1 snapshot; --metrics additionally writes that snapshot
 to a file. --stats-interval N prints an in-flight one-line report
 every N operations while the workload runs. --events out.jsonl
@@ -637,6 +637,32 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
+/// Prints the serve commands' latency report: every `serve.*` histogram
+/// plus the writer's `dynamic.merge`, so a write's time splits into its
+/// stages. The one place that decides which histograms the report lists.
+fn print_serve_latency(snap: &Snapshot) {
+    let mut hists: Vec<&SnapshotHistogram> = snap
+        .histograms
+        .iter()
+        .filter(|h| h.name.starts_with("serve.") || h.name == "dynamic.merge")
+        .collect();
+    hists.sort_by(|a, b| a.name.cmp(&b.name));
+    if !hists.is_empty() {
+        println!("latency (p50/p99/p999/max from the emitted hcd-metrics-v1 histograms)");
+        for h in hists {
+            println!(
+                "  {:<18} p50={:<8} p99={:<8} p999={:<8} max={:<8} n={}",
+                h.name,
+                fmt_ns(h.p50_ns),
+                fmt_ns(h.p99_ns),
+                fmt_ns(h.p999_ns),
+                fmt_ns(h.max_ns),
+                h.count as u64
+            );
+        }
+    }
+}
+
 /// `serve-bench <graph>` — builds the generation-0 snapshot, then drives
 /// the seeded mixed read/update workload from `hcd_serve::run_workload`
 /// through the shared executor, printing the summary and a per-boundary
@@ -799,26 +825,7 @@ fn serve_bench(path: &str, args: &[String], exec: &Executor) -> Result<(), CliEr
     // metrics-diff against the same file would gate on.
     let snap = Snapshot::parse(&json)
         .map_err(|e| CliError::Runtime(format!("emitted metrics snapshot did not parse: {e}")))?;
-    let mut hists: Vec<&SnapshotHistogram> = snap
-        .histograms
-        .iter()
-        .filter(|h| h.name.starts_with("serve."))
-        .collect();
-    hists.sort_by(|a, b| a.name.cmp(&b.name));
-    if !hists.is_empty() {
-        println!("latency (p50/p99/p999/max from the emitted hcd-metrics-v1 histograms)");
-        for h in hists {
-            println!(
-                "  {:<18} p50={:<8} p99={:<8} p999={:<8} max={:<8} n={}",
-                h.name,
-                fmt_ns(h.p50_ns),
-                fmt_ns(h.p99_ns),
-                fmt_ns(h.p999_ns),
-                fmt_ns(h.max_ns),
-                h.count as u64
-            );
-        }
-    }
+    print_serve_latency(&snap);
     if let Some(p) = &events_path {
         let lines = std::fs::read_to_string(p).map_or(0, |s| s.lines().count());
         println!("events           = {lines} line(s) -> {p}");
@@ -989,26 +996,7 @@ fn serve_bench_open_loop(
     println!("elapsed          = {:.3}s (wall)", elapsed.as_secs_f64());
     let snap = Snapshot::parse(&json)
         .map_err(|e| CliError::Runtime(format!("emitted metrics snapshot did not parse: {e}")))?;
-    let mut hists: Vec<&SnapshotHistogram> = snap
-        .histograms
-        .iter()
-        .filter(|h| h.name.starts_with("serve."))
-        .collect();
-    hists.sort_by(|a, b| a.name.cmp(&b.name));
-    if !hists.is_empty() {
-        println!("latency (p50/p99/p999/max from the emitted hcd-metrics-v1 histograms)");
-        for h in hists {
-            println!(
-                "  {:<18} p50={:<8} p99={:<8} p999={:<8} max={:<8} n={}",
-                h.name,
-                fmt_ns(h.p50_ns),
-                fmt_ns(h.p99_ns),
-                fmt_ns(h.p999_ns),
-                fmt_ns(h.max_ns),
-                h.count as u64
-            );
-        }
-    }
+    print_serve_latency(&snap);
     if offered > 0 && answered == 0 {
         return Err(CliError::Saturated);
     }

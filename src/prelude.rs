@@ -3,9 +3,7 @@
 
 pub use hcd_graph::{CsrGraph, GraphBuilder, InducedSubgraph, VertexId};
 
-pub use hcd_unionfind::{
-    BatchStats, ConcurrentPivotUnionFind, PivotUnionFind, UfCounts, UnionBatch, UnionFindPivot,
-};
+pub use hcd_unionfind::{ConcurrentPivotUnionFind, PivotUnionFind, UfCounts, UnionFindPivot};
 
 pub use hcd_decomp::{
     core_decomposition, hindex_core_decomposition, pkc_core_decomposition,

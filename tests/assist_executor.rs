@@ -25,7 +25,7 @@ fn counter(m: &RunMetrics, name: &str) -> u64 {
 /// assist executor claims the *same chunk table* through an atomic
 /// cursor, so whichever thread runs a chunk, the per-chunk work — and
 /// with it every one of these counters — is fixed by the input graph.
-const DETERMINISTIC: [&str; 8] = [
+const DETERMINISTIC: [&str; 7] = [
     "pkc.levels",
     "pkc.waves",
     "pkc.frontier",
@@ -33,7 +33,6 @@ const DETERMINISTIC: [&str; 8] = [
     "pkc.bucket_skips",
     "phcd.union_phases",
     "phcd.uf.unions",
-    "phcd.uf.batch_staged",
 ];
 
 /// Chunk positions exercised by the fault matrix: first, middle, last.
@@ -72,11 +71,11 @@ fn assist_counters_are_deterministic_across_runs() {
         let unions = counter(&m, "phcd.uf.unions");
         let finds = counter(&m, "phcd.uf.finds");
         assert!(finds >= 2 * unions, "finds {finds} < 2 * unions {unions}");
-        let staged = counter(&m, "phcd.uf.batch_staged");
-        let flushed = counter(&m, "phcd.uf.batch_flushed");
+        // Each successful union merges two components.
         assert!(
-            unions <= flushed && flushed <= staged,
-            "unions {unions} <= flushed {flushed} <= staged {staged} violated"
+            unions < g.num_vertices() as u64,
+            "unions {unions} >= n {}",
+            g.num_vertices()
         );
         // The assist-specific counters appear only when nonzero (zero
         // deltas are elided, e.g. when the owner claimed every chunk
@@ -90,10 +89,8 @@ fn assist_counters_are_deterministic_across_runs() {
     }
 }
 
-/// Batch coalescing is keyed by chunk index, not OS thread, so even the
-/// flush count — contention-*shaped* in general — matches the simulated
-/// mode with the same worker count, because both walk the same chunk
-/// table.
+/// The assist pool and the simulated mode with the same worker count
+/// walk the same chunk table, so every structural counter matches.
 #[test]
 fn assist_matches_simulated_mode_counter_for_counter() {
     let g = rmat(10, 10, None, 56);

@@ -532,9 +532,7 @@ fn deterministic_counters_agree_across_modes() {
         // component structure (one link CAS wins per merge). The bucket
         // counters are structural too: CAS decrements serialize, so each
         // intermediate degree value is observed by exactly one decrement
-        // regardless of interleaving, fixing the push/skip multiset. And
-        // batch_staged counts edge scans, which the shell structure
-        // determines.
+        // regardless of interleaving, fixing the push/skip multiset.
         for name in [
             "pkc.levels",
             "pkc.waves",
@@ -543,7 +541,6 @@ fn deterministic_counters_agree_across_modes() {
             "pkc.bucket_skips",
             "phcd.union_phases",
             "phcd.uf.unions",
-            "phcd.uf.batch_staged",
         ] {
             assert_eq!(
                 counter(&m, name),
@@ -563,15 +560,11 @@ fn deterministic_counters_agree_across_modes() {
             "finds {finds} < 2 * unions {unions} in mode {}",
             exec.mode_name()
         );
-        // batch_flushed depends on how the shell scan is chunked (one
-        // worker coalesces across the whole shell, four coalesce per
-        // quarter), so it is only bounded: every forwarded edge was
-        // staged, and every successful global merge came through a flush.
-        let staged = counter(&m, "phcd.uf.batch_staged");
-        let flushed = counter(&m, "phcd.uf.batch_flushed");
+        // Each successful union merges two components.
         assert!(
-            unions <= flushed && flushed <= staged,
-            "expected unions {unions} <= flushed {flushed} <= staged {staged} in mode {}",
+            unions < g.num_vertices() as u64,
+            "unions {unions} >= n {} in mode {}",
+            g.num_vertices(),
             exec.mode_name()
         );
     }

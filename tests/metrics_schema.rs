@@ -386,7 +386,8 @@ fn serve_bench_metrics_cover_the_serving_layer() {
         .unwrap_or_else(|| panic!("missing counter serve.stale_reads: {counters:?}"));
     assert_eq!(*kind, "max", "serve.stale_reads");
     // Every serve-path boundary records a latency histogram: batched and
-    // single-query reads, the write path, and durability stages.
+    // single-query reads, the write path with its CSR merge, and
+    // durability stages.
     let hist_names: Vec<&str> = doc
         .get("histograms")
         .and_then(|h| h.get("entries"))
@@ -398,6 +399,7 @@ fn serve_bench_metrics_cover_the_serving_layer() {
     for hist in [
         "serve.query.batch",
         "serve.apply",
+        "dynamic.merge",
         "serve.rebuild",
         "serve.publish",
         "serve.wal.append",

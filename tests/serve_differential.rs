@@ -16,8 +16,8 @@ use rand_chacha::ChaCha8Rng;
 
 /// Independently maintained ground truth: the edge set and vertex count
 /// the service *should* be serving, mirroring `DynamicGraph` semantics
-/// (inserts grow the vertex set — even no-op duplicate inserts, which
-/// still call `ensure_vertex`; removes never do).
+/// (inserts grow the vertex set; a duplicate insert already lies inside
+/// it; removes never grow it).
 struct Mirror {
     edges: BTreeSet<(VertexId, VertexId)>,
     n: usize,
@@ -199,7 +199,7 @@ fn served_snapshots_match_from_scratch_oracle_across_modes() {
     }
 }
 
-/// The writer path (apply the batch, build one CSR, PKC + PHCD on it)
+/// The writer path (merge the batch into the CSR, PKC + PHCD on it)
 /// publishes exactly what a naive from-scratch build of the same state
 /// would, for every graph family × executor mode. This pins the
 /// equivalence directly — one service keeps applying batches, the
