@@ -7,7 +7,7 @@ use std::hint::black_box;
 
 use hcd_core::{phcd, VertexRanks};
 use hcd_datasets::rmat;
-use hcd_decomp::{core_decomposition, hindex_core_decomposition, pkc_core_decomposition};
+use hcd_decomp::{core_decomposition, pkc_core_decomposition};
 use hcd_par::Executor;
 use hcd_search::accumulate::accumulate_bottom_up;
 use hcd_search::bks::SortedAdjacency;
@@ -56,9 +56,6 @@ fn bench_core_decomposition(c: &mut Criterion) {
     });
     group.bench_function("pkc_1thread", |b| {
         b.iter(|| black_box(pkc_core_decomposition(&g, &exec)))
-    });
-    group.bench_function("hindex_1thread", |b| {
-        b.iter(|| black_box(hindex_core_decomposition(&g, &exec)))
     });
     group.finish();
 }

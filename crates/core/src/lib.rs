@@ -15,6 +15,8 @@
 //! * [`phcd()`](phcd::phcd) — **Algorithm 2 (PHCD)**: the paper's parallel construction
 //!   via union-find with pivot, correct under sequential, real-thread,
 //!   and simulated execution.
+//! * [`forest`] — the hierarchy kernel PHCD runs on, shared with the
+//!   truss hierarchy (PHTD) of `hcd-truss`.
 //! * [`lcps()`](lcps::lcps) — the serial state-of-the-art baseline: Matula–Beck
 //!   priority search \[7\].
 //! * [`rc`] — local k-core search, the ingredient of the divide-and-
@@ -30,6 +32,7 @@
 //! parallelization is not expected; PHCD instead delivers near-linear
 //! *work* with one parallel round per shell level.
 
+pub mod forest;
 pub mod index;
 pub mod io;
 pub mod lb;

@@ -140,11 +140,11 @@ impl VertexRanks {
         &self.vsort[self.shell_start[k]..self.shell_start[k + 1]]
     }
 
-    /// The rank interval `[start, end)` occupied by the k-shell in the
-    /// rank order; ranks `>= end` have coreness `> k`.
-    pub fn shell_bounds(&self, k: u32) -> (usize, usize) {
-        let k = k as usize;
-        (self.shell_start[k], self.shell_start[k + 1])
+    /// Shell starts in rank order: the k-shell occupies ranks
+    /// `shell_starts()[k]..shell_starts()[k + 1]`, and ranks past its end
+    /// have coreness `> k`.
+    pub(crate) fn shell_starts(&self) -> &[usize] {
+        &self.shell_start
     }
 
     /// The largest coreness.

@@ -6,7 +6,7 @@
 //! the mandatory input of both HCD construction (paper §III) and subgraph
 //! search (§IV).
 //!
-//! Three independent implementations are provided and cross-checked in
+//! Two independent implementations are provided and cross-checked in
 //! tests:
 //!
 //! * [`bz::core_decomposition`] — the serial Batagelj–Zaversnik bin-sort
@@ -15,15 +15,11 @@
 //!   in the style of ParK/PKC \[20\], \[24\]: `O(n·kmax + m)` work with
 //!   frontier expansion via atomic degree decrements, plus the PKC
 //!   remaining-vertex compaction optimization.
-//! * [`hindex::hindex_core_decomposition`] — the iterative local h-index
-//!   fixed point (MPM-style \[21\]), converging from degrees downward.
 
 pub mod bz;
-pub mod hindex;
 pub mod pkc;
 
 pub use bz::core_decomposition;
-pub use hindex::{hindex_core_decomposition, try_hindex_core_decomposition};
 pub use pkc::{pkc_core_decomposition, try_pkc_core_decomposition};
 
 use hcd_graph::{CsrGraph, VertexId};

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use hcd_graph::builder::build_from_edges;
 use hcd_par::Executor;
 
-use crate::{bz, hindex, pkc};
+use crate::{bz, pkc};
 
 fn arb_edges(max_n: u32, max_m: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
     prop::collection::vec((0..max_n, 0..max_n), 0..max_m)
@@ -16,14 +16,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn bz_pkc_hindex_agree(edges in arb_edges(60, 400)) {
+    fn bz_pkc_agree(edges in arb_edges(60, 400)) {
         let g = build_from_edges(edges, 0);
         let a = bz::core_decomposition(&g);
-        let exec = Executor::assist(4);
-        let b = pkc::pkc_core_decomposition(&g, &exec);
-        let c = hindex::hindex_core_decomposition(&g, &exec);
+        let b = pkc::pkc_core_decomposition(&g, &Executor::assist(4));
         prop_assert_eq!(a.as_slice(), b.as_slice());
-        prop_assert_eq!(b.as_slice(), c.as_slice());
     }
 
     #[test]

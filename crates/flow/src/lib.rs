@@ -7,18 +7,9 @@
 //! tests: [`dinic::Dinic`] is a standard max-flow implementation and
 //! [`goldberg::densest_subgraph`] is Goldberg's binary-search reduction
 //! of densest subgraph to min-cut.
-//!
-//! The crate also hosts the cut machinery for the third §VI model:
-//! [`mincut::stoer_wagner`] (global minimum cut) and
-//! [`kecc::k_edge_connected_components`] (k-ECC decomposition by
-//! partition refinement).
 
 pub mod dinic;
 pub mod goldberg;
-pub mod kecc;
-pub mod mincut;
 
 pub use dinic::Dinic;
 pub use goldberg::densest_subgraph;
-pub use kecc::{ecc_connectivity, k_edge_connected_components};
-pub use mincut::stoer_wagner;

@@ -29,7 +29,6 @@ pub mod bestk;
 pub mod bks;
 pub mod clique;
 pub mod densest;
-pub mod influence;
 pub mod metrics;
 mod motifs;
 pub mod pbks;
@@ -39,7 +38,6 @@ pub use accumulate::{accumulate_bottom_up, try_accumulate_bottom_up};
 pub use bestk::{best_k, core_set_scores, try_best_k, try_core_set_scores};
 pub use bks::bks;
 pub use clique::max_clique;
-pub use influence::InfluenceIndex;
 pub use metrics::{score_cmp, Metric, MetricKind, PrimaryValues};
 pub use pbks::{pbks, pbks_scores, try_pbks, try_pbks_on, try_pbks_scores, BestCore};
 pub use preprocess::SearchContext;

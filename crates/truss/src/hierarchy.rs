@@ -1,19 +1,15 @@
-//! Hierarchical truss decomposition, constructed in parallel with the
-//! PHCD paradigm (paper §VI).
+//! Hierarchical truss decomposition, constructed in parallel by the PHCD
+//! kernel with triangle links (paper §VI).
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-
-use parking_lot::Mutex;
-
+use hcd_core::forest::{self, Links};
 use hcd_graph::{CsrGraph, FxHashMap};
-use hcd_par::{Executor, ParError, CHECKPOINT_STRIDE};
-use hcd_unionfind::{ConcurrentPivotUnionFind, UnionFindPivot};
+use hcd_par::{Executor, ParError};
 
 use crate::decompose::TrussDecomposition;
 use crate::edges::EdgeIndex;
 
 /// Sentinel for "no node".
-pub const NO_NODE: u32 = u32::MAX;
+pub use hcd_core::NO_NODE;
 
 /// One k-truss tree node: the edges of trussness `k` within one
 /// (triangle-connected) k-truss.
@@ -99,17 +95,9 @@ impl Htd {
     }
 }
 
-/// Enumerates, for edge `e = (u, v)` of trussness `t(e) = k`, every
-/// triangle through `e` whose other two edges have trussness `>= k`,
-/// invoking `f(e1, e2)` on them.
-fn level_triangles<F: FnMut(u32, u32)>(
-    g: &CsrGraph,
-    idx: &EdgeIndex,
-    truss: &[u32],
-    e: u32,
-    k: u32,
-    mut f: F,
-) {
+/// Enumerates every triangle through edge `e = (u, v)`, invoking
+/// `f(e1, e2)` on its other two edges.
+fn triangles<F: FnMut(u32, u32)>(g: &CsrGraph, idx: &EdgeIndex, e: u32, mut f: F) {
     let (u, v) = idx.endpoints(e);
     let (a, b) = if g.degree(u) <= g.degree(v) {
         (u, v)
@@ -120,24 +108,20 @@ fn level_triangles<F: FnMut(u32, u32)>(
         if w == b || !g.has_edge(w, b) {
             continue;
         }
-        let e1 = idx.eid(g, a, w);
-        let e2 = idx.eid(g, b, w);
-        if truss[e1 as usize] >= k && truss[e2 as usize] >= k {
-            f(e1, e2);
-        }
+        f(idx.eid(g, a, w), idx.eid(g, b, w));
     }
 }
 
-/// PHTD: parallel hierarchical truss decomposition — the PHCD paradigm
-/// over edges.
+/// PHTD: parallel hierarchical truss decomposition — the PHCD kernel
+/// with triangle links.
 ///
 /// From `k = tmax` down to 2, the k-shell of *edges* is added; an edge
 /// connects to the existing structure through triangles whose other two
-/// edges have trussness `>= k` (each such triangle is discovered exactly
-/// once, at its minimum-trussness edge). A concurrent union-find with
-/// pivot (minimum `(trussness, id)` edge) groups shell edges into new
-/// tree nodes and resolves parents, exactly as PHCD's four steps do for
-/// vertices.
+/// edges have trussness `>= k`. The union-find runs over edge ranks in
+/// `(trussness, id)` order, so the pivot of a component is its minimum
+/// `(trussness, id)` edge, and PHCD's four steps group shell edges into
+/// new tree nodes and resolve parents exactly as they do for vertices
+/// (regions `truss.kpc` / `union` / `pivots` / `assign` / `parents`).
 pub fn phtd(g: &CsrGraph, idx: &EdgeIndex, truss: &TrussDecomposition, exec: &Executor) -> Htd {
     match try_phtd(g, idx, truss, exec) {
         Ok(htd) => htd,
@@ -145,216 +129,74 @@ pub fn phtd(g: &CsrGraph, idx: &EdgeIndex, truss: &TrussDecomposition, exec: &Ex
     }
 }
 
-/// Fallible version of [`phtd`]: the triangle-enumeration passes poll the
-/// executor's cancellation checkpoint at a coarse adjacency-work stride,
-/// so cancel tokens and deadlines abort the construction promptly (see
-/// the `hcd_par` failure model).
+/// Fallible version of [`phtd`]: the triangle-enumerating union pass
+/// polls the executor's cancellation checkpoint at a coarse
+/// adjacency-work stride, and every region checks it per chunk, so
+/// cancel tokens and deadlines abort the construction promptly (see the
+/// `hcd_par` failure model).
 pub fn try_phtd(
     g: &CsrGraph,
     idx: &EdgeIndex,
     truss: &TrussDecomposition,
     exec: &Executor,
 ) -> Result<Htd, ParError> {
-    let m = idx.len();
-    if m == 0 {
-        return Ok(Htd {
-            nodes: Vec::new(),
-            tid: Vec::new(),
-        });
-    }
-    let t = truss.as_slice();
-
-    // Edge rank: (trussness, id) ascending — the pivot order.
     let shells = truss.shells();
-    let mut erank = vec![0u32; m];
-    {
-        let mut r = 0u32;
-        for shell in &shells {
-            for &e in shell {
-                erank[e as usize] = r;
-                r += 1;
-            }
-        }
+    let order: Vec<u32> = shells.concat();
+    let mut level_start = vec![0];
+    for shell in &shells {
+        level_start.push(level_start[level_start.len() - 1] + shell.len());
     }
-
-    let uf = ConcurrentPivotUnionFind::new(erank);
-    let tid: Vec<AtomicU32> = (0..m).map(|_| AtomicU32::new(NO_NODE)).collect();
-    let in_kpc: Vec<AtomicBool> = (0..m).map(|_| AtomicBool::new(false)).collect();
-    let mut node_k: Vec<u32> = Vec::new();
-    let mut node_edges: Vec<Mutex<Vec<u32>>> = Vec::new();
-    let mut node_parent: Vec<AtomicU32> = Vec::new();
-    let mut node_children: Vec<Mutex<Vec<u32>>> = Vec::new();
-
-    for k in (2..=truss.tmax()).rev() {
-        let shell = match shells.get(k as usize) {
-            Some(s) if !s.is_empty() => s,
-            _ => continue,
-        };
-
-        // Triangle enumeration for edge e scans the adjacency of its
-        // lower-degree endpoint — the stride unit for checkpoint polls.
-        let tri_work = |e: u32| {
-            let (u, v) = idx.endpoints(e);
-            g.degree(u).min(g.degree(v)) + 1
-        };
-
-        // Step 1: pivots of adjacent k'-trusses (k' > k).
-        let kpc_parts = exec
-            .region("truss.kpc")
-            .try_map_chunks(shell.len(), |_, range| {
-                let mut local = Vec::new();
-                let mut since = 0usize;
-                for &e in &shell[range] {
-                    level_triangles(g, idx, t, e, k, |e1, e2| {
-                        for other in [e1, e2] {
-                            if t[other as usize] > k {
-                                let pvt = uf.get_pivot(other);
-                                if !in_kpc[pvt as usize].swap(true, Ordering::AcqRel) {
-                                    local.push(pvt);
-                                }
-                            }
-                        }
-                    });
-                    since += tri_work(e);
-                    if since >= CHECKPOINT_STRIDE {
-                        exec.checkpoint()?;
-                        since = 0;
-                    }
-                }
-                Ok(local)
-            })?;
-        let kpc_pivot: Vec<u32> = kpc_parts.into_iter().flatten().collect();
-
-        // Step 2: union each shell edge with its co-triangle edges of
-        // trussness >= k.
-        exec.region("truss.union").try_for_each_chunk(
-            shell.len(),
-            || (),
-            |_, _, range| {
-                let mut since = 0usize;
-                for &e in &shell[range] {
-                    level_triangles(g, idx, t, e, k, |e1, e2| {
-                        uf.union(e, e1);
-                        uf.union(e, e2);
-                    });
-                    since += tri_work(e);
-                    if since >= CHECKPOINT_STRIDE {
-                        exec.checkpoint()?;
-                        since = 0;
-                    }
-                }
-                Ok(())
-            },
-        )?;
-
-        // Step 3: group shell edges into nodes by pivot.
-        let mut pivot_of: Vec<u32> = vec![0; shell.len()];
-        {
-            struct SendPtr(*mut u32);
-            unsafe impl Send for SendPtr {}
-            unsafe impl Sync for SendPtr {}
-            let out = SendPtr(pivot_of.as_mut_ptr());
-            let fresh_parts =
-                exec.region("truss.fresh")
-                    .try_map_chunks(shell.len(), |_, range| {
-                        let _ = &out;
-                        let mut fresh = Vec::new();
-                        let mut since = 0usize;
-                        for i in range {
-                            let pvt = uf.get_pivot(shell[i]);
-                            // SAFETY: disjoint slots.
-                            unsafe { *out.0.add(i) = pvt };
-                            if tid[pvt as usize]
-                                .compare_exchange(
-                                    NO_NODE,
-                                    NO_NODE - 1,
-                                    Ordering::AcqRel,
-                                    Ordering::Acquire,
-                                )
-                                .is_ok()
-                            {
-                                fresh.push(pvt);
-                            }
-                            since += 1;
-                            if since >= CHECKPOINT_STRIDE {
-                                exec.checkpoint()?;
-                                since = 0;
-                            }
-                        }
-                        Ok(fresh)
-                    })?;
-            let mut fresh: Vec<u32> = fresh_parts.into_iter().flatten().collect();
-            fresh.sort_unstable();
-            for pvt in fresh {
-                let id = node_k.len() as u32;
-                node_k.push(k);
-                node_edges.push(Mutex::new(Vec::new()));
-                node_parent.push(AtomicU32::new(NO_NODE));
-                node_children.push(Mutex::new(Vec::new()));
-                tid[pvt as usize].store(id, Ordering::Release);
-            }
-        }
-        exec.region("truss.assign").try_for_each_chunk(
-            shell.len(),
-            FxHashMap::<u32, Vec<u32>>::default,
-            |_, groups, range| {
-                let mut since = 0usize;
-                for i in range.clone() {
-                    let e = shell[i];
-                    let id = tid[pivot_of[i] as usize].load(Ordering::Acquire);
-                    tid[e as usize].store(id, Ordering::Release);
-                    groups.entry(id).or_default().push(e);
-                    since += 1;
-                    if since >= CHECKPOINT_STRIDE {
-                        exec.checkpoint()?;
-                        since = 0;
-                    }
-                }
-                for (id, mut es) in groups.drain() {
-                    node_edges[id as usize].lock().append(&mut es);
-                }
-                Ok(())
-            },
-        )?;
-
-        // Step 4: parents.
-        exec.region("truss.parents").try_for_each_chunk(
-            kpc_pivot.len(),
-            || (),
-            |_, _, range| {
-                let mut since = 0usize;
-                for &pv in &kpc_pivot[range] {
-                    in_kpc[pv as usize].store(false, Ordering::Relaxed);
-                    let ch = tid[pv as usize].load(Ordering::Acquire);
-                    let pa = tid[uf.get_pivot(pv) as usize].load(Ordering::Acquire);
-                    node_parent[ch as usize].store(pa, Ordering::Release);
-                    node_children[pa as usize].lock().push(ch);
-                    since += 1;
-                    if since >= CHECKPOINT_STRIDE {
-                        exec.checkpoint()?;
-                        since = 0;
-                    }
-                }
-                Ok(())
-            },
-        )?;
+    let mut erank = vec![0u32; order.len()];
+    for (r, &e) in order.iter().enumerate() {
+        erank[e as usize] = r as u32;
     }
+    // Triangle enumeration for edge e scans the adjacency of its
+    // lower-degree endpoint: that is its work.
+    let mut work = Vec::with_capacity(order.len() + 1);
+    work.push(0u64);
+    for (r, &e) in order.iter().enumerate() {
+        let (u, v) = idx.endpoints(e);
+        work.push(work[r] + g.degree(u).min(g.degree(v)) as u64 + 1);
+    }
+    let links = TriangleLinks {
+        g,
+        idx,
+        order: &order,
+        erank: &erank,
+    };
+    let (nodes, tid) =
+        forest::try_build_forest(&order, &level_start, &work, &links, &forest::TRUSS, exec)?;
+    let nodes = nodes
+        .into_iter()
+        .map(|n| TrussNode {
+            k: n.k,
+            edges: n.vertices,
+            parent: n.parent,
+            children: n.children,
+        })
+        .collect();
+    Ok(Htd { nodes, tid })
+}
 
-    let mut nodes = Vec::with_capacity(node_k.len());
-    for i in 0..node_k.len() {
-        let mut edges = std::mem::take(&mut *node_edges[i].lock());
-        edges.sort_unstable();
-        let mut children = std::mem::take(&mut *node_children[i].lock());
-        children.sort_unstable();
-        nodes.push(TrussNode {
-            k: node_k[i],
-            edges,
-            parent: node_parent[i].load(Ordering::Acquire),
-            children,
+/// PHTD's links: an edge is linked to the two other edges of every
+/// triangle whose other two edges are both present at its level.
+struct TriangleLinks<'a> {
+    g: &'a CsrGraph,
+    idx: &'a EdgeIndex,
+    order: &'a [u32],
+    erank: &'a [u32],
+}
+
+impl Links for TriangleLinks<'_> {
+    fn for_each_link(&self, r: u32, lo: u32, mut f: impl FnMut(u32)) {
+        triangles(self.g, self.idx, self.order[r as usize], |e1, e2| {
+            let (r1, r2) = (self.erank[e1 as usize], self.erank[e2 as usize]);
+            if r1 >= lo && r2 >= lo {
+                f(r1);
+                f(r2);
+            }
         });
     }
-    let tid = tid.into_iter().map(AtomicU32::into_inner).collect();
-    Ok(Htd { nodes, tid })
 }
 
 /// Brute-force HTD from the definitions: per level, connected components
@@ -377,7 +219,10 @@ pub fn naive_htd(g: &CsrGraph, idx: &EdgeIndex, truss: &TrussDecomposition) -> H
             let mut queue = vec![s];
             labels[s as usize] = count;
             while let Some(e) = queue.pop() {
-                level_triangles(g, idx, t, e, k, |e1, e2| {
+                triangles(g, idx, e, |e1, e2| {
+                    if t[e1 as usize] < k || t[e2 as usize] < k {
+                        return;
+                    }
                     for other in [e1, e2] {
                         if labels[other as usize] == u32::MAX {
                             labels[other as usize] = count;

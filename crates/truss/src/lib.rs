@@ -16,9 +16,8 @@
 //! * [`decompose::truss_decomposition`] — serial support-peeling
 //!   (Wang–Cheng style), `O(m^1.5)`;
 //! * [`hierarchy::phtd`] — **parallel HTD construction**: the PHCD
-//!   paradigm verbatim, with edges in place of vertices, triangle
-//!   connectivity in place of adjacency, and the same concurrent
-//!   union-find-with-pivot;
+//!   kernel (`hcd_core::forest`) with triangle links, with edges in
+//!   place of vertices and triangle connectivity in place of adjacency;
 //! * [`hierarchy::naive_htd`] — the brute-force oracle used in tests.
 
 pub mod decompose;

@@ -12,10 +12,10 @@
 //!
 //! ## Pivot protocol
 //!
-//! The pivot (minimum-key member) of a component is stored at its root.
+//! The pivot (minimum member) of a component is stored at its root.
 //! After a successful link of `loser` under `winner`, the linking thread
 //! *min-merges* the loser's pivot into the winner: a CAS loop that
-//! replaces the winner's pivot whenever the candidate has a smaller key.
+//! replaces the winner's pivot whenever the candidate is smaller.
 //!
 //! The subtle race: a min-merge can land on a root *after* that root has
 //! itself been linked under another root, whose linker already read the
@@ -24,7 +24,7 @@
 //! repeat the merge there. Because parents only ever change from
 //! self-pointing to other-pointing (roots never become roots again), this
 //! loop terminates, and at quiescence every root's pivot is exactly the
-//! minimum key of its component — which is when PHCD reads pivots
+//! minimum member of its component — which is when PHCD reads pivots
 //! (its union phase and pivot-read phases are separated by barriers).
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -88,24 +88,15 @@ fn rank_of(word: u64) -> u32 {
 pub struct ConcurrentPivotUnionFind {
     entry: Vec<AtomicU64>,
     pivot: Vec<AtomicU32>,
-    key: Vec<u32>,
     stats: Option<ConcStats>,
 }
 
 impl ConcurrentPivotUnionFind {
-    /// `n` singleton components with keys equal to element ids.
+    /// `n` singleton components; each is its own pivot.
     pub fn new_identity(n: usize) -> Self {
-        Self::new((0..n as u32).collect())
-    }
-
-    /// Singleton components whose pivot ordering follows `keys`
-    /// (distinct keys required for unique pivots).
-    pub fn new(keys: Vec<u32>) -> Self {
-        let n = keys.len();
         ConcurrentPivotUnionFind {
             entry: (0..n as u32).map(|i| AtomicU64::new(pack(0, i))).collect(),
             pivot: (0..n as u32).map(AtomicU32::new).collect(),
-            key: keys,
             stats: None,
         }
     }
@@ -143,7 +134,7 @@ impl ConcurrentPivotUnionFind {
     /// Checks structural invariants at quiescence (no concurrent
     /// mutators): every parent chain reaches a root within `len()` steps
     /// (no cycles), and every root's pivot is a member of its own
-    /// component with the minimum key. Used by fault-injection tests to
+    /// component with the minimum id. Used by fault-injection tests to
     /// prove that a panicked or cancelled parallel union phase leaves no
     /// poisoned state behind.
     pub fn validate(&self) -> Result<(), String> {
@@ -162,12 +153,10 @@ impl ConcurrentPivotUnionFind {
             }
             *slot = cur;
         }
-        // Minimum key per component, computed from scratch.
+        // Minimum member per component, computed from scratch.
         let mut min_member = vec![usize::MAX; n];
         for (x, &r) in root_of.iter().enumerate() {
-            if min_member[r] == usize::MAX || self.key[x] < self.key[min_member[r]] {
-                min_member[r] = x;
-            }
+            min_member[r] = min_member[r].min(x);
         }
         for r in 0..n {
             if root_of[r] != r {
@@ -180,10 +169,10 @@ impl ConcurrentPivotUnionFind {
             if root_of[pv] != r {
                 return Err(format!("root {r} pivot {pv} is not in its component"));
             }
-            if self.key[pv] != self.key[min_member[r]] {
+            if pv != min_member[r] {
                 return Err(format!(
-                    "root {r} pivot {pv} (key {}) is not the minimum key {} of its component",
-                    self.key[pv], self.key[min_member[r]]
+                    "root {r} pivot {pv} is not the minimum member {} of its component",
+                    min_member[r]
                 ));
             }
         }
@@ -199,7 +188,7 @@ impl ConcurrentPivotUnionFind {
         let mut retries = 0u64;
         loop {
             let cur = self.pivot[root as usize].load(Ordering::Acquire);
-            if self.key[pv as usize] < self.key[cur as usize]
+            if pv < cur
                 && self.pivot[root as usize]
                     .compare_exchange(cur, pv, Ordering::AcqRel, Ordering::Acquire)
                     .is_err()
@@ -328,10 +317,6 @@ impl UnionFindPivot for ConcurrentPivotUnionFind {
         let r = self.find(x);
         self.pivot[r as usize].load(Ordering::Acquire)
     }
-
-    fn key(&self, x: u32) -> u32 {
-        self.key[x as usize]
-    }
 }
 
 #[cfg(test)]
@@ -347,17 +332,6 @@ mod tests {
         assert!(!uf.union(5, 2));
         assert_eq!(uf.get_pivot(5), 2);
         assert_eq!(uf.num_components(), 4);
-    }
-
-    #[test]
-    fn pivot_with_custom_keys() {
-        let uf = ConcurrentPivotUnionFind::new(vec![10, 0, 20, 5]);
-        uf.union(0, 2);
-        assert_eq!(uf.get_pivot(2), 0);
-        uf.union(2, 3);
-        assert_eq!(uf.get_pivot(0), 3);
-        uf.union(3, 1);
-        assert_eq!(uf.get_pivot(0), 1);
     }
 
     /// Stress sizes shrink under Miri, whose interpreter is ~3 orders of

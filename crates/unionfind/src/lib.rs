@@ -1,9 +1,10 @@
 //! Union-find with **pivot** maintenance (paper §III-B).
 //!
 //! The PHCD construction algorithm identifies each k-core tree node by its
-//! *pivot* — the member with the lowest *vertex rank* (Definition 4/5). To
-//! support this, both union-find variants in this crate maintain, at every
-//! root, the minimum-key element of its component:
+//! *pivot* — the member with the lowest *vertex rank* (Definition 4/5).
+//! PHCD runs the union-find over ranks, so both union-find variants in
+//! this crate maintain, at every root, the minimum element of its
+//! component:
 //!
 //! * [`PivotUnionFind`] — sequential, path halving + union by rank; the
 //!   classical `O(α(n))` amortized structure.
@@ -68,9 +69,8 @@ impl UfCounts {
 
 /// Common interface of the sequential and concurrent union-find.
 ///
-/// Elements are dense ids `0..n`. Each element has a fixed *key*; the
-/// pivot of a component is its minimum-key member. In PHCD the key of a
-/// vertex is its vertex rank `r(v)`.
+/// Elements are dense ids `0..n`; the pivot of a component is its
+/// minimum element. PHCD's elements are vertex ranks `r(v)`.
 pub trait UnionFindPivot {
     /// Number of elements.
     fn len(&self) -> usize;
@@ -85,7 +85,7 @@ pub trait UnionFindPivot {
 
     /// Merges the components of `x` and `y`; returns `true` if they were
     /// previously distinct. The pivot of the merged component is the
-    /// minimum-key pivot of the two inputs.
+    /// smaller pivot of the two inputs.
     fn union(&self, x: u32, y: u32) -> bool;
 
     /// Whether `x` and `y` are in the same component.
@@ -93,15 +93,12 @@ pub trait UnionFindPivot {
         self.find(x) == self.find(y)
     }
 
-    /// The pivot (minimum-key member) of `x`'s component.
+    /// The pivot (minimum member) of `x`'s component.
     ///
     /// For the concurrent variant this is only guaranteed accurate at
     /// quiescence (no concurrent `union` calls), which is how PHCD uses
     /// it: union phases and pivot-read phases are separated by barriers.
     fn get_pivot(&self, x: u32) -> u32;
-
-    /// The fixed key of element `x`.
-    fn key(&self, x: u32) -> u32;
 }
 
 #[cfg(test)]
@@ -130,20 +127,5 @@ mod trait_tests {
     #[test]
     fn concurrent_implements_trait() {
         exercise(ConcurrentPivotUnionFind::new_identity(5));
-    }
-
-    #[test]
-    fn custom_keys_drive_pivot() {
-        // Element 2 has the smallest key, so it wins every merge.
-        let keys = vec![5, 4, 0, 3, 1];
-        let seq = PivotUnionFind::new(keys.clone());
-        seq.union(0, 1);
-        seq.union(1, 2);
-        assert_eq!(seq.get_pivot(0), 2);
-
-        let conc = ConcurrentPivotUnionFind::new(keys);
-        conc.union(0, 1);
-        conc.union(1, 2);
-        assert_eq!(conc.get_pivot(0), 2);
     }
 }

@@ -14,7 +14,7 @@ struct SeqStats {
 }
 
 /// Sequential union-find with path halving, union by rank, and per-root
-/// pivot (minimum-key member) maintenance.
+/// pivot (minimum member) maintenance.
 ///
 /// `find` uses interior mutability (path halving mutates parents) so the
 /// structure can be shared immutably by algorithms that interleave finds
@@ -29,33 +29,22 @@ struct SeqStats {
 /// uf.union(2, 3);
 /// uf.union(1, 2);
 /// assert!(uf.same_set(1, 3));
-/// assert_eq!(uf.get_pivot(3), 1); // smallest key in {1,2,3}
+/// assert_eq!(uf.get_pivot(3), 1); // smallest id in {1,2,3}
 /// ```
 pub struct PivotUnionFind {
     parent: Vec<Cell<u32>>,
     rank: Vec<Cell<u8>>,
     pivot: Vec<Cell<u32>>,
-    key: Vec<u32>,
     stats: Option<SeqStats>,
 }
 
 impl PivotUnionFind {
-    /// `n` singleton components with keys equal to element ids.
+    /// `n` singleton components; each is its own pivot.
     pub fn new_identity(n: usize) -> Self {
-        Self::new((0..n as u32).collect())
-    }
-
-    /// Singleton components whose pivot ordering follows `keys`.
-    ///
-    /// `keys` must be distinct for pivots to be uniquely defined (PHCD's
-    /// vertex rank is a permutation, so this always holds there).
-    pub fn new(keys: Vec<u32>) -> Self {
-        let n = keys.len();
         PivotUnionFind {
             parent: (0..n as u32).map(Cell::new).collect(),
             rank: vec![Cell::new(0); n],
             pivot: (0..n as u32).map(Cell::new).collect(),
-            key: keys,
             stats: None,
         }
     }
@@ -90,7 +79,7 @@ impl PivotUnionFind {
 
     /// Checks structural invariants: every parent chain reaches a root
     /// within `len()` steps (no cycles), and every root's pivot is a
-    /// member of its own component with the minimum key. Mirrors
+    /// member of its own component with the minimum id. Mirrors
     /// [`ConcurrentPivotUnionFind::validate`](crate::ConcurrentPivotUnionFind::validate)
     /// so fault-injection tests can assert both variants stay consistent.
     pub fn validate(&self) -> Result<(), String> {
@@ -111,9 +100,7 @@ impl PivotUnionFind {
         }
         let mut min_member = vec![usize::MAX; n];
         for (x, &r) in root_of.iter().enumerate() {
-            if min_member[r] == usize::MAX || self.key[x] < self.key[min_member[r]] {
-                min_member[r] = x;
-            }
+            min_member[r] = min_member[r].min(x);
         }
         for r in 0..n {
             if root_of[r] != r {
@@ -126,10 +113,10 @@ impl PivotUnionFind {
             if root_of[pv] != r {
                 return Err(format!("root {r} pivot {pv} is not in its component"));
             }
-            if self.key[pv] != self.key[min_member[r]] {
+            if pv != min_member[r] {
                 return Err(format!(
-                    "root {r} pivot {pv} (key {}) is not the minimum key {} of its component",
-                    self.key[pv], self.key[min_member[r]]
+                    "root {r} pivot {pv} is not the minimum member {} of its component",
+                    min_member[r]
                 ));
             }
         }
@@ -181,7 +168,7 @@ impl UnionFindPivot for PivotUnionFind {
         self.parent[loser as usize].set(winner);
         let pw = self.pivot[winner as usize].get();
         let pl = self.pivot[loser as usize].get();
-        let pivot_updated = self.key[pl as usize] < self.key[pw as usize];
+        let pivot_updated = pl < pw;
         if pivot_updated {
             self.pivot[winner as usize].set(pl);
         }
@@ -197,10 +184,6 @@ impl UnionFindPivot for PivotUnionFind {
     fn get_pivot(&self, x: u32) -> u32 {
         let r = self.find(x);
         self.pivot[r as usize].get()
-    }
-
-    fn key(&self, x: u32) -> u32 {
-        self.key[x as usize]
     }
 }
 
@@ -265,13 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn keys_reported() {
-        let uf = PivotUnionFind::new(vec![9, 3, 7]);
-        assert_eq!(uf.key(0), 9);
-        assert_eq!(uf.key(1), 3);
-    }
-
-    #[test]
     fn stats_disabled_by_default_and_count_when_enabled() {
         let quiet = PivotUnionFind::new_identity(10);
         quiet.union(0, 1);
@@ -321,7 +297,7 @@ mod tests {
         uf.pivot[root].set(3);
         assert!(uf.validate().unwrap_err().contains("not in its component"));
         uf.pivot[root].set(1);
-        assert!(uf.validate().unwrap_err().contains("minimum key"));
+        assert!(uf.validate().unwrap_err().contains("minimum member"));
         uf.pivot[root].set(0);
         uf.validate().unwrap();
         // Corrupt the parent pointers into a cycle.

@@ -11,13 +11,14 @@
 //! * [`par`] — the parallel executor (real threads on a work-assisting
 //!   pool, or deterministic work-span simulation),
 //! * [`decomp`] — core decomposition (serial Batagelj–Zaversnik, parallel
-//!   PKC-style peeling, iterative h-index),
-//! * [`core`] — the HCD index and its construction algorithms (**PHCD**,
-//!   LCPS, RC, LB, brute-force oracle),
+//!   PKC-style peeling),
+//! * [`core`] — the HCD index and its construction algorithms (**PHCD**
+//!   on the hierarchy kernel it shares with PHTD, LCPS, RC, LB,
+//!   brute-force oracle),
 //! * [`search`] — subgraph search on the HCD (**PBKS**, BKS, community
 //!   metrics, densest subgraph, maximum clique, best-k),
 //! * [`truss`] — the §VI extension: k-truss decomposition and its
-//!   parallel hierarchy construction (PHTD) on the same framework,
+//!   parallel hierarchy construction (PHTD) on PHCD's kernel,
 //! * [`flow`] — max-flow and Goldberg's exact densest subgraph (test
 //!   oracle),
 //! * [`serve`] — the snapshot-isolated query service with batched

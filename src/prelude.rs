@@ -6,8 +6,7 @@ pub use hcd_graph::{CsrGraph, GraphBuilder, InducedSubgraph, VertexId};
 pub use hcd_unionfind::{ConcurrentPivotUnionFind, PivotUnionFind, UfCounts, UnionFindPivot};
 
 pub use hcd_decomp::{
-    core_decomposition, hindex_core_decomposition, pkc_core_decomposition,
-    try_hindex_core_decomposition, try_pkc_core_decomposition, CoreDecomposition,
+    core_decomposition, pkc_core_decomposition, try_pkc_core_decomposition, CoreDecomposition,
 };
 
 pub use hcd_core::phcd::{phcd_with_ranks, try_phcd_with_ranks};
@@ -26,14 +25,13 @@ pub use hcd_par::{
 pub use hcd_search::bestk::{best_k, core_set_scores, try_best_k, try_core_set_scores};
 pub use hcd_search::bks::bks_scores;
 pub use hcd_search::densest::{coreapp, opt_d, pbks_d};
-pub use hcd_search::influence::{InfluenceIndex, InfluentialCommunity};
 pub use hcd_search::pbks::pbks_scores;
 pub use hcd_search::{
     bks, max_clique, pbks, try_pbks, try_pbks_on, try_pbks_scores, BestCore, Metric, MetricKind,
     SearchContext,
 };
 
-pub use hcd_flow::{densest_subgraph, ecc_connectivity, k_edge_connected_components, stoer_wagner};
+pub use hcd_flow::densest_subgraph;
 
 pub use hcd_dynamic::{BatchReport, DynamicCore, DynamicGraph, EdgeUpdate};
 

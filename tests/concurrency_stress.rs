@@ -326,59 +326,6 @@ fn deadline_fires_in_the_orient_scan() {
 }
 
 #[test]
-fn injected_fault_matrix_influence() {
-    let g = rmat(10, 10, None, 42);
-    let cores = core_decomposition(&g);
-    let hcd = phcd(&g, &cores, &Executor::sequential());
-    let ctx = SearchContext::new(&g, &cores, &hcd);
-    let weights: Vec<f64> = (0..g.num_vertices()).map(|v| (v % 97) as f64).collect();
-    let reference: Vec<f64> = {
-        let idx = InfluenceIndex::build(&ctx, &weights, &Executor::sequential());
-        (0..hcd.num_nodes() as u32)
-            .map(|i| idx.influence(i))
-            .collect()
-    };
-    for (mode, exec) in fault_modes() {
-        for chunk in chunk_positions(&exec) {
-            for (what, fault, is_expected) in abort_faults() {
-                exec.set_fault_plan(FaultPlan::new().inject(0, chunk, fault));
-                let err = InfluenceIndex::try_build(&ctx, &weights, &exec)
-                    .map(|_| ())
-                    .expect_err(&format!("{mode}: {what} in chunk {chunk} must surface"));
-                assert!(is_expected(&err), "{mode}: {what}, got {err}");
-                exec.clear_fault_plan();
-                let idx = InfluenceIndex::try_build(&ctx, &weights, &exec)
-                    .unwrap_or_else(|e| panic!("{mode}: clean rerun failed: {e}"));
-                let got: Vec<f64> = (0..hcd.num_nodes() as u32)
-                    .map(|i| idx.influence(i))
-                    .collect();
-                assert_eq!(got, reference, "{mode} {what} chunk {chunk}");
-            }
-        }
-    }
-}
-
-#[test]
-fn injected_fault_matrix_hindex() {
-    let g = rmat(11, 10, None, 78);
-    let reference = core_decomposition(&g);
-    for (mode, exec) in fault_modes() {
-        for chunk in chunk_positions(&exec) {
-            for (what, fault, is_expected) in abort_faults() {
-                exec.set_fault_plan(FaultPlan::new().inject(0, chunk, fault));
-                let err = try_hindex_core_decomposition(&g, &exec)
-                    .expect_err(&format!("{mode}: {what} in chunk {chunk} must surface"));
-                assert!(is_expected(&err), "{mode}: {what}, got {err}");
-                exec.clear_fault_plan();
-                let got = try_hindex_core_decomposition(&g, &exec)
-                    .unwrap_or_else(|e| panic!("{mode}: clean rerun failed: {e}"));
-                assert_eq!(got, reference, "{mode} {what} chunk {chunk}");
-            }
-        }
-    }
-}
-
-#[test]
 fn injected_fault_matrix_phtd() {
     let g = rmat(9, 10, None, 31);
     let (idx, td) = truss_decomposition(&g);

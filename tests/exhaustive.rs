@@ -1,0 +1,64 @@
+//! Bounded-exhaustive checks: every labelled simple graph on at most six
+//! vertices (2^15 edge sets on six), in every executor mode. Random
+//! proptests sample large graphs; this covers every small shape,
+//! including the ones a sampler rarely draws.
+
+use hcd::prelude::*;
+
+/// Calls `f` on every labelled simple graph with `n <= 6` vertices and
+/// returns how many there were.
+fn for_every_graph_up_to_six_vertices(mut f: impl FnMut(&CsrGraph)) -> usize {
+    let pairs: Vec<(VertexId, VertexId)> = (0..6)
+        .flat_map(|u| (u + 1..6).map(move |v| (u, v)))
+        .collect();
+    let mut graphs = 0;
+    for n in 0..=6usize {
+        let local: Vec<_> = pairs.iter().filter(|p| (p.1 as usize) < n).collect();
+        for mask in 0u32..1 << local.len() {
+            graphs += 1;
+            let g = GraphBuilder::new()
+                .min_vertices(n)
+                .edges(
+                    (0..local.len())
+                        .filter(|&i| mask >> i & 1 == 1)
+                        .map(|i| *local[i]),
+                )
+                .build();
+            f(&g);
+        }
+    }
+    graphs
+}
+
+#[test]
+fn hierarchy_kernel_matches_oracles_on_every_graph_up_to_six_vertices() {
+    // One executor per mode for all graphs: the pool is reused, as a
+    // serving process reuses it.
+    let modes = [
+        Executor::sequential(),
+        Executor::assist(4),
+        Executor::simulated(3),
+    ];
+    let graphs = for_every_graph_up_to_six_vertices(|g| {
+        let cores = core_decomposition(g);
+        let truth = naive_hcd(g, &cores).canonicalize();
+        assert_eq!(lcps(g, &cores).canonicalize(), truth, "LCPS on {g:?}");
+        let reference = phcd(g, &cores, &modes[0]);
+        assert_eq!(reference.canonicalize(), truth, "PHCD seq on {g:?}");
+        for exec in &modes[1..] {
+            let h = phcd(g, &cores, exec);
+            let mode = exec.mode_name();
+            assert_eq!(h.nodes(), reference.nodes(), "PHCD {mode} on {g:?}");
+            assert_eq!(h.tids(), reference.tids(), "PHCD {mode} on {g:?}");
+        }
+
+        let (idx, td) = truss_decomposition(g);
+        let truth = naive_htd(g, &idx, &td).canonicalize();
+        for exec in &modes {
+            let h = phtd(g, &idx, &td, exec);
+            let mode = exec.mode_name();
+            assert_eq!(h.canonicalize(), truth, "PHTD {mode} on {g:?}");
+        }
+    });
+    assert_eq!(graphs, 1 + 1 + 2 + 8 + 64 + 1024 + 32768);
+}

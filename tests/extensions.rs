@@ -1,5 +1,5 @@
-//! Integration tests for the SVI/SVII extensions: truss hierarchy,
-//! dynamic maintenance, influential communities, and k-ECC.
+//! Integration tests for the SVI/SVII extensions: truss hierarchy and
+//! dynamic maintenance.
 
 use hcd::prelude::*;
 
@@ -71,40 +71,4 @@ fn dynamic_maintenance_on_dataset_standin() {
     let cores = dc.decomposition();
     let (snapshot, hcd) = dc.hcd(&exec);
     hcd.validate(snapshot, &cores).unwrap();
-}
-
-#[test]
-fn influence_index_on_dataset_standin() {
-    let g = Dataset::by_abbrev("LJ").unwrap().generate(Scale::Tiny);
-    let cores = core_decomposition(&g);
-    let hcd = phcd(&g, &cores, &Executor::sequential());
-    let ctx = SearchContext::new(&g, &cores, &hcd);
-    let weights: Vec<f64> = g.vertices().map(|v| g.degree(v) as f64).collect();
-    let idx = InfluenceIndex::build(&ctx, &weights, &Executor::assist(3));
-    let top = idx.top_r(&hcd, 2, 5);
-    for c in &top {
-        // Influence really is the min weight of the community.
-        let members = hcd.subtree_vertices(c.node);
-        let want = members
-            .iter()
-            .map(|&v| weights[v as usize])
-            .fold(f64::INFINITY, f64::min);
-        assert_eq!(c.influence, want);
-        assert!(c.k >= 2);
-    }
-}
-
-#[test]
-fn kecc_nests_within_cores() {
-    // Edge connectivity <= min degree, so every k-ECC lies inside the
-    // k-core set.
-    let g = core_tree(2, 3, 10, 8);
-    let cores = core_decomposition(&g);
-    for k in 1..4u32 {
-        for part in k_edge_connected_components(&g, k) {
-            for v in part {
-                assert!(cores.coreness(v) >= k, "v={v} k={k}");
-            }
-        }
-    }
 }
