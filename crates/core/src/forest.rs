@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 
 use hcd_graph::FxHashMap;
 use hcd_par::{Executor, ParError, CHECKPOINT_STRIDE};
-use hcd_unionfind::{ConcurrentPivotUnionFind, UnionFindPivot};
+use hcd_unionfind::{ConcurrentPivotUnionFind, UfStats, UnionFindPivot};
 
 use crate::index::{TreeNode, NO_NODE};
 
@@ -95,13 +95,36 @@ pub fn try_build_forest<L: Links>(
         return Ok((Vec::new(), Vec::new()));
     }
     // Union-find operation counts only when someone is looking (metrics
-    // or an armed trace); disabled stats cost one branch per operation.
-    let observed = exec.metrics_enabled() || exec.trace_armed();
-    let uf = if observed {
-        ConcurrentPivotUnionFind::new_identity(n).with_stats()
+    // or an armed trace). The kernel is monomorphised per counting type,
+    // so the uncounted union-find carries no counting code.
+    let uf = ConcurrentPivotUnionFind::new_identity(n);
+    if exec.metrics_enabled() || exec.trace_armed() {
+        build_forest(
+            uf.with_stats(),
+            order,
+            level_start,
+            work,
+            links,
+            names,
+            exec,
+        )
     } else {
-        ConcurrentPivotUnionFind::new_identity(n)
-    };
+        build_forest(uf, order, level_start, work, links, names, exec)
+    }
+}
+
+/// [`try_build_forest`] on a fresh union-find over `order.len() > 0`
+/// ranks.
+fn build_forest<L: Links, S: UfStats + Sync>(
+    uf: ConcurrentPivotUnionFind<S>,
+    order: &[u32],
+    level_start: &[usize],
+    work: &[u64],
+    links: &L,
+    names: &Names,
+    exec: &Executor,
+) -> Result<(Vec<TreeNode>, Vec<u32>), ParError> {
+    let n = order.len();
     let tid: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NO_NODE)).collect();
     // Node storage, appended level by level (serially, tiny).
     let mut node_k: Vec<u32> = Vec::new();

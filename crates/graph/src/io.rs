@@ -4,7 +4,7 @@
 //!
 //! * **Text edge list** — one `u v` pair per line, `#`/`%` comments, any
 //!   whitespace separator. This is the format SNAP and most public graph
-//!   repositories distribute.
+//!   repositories distribute. The grammar is given below.
 //! * **Compact binary** — a little-endian dump of the CSR arrays with a
 //!   magic header, for fast reload of generated benchmark graphs. Two
 //!   versions exist: v1 (`HCDCSR01`, legacy, unchecksummed) and v2
@@ -12,9 +12,38 @@
 //!   bit rot and torn writes are detected on load). `read_binary`
 //!   auto-detects the version; errors are typed ([`IoFormatError`]) so
 //!   callers can tell truncation (torn write) from corruption.
+//!
+//! # Text grammar
+//!
+//! The input is split into lines at `\n`; lines are numbered from 1, and
+//! a last line without a newline still counts. Each line is trimmed of
+//! whitespace (Unicode `White_Space`, so `\r`, `\x0b`, `\x0c` and
+//! U+00A0 too). Then:
+//!
+//! * an empty line is skipped;
+//! * a line starting with `#` or `%` is a comment. Its first
+//!   whitespace-separated token `n=<count>`, with `<count>` an unsigned
+//!   decimal integer, raises the vertex count to at least `<count>`, so
+//!   trailing isolated vertices survive a roundtrip. Tokens `n=` with
+//!   other text are ignored. A count above 2^32, more than `u32` ids can name, is a
+//!   [`GraphError::Parse`] at that line;
+//! * any other line holds two vertex ids, each an optional `+` followed
+//!   by decimal digits with a value of at most `u32::MAX`. Further tokens
+//!   (weights, timestamps) are ignored. A missing or malformed id is a
+//!   [`GraphError::Parse`] at that line.
+//!
+//! Input that is not UTF-8 fails with `GraphError::Io` of kind
+//! `InvalidData`. Errors are reported for the first failing line.
+//!
+//! [`read_edge_list`] reads through one 64 KiB window and parses each
+//! all-ASCII line with a byte loop. A line holding any byte ≥ 0x80 goes
+//! through the `str` tokenizer instead, as does any ASCII line the byte
+//! loop does not take as a plain edge (blank lines, comments, malformed
+//! ids). That tokenizer alone decides errors and Unicode whitespace.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::num::IntErrorKind;
 use std::path::Path;
 
 use crate::builder::build_from_edges;
@@ -32,44 +61,109 @@ pub const BINARY_MAGIC_V2: &[u8; 8] = b"HCDCSR02";
 /// vertex count `u64` + arc count `u64`.
 const PAYLOAD_HEADER_LEN: u64 = 16;
 
+/// Bytes the text reader reads at a time. The window doubles only when a
+/// single line is longer than it.
+const WINDOW: usize = 64 * 1024;
+
+/// The largest vertex count an `n=` header may raise the graph to: the
+/// number of `u32` ids.
+const MAX_VERTICES: u64 = 1 << 32;
+
 /// Parses a text edge list from any reader.
 ///
 /// Lines starting with `#` or `%` and blank lines are skipped. Each data
 /// line must contain at least two integer tokens; extra tokens (e.g.
 /// weights or timestamps) are ignored. The result is symmetrized and
-/// deduplicated.
-pub fn read_edge_list<R: Read>(reader: R) -> Result<CsrGraph, GraphError> {
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-    let buf = BufReader::new(reader);
-    let mut line = String::new();
-    let mut buf = buf;
-    let mut lineno = 0usize;
-    let mut min_vertices = 0usize;
+/// deduplicated. The module docs give the full grammar.
+pub fn read_edge_list<R: Read>(mut reader: R) -> Result<CsrGraph, GraphError> {
+    let mut lines = EdgeLines::default();
+    let mut window = vec![0u8; WINDOW];
+    // `window[..filled]` is the unfinished last line: it holds no `\n`.
+    let mut filled = 0;
     loop {
-        line.clear();
-        if buf.read_line(&mut line)? == 0 {
-            break;
+        if filled == window.len() {
+            window.resize(2 * filled, 0);
         }
-        lineno += 1;
+        let read = match reader.read(&mut window[filled..]) {
+            Ok(0) => break,
+            Ok(read) => read,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        let end = filled + read;
+        let mut start = 0;
+        let mut scan = filled;
+        while let Some(nl) = window[scan..end].iter().position(|&b| b == b'\n') {
+            lines.parse(&window[start..scan + nl])?;
+            start = scan + nl + 1;
+            scan = start;
+        }
+        window.copy_within(start..end, 0);
+        filled = end - start;
+    }
+    if filled > 0 {
+        lines.parse(&window[..filled])?;
+    }
+    Ok(build_from_edges(lines.edges, lines.min_vertices))
+}
+
+/// The state of a text edge list parse, fed one line at a time.
+#[derive(Default)]
+struct EdgeLines {
+    edges: Vec<(VertexId, VertexId)>,
+    min_vertices: usize,
+    lineno: usize,
+}
+
+impl EdgeLines {
+    /// Parses the next line, without its `\n`.
+    fn parse(&mut self, line: &[u8]) -> Result<(), GraphError> {
+        self.lineno += 1;
+        if line.is_ascii() {
+            if let Some(edge) = ascii_edge(line) {
+                self.edges.push(edge);
+                return Ok(());
+            }
+        }
+        let text = std::str::from_utf8(line).map_err(|_| {
+            std::io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+        })?;
+        self.parse_text(text)
+    }
+
+    /// The `str` tokenizer: the authority on comments, Unicode whitespace
+    /// and every error.
+    fn parse_text(&mut self, line: &str) -> Result<(), GraphError> {
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
             // Our own writer records the vertex count in the header so
             // trailing isolated vertices survive a roundtrip; foreign
             // files without it lose nothing they could express.
-            if let Some(n) = trimmed
-                .split_whitespace()
-                .find_map(|tok| tok.strip_prefix("n=").and_then(|x| x.parse().ok()))
-            {
-                min_vertices = min_vertices.max(n);
+            for tok in trimmed.split_whitespace() {
+                let Some(count) = tok.strip_prefix("n=") else {
+                    continue;
+                };
+                let n = match count.parse::<usize>() {
+                    Ok(n) if n as u64 <= MAX_VERTICES => n,
+                    Err(e) if *e.kind() != IntErrorKind::PosOverflow => continue,
+                    _ => {
+                        return Err(GraphError::Parse {
+                            line: self.lineno,
+                            message: format!("vertex count {tok:?} exceeds the 2^32 ids of u32"),
+                        })
+                    }
+                };
+                self.min_vertices = self.min_vertices.max(n);
+                break;
             }
-            continue;
+            return Ok(());
         }
         let mut it = trimmed.split_whitespace();
-        let u = parse_token(it.next(), lineno)?;
-        let v = parse_token(it.next(), lineno)?;
-        edges.push((u, v));
+        let u = parse_token(it.next(), self.lineno)?;
+        let v = parse_token(it.next(), self.lineno)?;
+        self.edges.push((u, v));
+        Ok(())
     }
-    Ok(build_from_edges(edges, min_vertices))
 }
 
 fn parse_token(tok: Option<&str>, line: usize) -> Result<VertexId, GraphError> {
@@ -81,6 +175,51 @@ fn parse_token(tok: Option<&str>, line: usize) -> Result<VertexId, GraphError> {
         line,
         message: format!("invalid vertex id {tok:?}: {e}"),
     })
+}
+
+/// Whitespace as `char::is_whitespace` defines it on ASCII.
+#[inline]
+fn is_space(b: u8) -> bool {
+    b == b' ' || (b'\t'..=b'\r').contains(&b)
+}
+
+#[inline]
+fn skip_spaces(line: &[u8], mut i: usize) -> usize {
+    while i < line.len() && is_space(line[i]) {
+        i += 1;
+    }
+    i
+}
+
+/// The two ids an ASCII edge line starts with; `None` leaves the line
+/// (blank, comment or malformed) to the `str` tokenizer.
+#[inline]
+fn ascii_edge(line: &[u8]) -> Option<(VertexId, VertexId)> {
+    let (u, i) = ascii_id(line, skip_spaces(line, 0))?;
+    let (v, _) = ascii_id(line, skip_spaces(line, i))?;
+    Some((u, v))
+}
+
+/// The id token at `line[i..]` and the index just past it, if it is an
+/// optional `+` and digits, ends at whitespace or the line end, and fits
+/// a `u32` — what `u32::from_str` accepts, on ASCII.
+#[inline]
+fn ascii_id(line: &[u8], mut i: usize) -> Option<(VertexId, usize)> {
+    if line.get(i) == Some(&b'+') {
+        i += 1;
+    }
+    let digits = i;
+    let mut id: VertexId = 0;
+    while let Some(&b) = line.get(i) {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            break;
+        }
+        id = id.checked_mul(10)?.checked_add(d as VertexId)?;
+        i += 1;
+    }
+    let ends = line.get(i).map_or(true, |&b| is_space(b));
+    (i > digits && ends).then_some((id, i))
 }
 
 /// Reads a text edge list from a file path.
@@ -354,6 +493,56 @@ mod tests {
             read_edge_list(text.as_bytes()),
             Err(GraphError::Parse { line: 1, .. })
         ));
+    }
+
+    #[test]
+    fn text_accepts_ascii_whitespace_plus_signs_and_a_final_line_without_newline() {
+        let text = "\x0b 0\t+1\r\n\x0c\n+2   3 junk\n4 5";
+        let g = read_edge_list(text.as_bytes()).unwrap();
+        assert_eq!(g.num_edges(), 3);
+        assert!(g.has_edge(0, 1) && g.has_edge(2, 3) && g.has_edge(4, 5));
+    }
+
+    #[test]
+    fn text_rejects_ids_beyond_u32_signs_and_glued_tokens() {
+        for (text, line) in [
+            ("0 1\n4294967296 0\n", 2),
+            ("-1 2\n", 1),
+            ("+ 2\n", 1),
+            ("1 2x\n", 1),
+            ("0 1\n\n1#2 3\n", 3),
+        ] {
+            match read_edge_list(text.as_bytes()) {
+                Err(GraphError::Parse { line: got, .. }) => assert_eq!(got, line, "{text:?}"),
+                other => panic!("{text:?}: expected parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn text_vertex_count_header_is_bounded_by_the_id_space() {
+        let g = read_edge_list("# hcd edge list: n=9 m=1\n0 1\n".as_bytes()).unwrap();
+        assert_eq!(g.num_vertices(), 9);
+        // Foreign `n=` tokens that are not counts are still ignored.
+        let g = read_edge_list("# n=abc n= n=4\n0 1\n".as_bytes()).unwrap();
+        assert_eq!(g.num_vertices(), 4);
+        for header in ["n=99999999999", "n=4294967297", "n=99999999999999999999999"] {
+            let text = format!("0 1\n% {header}\n");
+            match read_edge_list(text.as_bytes()) {
+                Err(GraphError::Parse { line: 2, message }) => {
+                    assert!(message.contains(header), "{message}")
+                }
+                other => panic!("{header}: expected parse error at line 2, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn text_rejects_invalid_utf8_as_io_error() {
+        match read_edge_list(&b"0 1\n1 \xff2\n"[..]) {
+            Err(GraphError::Io(e)) => assert_eq!(e.kind(), ErrorKind::InvalidData),
+            other => panic!("expected InvalidData, got {other:?}"),
+        }
     }
 
     #[test]

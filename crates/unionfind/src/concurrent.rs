@@ -29,19 +29,7 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use crate::{UfCounts, UnionFindPivot};
-
-/// Relaxed atomic tallies shared by all mutator threads. Per-call hop
-/// counts are accumulated locally and folded with a single `fetch_add`,
-/// so enabled stats add O(1) atomics per operation, not per hop.
-#[derive(Debug, Default)]
-struct ConcStats {
-    finds: AtomicU64,
-    find_hops: AtomicU64,
-    unions: AtomicU64,
-    cas_retries: AtomicU64,
-    pivot_merges: AtomicU64,
-}
+use crate::{NoStats, Stats, UfCounts, UfStats, UnionFindPivot};
 
 const PARENT_MASK: u64 = 0xFFFF_FFFF;
 
@@ -85,10 +73,10 @@ fn rank_of(word: u64) -> u32 {
 /// assert!(uf.same_set(0, 99));
 /// assert_eq!(uf.get_pivot(42), 0);
 /// ```
-pub struct ConcurrentPivotUnionFind {
+pub struct ConcurrentPivotUnionFind<S = NoStats> {
     entry: Vec<AtomicU64>,
     pivot: Vec<AtomicU32>,
-    stats: Option<ConcStats>,
+    stats: S,
 }
 
 impl ConcurrentPivotUnionFind {
@@ -97,31 +85,27 @@ impl ConcurrentPivotUnionFind {
         ConcurrentPivotUnionFind {
             entry: (0..n as u32).map(|i| AtomicU64::new(pack(0, i))).collect(),
             pivot: (0..n as u32).map(AtomicU32::new).collect(),
-            stats: None,
+            stats: NoStats,
         }
     }
 
-    /// Enables operation counting (builder form); see [`UfCounts`].
-    /// Disabled (the default), every operation pays only one branch.
-    pub fn with_stats(mut self) -> Self {
-        self.stats = Some(ConcStats::default());
-        self
+    /// Switches on operation counting (builder form); see [`UfCounts`].
+    /// Without it the structure carries no counting code at all.
+    pub fn with_stats(self) -> ConcurrentPivotUnionFind<Stats> {
+        ConcurrentPivotUnionFind {
+            entry: self.entry,
+            pivot: self.pivot,
+            stats: Stats::default(),
+        }
     }
+}
 
+impl<S: UfStats> ConcurrentPivotUnionFind<S> {
     /// A quiescent-or-approximate snapshot of the operation tallies;
     /// all-zero when stats are disabled. Exact once all mutator threads
     /// have joined (relaxed counters carry no ordering, only totals).
     pub fn counts(&self) -> UfCounts {
-        match &self.stats {
-            Some(s) => UfCounts {
-                finds: s.finds.load(Ordering::Relaxed),
-                find_hops: s.find_hops.load(Ordering::Relaxed),
-                unions: s.unions.load(Ordering::Relaxed),
-                cas_retries: s.cas_retries.load(Ordering::Relaxed),
-                pivot_merges: s.pivot_merges.load(Ordering::Relaxed),
-            },
-            None => UfCounts::default(),
-        }
+        self.stats.counts()
     }
 
     /// Number of distinct components (quiescent snapshot).
@@ -206,15 +190,11 @@ impl ConcurrentPivotUnionFind {
             retries += 1;
             root = live;
         }
-        if let Some(s) = &self.stats {
-            if retries > 0 {
-                s.pivot_merges.fetch_add(retries, Ordering::Relaxed);
-            }
-        }
+        self.stats.pivot_merges(retries);
     }
 }
 
-impl UnionFindPivot for ConcurrentPivotUnionFind {
+impl<S: UfStats> UnionFindPivot for ConcurrentPivotUnionFind<S> {
     fn len(&self) -> usize {
         self.entry.len()
     }
@@ -241,32 +221,17 @@ impl UnionFindPivot for ConcurrentPivotUnionFind {
             }
             x = p;
         };
-        if let Some(s) = &self.stats {
-            s.finds.fetch_add(1, Ordering::Relaxed);
-            if hops > 0 {
-                s.find_hops.fetch_add(hops, Ordering::Relaxed);
-            }
-        }
+        self.stats.find(hops);
         root
     }
 
     fn union(&self, x: u32, y: u32) -> bool {
         let mut retries = 0u64;
-        let flush = |retries: u64, merged: bool| {
-            if let Some(s) = &self.stats {
-                if retries > 0 {
-                    s.cas_retries.fetch_add(retries, Ordering::Relaxed);
-                }
-                if merged {
-                    s.unions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        };
         loop {
             let rx = self.find(x);
             let ry = self.find(y);
             if rx == ry {
-                flush(retries, false);
+                self.stats.union(retries, false);
                 return false;
             }
             let ex = self.entry[rx as usize].load(Ordering::Acquire);
@@ -308,7 +273,7 @@ impl UnionFindPivot for ConcurrentPivotUnionFind {
             }
             let pl = self.pivot[loser as usize].load(Ordering::Acquire);
             self.merge_pivot(winner, pl);
-            flush(retries, true);
+            self.stats.union(retries, true);
             return true;
         }
     }
@@ -368,21 +333,24 @@ mod tests {
         assert_eq!(uf.get_pivot((n - 1) as u32), 0);
     }
 
-    #[test]
-    fn concurrent_random_unions_match_sequential() {
+    /// Races random unions over `conc` on 8 threads; the partition, the
+    /// pivots and the merge count must match a sequential run.
+    fn random_unions_match_sequential<S: UfStats + Send + Sync + 'static>(
+        conc: ConcurrentPivotUnionFind<S>,
+    ) -> UfCounts {
         use rand::{Rng, SeedableRng};
-        let n = sized(5_000);
+        let n = conc.len();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
         let ops: Vec<(u32, u32)> = (0..4 * n)
             .map(|_| (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32)))
             .collect();
 
-        let seq = crate::PivotUnionFind::new_identity(n);
+        let seq = crate::PivotUnionFind::new_identity(n).with_stats();
         for &(a, b) in &ops {
             seq.union(a, b);
         }
 
-        let conc = Arc::new(ConcurrentPivotUnionFind::new_identity(n));
+        let conc = Arc::new(conc);
         let threads = 8;
         let chunk = ops.len().div_ceil(threads);
         let ops = Arc::new(ops);
@@ -408,6 +376,21 @@ mod tests {
             assert!(conc.same_set(v, seq.find(v)), "partition mismatch at {v}");
             assert_eq!(conc.get_pivot(v), seq.get_pivot(v), "pivot mismatch at {v}");
         }
+        let counts = conc.counts();
+        if !counts.is_zero() {
+            assert_eq!(counts.unions, seq.counts().unions, "merge count");
+        }
+        counts
+    }
+
+    #[test]
+    fn concurrent_random_unions_match_sequential() {
+        let n = sized(5_000);
+        let quiet = random_unions_match_sequential(ConcurrentPivotUnionFind::new_identity(n));
+        assert!(quiet.is_zero());
+        let counted =
+            random_unions_match_sequential(ConcurrentPivotUnionFind::new_identity(n).with_stats());
+        assert!(counted.unions > 0 && counted.finds >= 2 * counted.unions);
     }
 
     #[test]

@@ -2,16 +2,7 @@
 
 use std::cell::Cell;
 
-use crate::{UfCounts, UnionFindPivot};
-
-/// `Cell`-based operation tallies (single-threaded, like the structure).
-#[derive(Debug, Default)]
-struct SeqStats {
-    finds: Cell<u64>,
-    find_hops: Cell<u64>,
-    unions: Cell<u64>,
-    pivot_merges: Cell<u64>,
-}
+use crate::{NoStats, Stats, UfCounts, UfStats, UnionFindPivot};
 
 /// Sequential union-find with path halving, union by rank, and per-root
 /// pivot (minimum member) maintenance.
@@ -31,11 +22,11 @@ struct SeqStats {
 /// assert!(uf.same_set(1, 3));
 /// assert_eq!(uf.get_pivot(3), 1); // smallest id in {1,2,3}
 /// ```
-pub struct PivotUnionFind {
+pub struct PivotUnionFind<S = NoStats> {
     parent: Vec<Cell<u32>>,
     rank: Vec<Cell<u8>>,
     pivot: Vec<Cell<u32>>,
-    stats: Option<SeqStats>,
+    stats: S,
 }
 
 impl PivotUnionFind {
@@ -45,29 +36,26 @@ impl PivotUnionFind {
             parent: (0..n as u32).map(Cell::new).collect(),
             rank: vec![Cell::new(0); n],
             pivot: (0..n as u32).map(Cell::new).collect(),
-            stats: None,
+            stats: NoStats,
         }
     }
 
-    /// Enables operation counting (builder form); see [`UfCounts`].
-    /// Disabled (the default), every operation pays only one branch.
-    pub fn with_stats(mut self) -> Self {
-        self.stats = Some(SeqStats::default());
-        self
+    /// Switches on operation counting (builder form); see [`UfCounts`].
+    /// Without it the structure carries no counting code at all.
+    pub fn with_stats(self) -> PivotUnionFind<Stats> {
+        PivotUnionFind {
+            parent: self.parent,
+            rank: self.rank,
+            pivot: self.pivot,
+            stats: Stats::default(),
+        }
     }
+}
 
+impl<S: UfStats> PivotUnionFind<S> {
     /// The operation tallies so far; all-zero when stats are disabled.
     pub fn counts(&self) -> UfCounts {
-        match &self.stats {
-            Some(s) => UfCounts {
-                finds: s.finds.get(),
-                find_hops: s.find_hops.get(),
-                unions: s.unions.get(),
-                cas_retries: 0,
-                pivot_merges: s.pivot_merges.get(),
-            },
-            None => UfCounts::default(),
-        }
+        self.stats.counts()
     }
 
     /// Number of distinct components.
@@ -124,7 +112,7 @@ impl PivotUnionFind {
     }
 }
 
-impl UnionFindPivot for PivotUnionFind {
+impl<S: UfStats> UnionFindPivot for PivotUnionFind<S> {
     fn len(&self) -> usize {
         self.parent.len()
     }
@@ -141,10 +129,7 @@ impl UnionFindPivot for PivotUnionFind {
             self.parent[x as usize].set(gp);
             x = gp;
         };
-        if let Some(s) = &self.stats {
-            s.finds.set(s.finds.get() + 1);
-            s.find_hops.set(s.find_hops.get() + hops);
-        }
+        self.stats.find(hops);
         root
     }
 
@@ -172,12 +157,8 @@ impl UnionFindPivot for PivotUnionFind {
         if pivot_updated {
             self.pivot[winner as usize].set(pl);
         }
-        if let Some(s) = &self.stats {
-            s.unions.set(s.unions.get() + 1);
-            if pivot_updated {
-                s.pivot_merges.set(s.pivot_merges.get() + 1);
-            }
-        }
+        self.stats.union(0, true);
+        self.stats.pivot_merges(pivot_updated as u64);
         true
     }
 

@@ -1157,3 +1157,20 @@ fn open_loop_bad_flags_are_usage_errors() {
     }
     std::fs::remove_file(&graph).ok();
 }
+
+#[test]
+fn vertex_count_header_beyond_u32_ids_is_a_read_error() {
+    // An `n=` header larger than the u32 id space must not size the
+    // graph: the CLI reports the line instead of aborting on allocation.
+    let graph = tmp("huge_header.txt");
+    std::fs::write(&graph, "# n=99999999999\n0 1\n").unwrap();
+    let out = cli()
+        .args(["stats", graph.to_str().unwrap()])
+        .output()
+        .unwrap();
+    std::fs::remove_file(&graph).ok();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("cannot read"), "{err}");
+    assert!(err.contains("line 1"), "{err}");
+}

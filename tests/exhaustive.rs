@@ -1,5 +1,6 @@
 //! Bounded-exhaustive checks: every labelled simple graph on at most six
-//! vertices (2^15 edge sets on six), in every executor mode. Random
+//! vertices (2^15 edge sets on six), in every executor mode: the
+//! hierarchy kernel against its oracles, and PBKS against BKS. Random
 //! proptests sample large graphs; this covers every small shape,
 //! including the ones a sampler rarely draws.
 
@@ -58,6 +59,42 @@ fn hierarchy_kernel_matches_oracles_on_every_graph_up_to_six_vertices() {
             let h = phtd(g, &idx, &td, exec);
             let mode = exec.mode_name();
             assert_eq!(h.canonicalize(), truth, "PHTD {mode} on {g:?}");
+        }
+    });
+    assert_eq!(graphs, 1 + 1 + 2 + 8 + 64 + 1024 + 32768);
+}
+
+#[test]
+fn pbks_matches_bks_on_every_graph_up_to_six_vertices() {
+    // Every metric, on the sequential executor for every graph, and on
+    // the real-thread and simulated executors for those on at most five
+    // vertices. Scores compare bit for bit: both searches score equal
+    // primaries with the same function.
+    let modes = [
+        Executor::sequential(),
+        Executor::assist(4),
+        Executor::simulated(3),
+    ];
+    let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+    let graphs = for_every_graph_up_to_six_vertices(|g| {
+        let cores = core_decomposition(g);
+        let hcd = phcd(g, &cores, &modes[0]);
+        let ctx = SearchContext::new(g, &cores, &hcd);
+        let modes = if g.num_vertices() <= 5 {
+            &modes[..]
+        } else {
+            &modes[..1]
+        };
+        for metric in Metric::ALL {
+            let (scores, primaries) = bks_scores(&ctx, &metric);
+            let best = bks(&ctx, &metric);
+            for exec in modes {
+                let what = format!("{} {} on {g:?}", metric.name(), exec.mode_name());
+                let (s, p) = pbks_scores(&ctx, &metric, exec);
+                assert_eq!(p, primaries, "primaries, {what}");
+                assert_eq!(bits(&s), bits(&scores), "scores, {what}");
+                assert_eq!(pbks(&ctx, &metric, exec), best, "best core, {what}");
+            }
         }
     });
     assert_eq!(graphs, 1 + 1 + 2 + 8 + 64 + 1024 + 32768);
