@@ -98,13 +98,33 @@ impl Hcd {
     /// k-core by its associated tree node and offspring tree nodes").
     pub fn subtree_vertices(&self, i: u32) -> Vec<VertexId> {
         let mut out = Vec::new();
-        let mut stack = vec![i];
-        while let Some(x) = stack.pop() {
-            let node = &self.nodes[x as usize];
-            out.extend_from_slice(&node.vertices);
-            stack.extend_from_slice(&node.children);
-        }
+        self.for_each_subtree_node(i, |_, node| out.extend_from_slice(&node.vertices));
         out
+    }
+
+    /// `subtree_vertices(i).len()`, summed over the subtree's nodes
+    /// without materialising the vertex list.
+    pub fn subtree_size(&self, i: u32) -> usize {
+        let mut size = 0;
+        self.for_each_subtree_node(i, |_, node| size += node.vertices.len());
+        size
+    }
+
+    /// Calls `f(id, node)` on every node of the subtree rooted at `i`,
+    /// depth first. The stack holds node ids only and is never allocated
+    /// when `i` is a leaf.
+    pub(crate) fn for_each_subtree_node(&self, i: u32, mut f: impl FnMut(u32, &TreeNode)) {
+        let mut stack = Vec::new();
+        let mut cur = i;
+        loop {
+            let node = &self.nodes[cur as usize];
+            f(cur, node);
+            stack.extend_from_slice(&node.children);
+            match stack.pop() {
+                Some(next) => cur = next,
+                None => return,
+            }
+        }
     }
 
     /// Node ids in bottom-up order: every node appears before its parent.

@@ -10,7 +10,7 @@ use hcd_par::Executor;
 use crate::lcps::lcps;
 use crate::oracle::naive_hcd;
 use crate::phcd::phcd;
-use crate::query::core_containing;
+use crate::query::{core_containing, core_node_at, hierarchy_position, scan_beats_sort};
 use crate::rc::rc_confirm_parents;
 
 fn arb_edges(max_n: u32, max_m: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
@@ -74,11 +74,53 @@ proptest! {
         let hcd = phcd(&g, &cores, &Executor::sequential());
         for v in g.vertices().step_by(3) {
             let k = cores.coreness(v);
-            let mut got = core_containing(&hcd, &cores, v, k).unwrap();
-            got.sort_unstable();
+            let got = core_containing(&hcd, &cores, v, k).unwrap();
+            prop_assert!(got.windows(2).all(|w| w[0] < w[1]), "v={} k={}", v, k);
             let mut want = hcd_graph::traversal::bfs_filtered(&g, v, |u| cores.coreness(u) >= k);
             want.sort_unstable();
             prop_assert_eq!(got, want);
         }
+    }
+}
+
+// Both orderings of `core_containing` (sort below the cost rule's
+// break-even, `tid` scan above it) on BA and R-MAT graphs large enough to
+// take each: every answer is strictly ascending and equals the sorted
+// subtree, and each case takes both branches.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn core_containing_takes_both_orderings_on_ba_and_rmat(
+        seed in 0..u64::MAX,
+        ba_n in 300..1500usize,
+        ba_m in 2..6usize,
+        scale in 8..11u32,
+    ) {
+        let ba = hcd_datasets::barabasi_albert(ba_n, ba_m, seed);
+        let rmat = hcd_datasets::rmat(scale, 8, None, seed);
+        let mut branches = [0usize; 2];
+        for g in [&ba, &rmat] {
+            let cores = core_decomposition(g);
+            let hcd = phcd(g, &cores, &Executor::sequential());
+            let n = hcd.tids().len();
+            for v in g.vertices().step_by(7) {
+                let (_, size) = hierarchy_position(&hcd, v);
+                prop_assert_eq!(size, hcd.subtree_vertices(hcd.tid(v)).len());
+                for k in 0..=cores.coreness(v) + 1 {
+                    let Some(node) = core_node_at(&hcd, &cores, v, k) else {
+                        prop_assert!(core_containing(&hcd, &cores, v, k).is_none());
+                        continue;
+                    };
+                    let mut want = hcd.subtree_vertices(node);
+                    want.sort_unstable();
+                    branches[scan_beats_sort(want.len(), n) as usize] += 1;
+                    let got = core_containing(&hcd, &cores, v, k).unwrap();
+                    prop_assert!(got.windows(2).all(|w| w[0] < w[1]), "v={} k={}", v, k);
+                    prop_assert_eq!(got, want, "v={} k={}", v, k);
+                }
+            }
+        }
+        prop_assert!(branches[0] > 0 && branches[1] > 0, "branches taken: {:?}", branches);
     }
 }

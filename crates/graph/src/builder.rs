@@ -65,8 +65,10 @@ impl GraphBuilder {
 
 /// Symmetrizes, deduplicates, drops self-loops, and packs into CSR.
 ///
-/// Runs in `O(n + m)` expected time using two counting-sort passes instead
-/// of a comparison sort of the arc list.
+/// One counting scatter buckets both directions of every arc by source,
+/// then each adjacency row is sorted and deduplicated in place:
+/// `O(n + m log d)` for maximum degree `d`, never a sort of the whole arc
+/// list.
 pub fn build_from_edges(edges: Vec<(VertexId, VertexId)>, min_vertices: usize) -> CsrGraph {
     let mut n = min_vertices;
     for &(u, v) in &edges {

@@ -172,10 +172,7 @@ fn answer(snap: &Snapshot, q: &Query) -> QueryAnswer {
     let known = |v: VertexId| (v as usize) < n;
     match *q {
         Query::CoreContaining(v, k) => QueryAnswer::CoreContaining(if known(v) {
-            core_containing(&snap.hcd, &snap.cores, v, k).map(|mut members| {
-                members.sort_unstable();
-                members
-            })
+            core_containing(&snap.hcd, &snap.cores, v, k)
         } else {
             None
         }),

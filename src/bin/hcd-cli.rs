@@ -588,8 +588,7 @@ fn core_query(path: &str, v: &str, k: &str) -> Result<(), CliError> {
             "vertex {v} has coreness {} < {k}: no such core",
             cores.coreness(v)
         ),
-        Some(mut members) => {
-            members.sort_unstable();
+        Some(members) => {
             println!("{}-core containing {v}: {} vertices", k, members.len());
             for chunk in members.chunks(16) {
                 println!(

@@ -81,8 +81,8 @@ fn local_queries_agree_with_reconstruction() {
         if k == 0 {
             continue;
         }
-        let mut got = core_containing(&hcd, &cores, v, k).unwrap();
-        got.sort_unstable();
+        let got = core_containing(&hcd, &cores, v, k).unwrap();
+        assert!(got.windows(2).all(|w| w[0] < w[1]), "v={v}: not ascending");
         let mut want = hcd::graph::traversal::bfs_filtered(&g, v, |u| cores.coreness(u) >= k);
         want.sort_unstable();
         assert_eq!(got, want, "v={v}");

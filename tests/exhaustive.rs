@@ -1,8 +1,9 @@
 //! Bounded-exhaustive checks: every labelled simple graph on at most six
 //! vertices (2^15 edge sets on six), in every executor mode: the
-//! hierarchy kernel against its oracles, and PBKS against BKS. Random
-//! proptests sample large graphs; this covers every small shape,
-//! including the ones a sampler rarely draws.
+//! hierarchy kernel against its oracles, and PBKS against BKS; plus the
+//! local core queries against their definitions. Random proptests sample
+//! large graphs; this covers every small shape, including the ones a
+//! sampler rarely draws.
 
 use hcd::prelude::*;
 
@@ -59,6 +60,45 @@ fn hierarchy_kernel_matches_oracles_on_every_graph_up_to_six_vertices() {
             let h = phtd(g, &idx, &td, exec);
             let mode = exec.mode_name();
             assert_eq!(h.canonicalize(), truth, "PHTD {mode} on {g:?}");
+        }
+    });
+    assert_eq!(graphs, 1 + 1 + 2 + 8 + 64 + 1024 + 32768);
+}
+
+#[test]
+fn core_queries_match_their_definitions_on_every_graph_up_to_six_vertices() {
+    // Expected answers come from the subtree walk and from BFS, never
+    // from `core_containing` itself. With n <= 6 the cost rule sorts
+    // subtrees of one or two vertices and scans `tid` for larger ones,
+    // so both branches run.
+    let graphs = for_every_graph_up_to_six_vertices(|g| {
+        let cores = core_decomposition(g);
+        let hcd = phcd(g, &cores, &Executor::sequential());
+        for v in g.vertices() {
+            let t = hcd.tid(v);
+            let (_, size) = hierarchy_position(&hcd, v);
+            assert_eq!(size, hcd.subtree_vertices(t).len(), "v={v} on {g:?}");
+            for k in 0..=cores.coreness(v) + 1 {
+                let got = core_containing(&hcd, &cores, v, k);
+                let Some(node) = core_node_at(&hcd, &cores, v, k) else {
+                    assert!(
+                        k > cores.coreness(v) && got.is_none(),
+                        "v={v} k={k} on {g:?}"
+                    );
+                    continue;
+                };
+                let got = got.unwrap_or_else(|| panic!("v={v} k={k} on {g:?}: no answer"));
+                assert!(
+                    got.windows(2).all(|w| w[0] < w[1]),
+                    "v={v} k={k} on {g:?}: {got:?} not strictly ascending"
+                );
+                let mut subtree = hcd.subtree_vertices(node);
+                subtree.sort_unstable();
+                assert_eq!(got, subtree, "v={v} k={k} on {g:?}: subtree");
+                let mut bfs = hcd::graph::traversal::bfs_filtered(g, v, |u| cores.coreness(u) >= k);
+                bfs.sort_unstable();
+                assert_eq!(got, bfs, "v={v} k={k} on {g:?}: BFS");
+            }
         }
     });
     assert_eq!(graphs, 1 + 1 + 2 + 8 + 64 + 1024 + 32768);

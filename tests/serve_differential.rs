@@ -127,16 +127,18 @@ fn assert_queries_match_oracle(
         let expected = match *q {
             Query::CoreContaining(v, k) => QueryAnswer::CoreContaining(
                 known(v)
-                    .then(|| core_containing(&oracle_hcd, &oracle_cores, v, k))
+                    .then(|| core_node_at(&oracle_hcd, &oracle_cores, v, k))
                     .flatten()
-                    .map(|mut m| {
+                    .map(|node| {
+                        let mut m = oracle_hcd.subtree_vertices(node);
                         m.sort_unstable();
                         m
                     }),
             ),
-            Query::HierarchyPosition(v) => {
-                QueryAnswer::HierarchyPosition(known(v).then(|| hierarchy_position(&oracle_hcd, v)))
-            }
+            Query::HierarchyPosition(v) => QueryAnswer::HierarchyPosition(known(v).then(|| {
+                let t = oracle_hcd.tid(v);
+                (oracle_hcd.depth(t), oracle_hcd.subtree_vertices(t).len())
+            })),
             Query::InKCore(v, k) => QueryAnswer::InKCore(known(v) && k <= oracle_cores.coreness(v)),
             Query::SameKCore(u, v, k) => QueryAnswer::SameKCore(
                 known(u) && known(v) && same_k_core(&oracle_hcd, &oracle_cores, u, v, k),
