@@ -819,6 +819,42 @@ mod tests {
     }
 
     #[test]
+    fn corrupted_documents_never_panic_and_truncations_are_rejected() {
+        // A real document: an armed sequential run with one region (so
+        // also one region histogram) and one counter.
+        let exec = crate::Executor::sequential()
+            .with_metrics()
+            .with_histograms();
+        exec.region("r").for_each_index(4, |_| {});
+        exec.add_counter("c", 3);
+        let doc = exec.take_metrics().to_json();
+        Snapshot::parse(&doc).expect("the pristine document parses");
+        let bytes = doc.as_bytes();
+        let body = doc.trim_end().len();
+        for len in 0..bytes.len() {
+            let parsed = Snapshot::parse(&doc[..len]);
+            if len < body {
+                assert!(parsed.is_err(), "prefix of {len} bytes parsed");
+            }
+        }
+        let mut mutant = bytes.to_vec();
+        for i in 0..bytes.len() {
+            for v in 0..=u8::MAX {
+                if v == bytes[i] {
+                    continue;
+                }
+                mutant[i] = v;
+                // The reader takes text; a flip that breaks UTF-8 never
+                // reaches it.
+                if let Ok(text) = std::str::from_utf8(&mutant) {
+                    let _ = Snapshot::parse(text);
+                }
+            }
+            mutant[i] = bytes[i];
+        }
+    }
+
+    #[test]
     fn pre_counters_documents_still_parse() {
         // A PR2-era document has no `counters` array.
         let text = r#"{

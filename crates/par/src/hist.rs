@@ -1,7 +1,7 @@
-//! Lock-free log2-bucketed latency histograms.
+//! Sharded log2-bucketed latency histograms.
 //!
 //! The serving layer needs latency *distributions* — p50/p99/p999 —
-//! not just the wall-time sums the region recorder keeps. This module
+//! not just the wall-time sums of region aggregates. This module
 //! provides a fixed-footprint histogram tuned for that job:
 //!
 //! - **Bucketing.** Values (nanoseconds) map to power-of-two groups
@@ -16,10 +16,11 @@
 //!   so concurrent recorders on different threads almost never touch
 //!   the same cache lines and never lose an increment. Recording is
 //!   wait-free: two relaxed `fetch_add`s plus min/max CAS loops.
-//! - **Arming.** A disarmed registry costs exactly one relaxed atomic
-//!   load per call site ([`HistRegistry::observe`] returns
-//!   immediately), the same discipline as the metrics and trace
-//!   layers.
+//! - **Naming and arming.** Histograms live in the executor's one
+//!   named-metric registry (`metrics.rs`) beside region aggregates and
+//!   counters, under the same interned names and without a name cap.
+//!   Disarmed, a call site costs exactly one relaxed atomic load, the
+//!   same discipline as the metrics and trace layers.
 //! - **Merging.** Snapshots from shards (or from separate processes)
 //!   merge by adding per-bucket counts; quantiles extracted from a
 //!   merged snapshot equal quantiles of the combined value stream up
@@ -30,10 +31,11 @@
 //! emitted as the `histograms` section of the `hcd-metrics-v1` JSON
 //! document (see `metrics.rs`).
 
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use crate::metrics::{nanos, Registry};
 
 /// Linear-refinement bits per power-of-two group: each group splits
 /// into `2^SUB_BITS` equal sub-buckets.
@@ -48,10 +50,6 @@ pub const NUM_BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB_BUCKETS;
 /// thread counter, so up to this many recorders proceed with zero
 /// cache-line contention.
 pub const NUM_SHARDS: usize = 8;
-/// Maximum distinct histogram names per registry. Sized generously
-/// above the serve-path boundary count; registration past this limit
-/// is silently dropped (recording becomes a no-op for that name).
-pub const MAX_HISTOGRAMS: usize = 32;
 
 /// Maps a nanosecond value to its bucket index. Pure, monotone
 /// (non-decreasing), total over `u64`.
@@ -118,6 +116,12 @@ impl Shard {
         }
     }
 
+    // Relaxed throughout: each field is its own location and an RMW
+    // never loses an update at any ordering. Readers order themselves
+    // through the registry lock: `Registry::take` holds it exclusively,
+    // so every finished sample is visible; `Registry::snapshot` shares
+    // it with recorders, so an in-flight peek may see a sample's count
+    // before its bucket.
     #[inline]
     fn record(&self, ns: u64) {
         self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
@@ -127,29 +131,8 @@ impl Shard {
         self.max.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// Drains this shard into `snap` and resets it.
-    fn drain_into(&self, snap: &mut HistogramSnapshot) {
-        let count = self.count.swap(0, Ordering::Relaxed);
-        let sum = self.sum.swap(0, Ordering::Relaxed);
-        let min = self.min.swap(u64::MAX, Ordering::Relaxed);
-        let max = self.max.swap(0, Ordering::Relaxed);
-        if count == 0 {
-            return;
-        }
-        snap.count += count;
-        snap.sum_ns += sum;
-        snap.min_ns = snap.min_ns.min(min);
-        snap.max_ns = snap.max_ns.max(max);
-        for (i, b) in self.buckets.iter().enumerate() {
-            let c = b.swap(0, Ordering::Relaxed);
-            if c > 0 {
-                snap.add_bucket(i, c);
-            }
-        }
-    }
-
-    /// Adds this shard's contents to `snap` without resetting.
-    fn peek_into(&self, snap: &mut HistogramSnapshot) {
+    /// Adds this shard's contents to `snap`.
+    fn add_to(&self, snap: &mut HistogramSnapshot) {
         let count = self.count.load(Ordering::Relaxed);
         if count == 0 {
             return;
@@ -167,38 +150,34 @@ impl Shard {
     }
 }
 
-/// A sharded lock-free latency histogram (one named series).
-pub struct LatencyHistogram {
-    shards: Vec<Shard>, // NUM_SHARDS long
+/// A sharded latency histogram (one named series). A shard
+/// is allocated by the first thread that records into it, so a
+/// histogram only one thread feeds costs one shard, not
+/// [`NUM_SHARDS`].
+pub(crate) struct LatencyHistogram {
+    shards: [OnceLock<Shard>; NUM_SHARDS],
 }
 
 impl LatencyHistogram {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LatencyHistogram {
-            shards: (0..NUM_SHARDS).map(|_| Shard::new()).collect(),
+            shards: std::array::from_fn(|_| OnceLock::new()),
         }
     }
 
     /// Records one nanosecond sample on the calling thread's shard.
     #[inline]
-    pub fn record(&self, ns: u64) {
-        self.shards[shard_id()].record(ns);
+    pub(crate) fn record(&self, ns: u64) {
+        self.shards[shard_id()].get_or_init(Shard::new).record(ns);
     }
 
-    fn drain(&self, name: &'static str) -> HistogramSnapshot {
+    /// Copies the shards, merged, into a snapshot named `name`.
+    pub(crate) fn snapshot(&self, name: &'static str) -> HistogramSnapshot {
         let mut snap = HistogramSnapshot::empty(name);
-        for s in &self.shards {
-            s.drain_into(&mut snap);
+        for s in self.shards.iter().filter_map(OnceLock::get) {
+            s.add_to(&mut snap);
         }
-        snap
-    }
-
-    fn peek(&self, name: &'static str) -> HistogramSnapshot {
-        let mut snap = HistogramSnapshot::empty(name);
-        for s in &self.shards {
-            s.peek_into(&mut snap);
-        }
-        snap
+        snap.finish()
     }
 }
 
@@ -207,6 +186,8 @@ impl LatencyHistogram {
 /// threads spreads evenly over the shards.
 #[inline]
 fn shard_id() -> usize {
+    // Relaxed: only the RMW's atomicity matters (it spreads threads
+    // over shards); nothing is published through the counter.
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
         static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed) % NUM_SHARDS;
@@ -314,173 +295,21 @@ impl HistogramSnapshot {
     }
 }
 
-// --- registry ----------------------------------------------------------
-
-struct HistEntry {
-    name: &'static str,
-    hist: LatencyHistogram,
-}
-
-/// A fixed-capacity, lock-free-on-the-hot-path registry of named
-/// histograms. Disarmed, [`HistRegistry::observe`] is one relaxed
-/// load. Armed, a lookup is a linear scan of published entries
-/// (bounded by [`MAX_HISTOGRAMS`]); first-time registration of a name
-/// takes a mutex, after which the entry is immutable and reads are
-/// lock-free.
-pub struct HistRegistry {
-    armed: AtomicBool,
-    len: AtomicUsize,
-    slots: Vec<AtomicPtr<HistEntry>>, // MAX_HISTOGRAMS long
-    reg: Mutex<()>,
-}
-
-impl Default for HistRegistry {
-    fn default() -> Self {
-        HistRegistry {
-            armed: AtomicBool::new(false),
-            len: AtomicUsize::new(0),
-            slots: (0..MAX_HISTOGRAMS)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
-            reg: Mutex::new(()),
-        }
-    }
-}
-
-impl Drop for HistRegistry {
-    fn drop(&mut self) {
-        for slot in &self.slots {
-            let p = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            if !p.is_null() {
-                // Safety: entries are only ever created by `entry()`
-                // via Box::into_raw and never freed elsewhere.
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
-    }
-}
-
-impl HistRegistry {
-    /// Arms or disarms recording. Disarmed (the default), every
-    /// [`HistRegistry::observe`] returns after one relaxed load.
-    pub fn arm(&self, on: bool) {
-        self.armed.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether recording is armed.
-    pub fn armed(&self) -> bool {
-        self.armed.load(Ordering::Relaxed)
-    }
-
-    /// Records `ns` into the histogram named `name`, registering it on
-    /// first use. No-op when disarmed or past [`MAX_HISTOGRAMS`]
-    /// distinct names.
-    #[inline]
-    pub fn observe(&self, name: &'static str, ns: u64) {
-        if !self.armed.load(Ordering::Relaxed) {
-            return;
-        }
-        if let Some(e) = self.entry(name) {
-            e.hist.record(ns);
-        }
-    }
-
-    fn find(&self, name: &'static str) -> Option<&HistEntry> {
-        let len = self.len.load(Ordering::Acquire);
-        for slot in &self.slots[..len] {
-            let p = slot.load(Ordering::Acquire);
-            if p.is_null() {
-                continue;
-            }
-            // Safety: a non-null published pointer is valid until the
-            // registry drops, and &self keeps the registry alive.
-            let e = unsafe { &*p };
-            // Compare pointer first: names are &'static str interned by
-            // the compiler, so call sites reusing the same literal hit
-            // the cheap path.
-            if std::ptr::eq(e.name, name) || e.name == name {
-                return Some(e);
-            }
-        }
-        None
-    }
-
-    fn entry(&self, name: &'static str) -> Option<&HistEntry> {
-        if let Some(e) = self.find(name) {
-            return Some(e);
-        }
-        let _guard = self.reg.lock();
-        // Re-check under the lock: another thread may have registered.
-        if let Some(e) = self.find(name) {
-            return Some(e);
-        }
-        let len = self.len.load(Ordering::Relaxed);
-        if len >= MAX_HISTOGRAMS {
-            return None;
-        }
-        let p = Box::into_raw(Box::new(HistEntry {
-            name,
-            hist: LatencyHistogram::new(),
-        }));
-        self.slots[len].store(p, Ordering::Release);
-        self.len.store(len + 1, Ordering::Release);
-        // Safety: just published; lives until the registry drops.
-        Some(unsafe { &*p })
-    }
-
-    /// Drains every histogram into snapshots (resetting the live
-    /// counters but keeping registrations), skipping series that
-    /// recorded nothing since the last drain. Sorted by name for
-    /// emission stability.
-    pub fn drain(&self) -> Vec<HistogramSnapshot> {
-        self.collect(true)
-    }
-
-    /// Copies every histogram into snapshots without resetting —
-    /// the in-flight view behind `serve-bench --stats-interval`.
-    pub fn snapshot(&self) -> Vec<HistogramSnapshot> {
-        self.collect(false)
-    }
-
-    fn collect(&self, reset: bool) -> Vec<HistogramSnapshot> {
-        let len = self.len.load(Ordering::Acquire);
-        let mut out = Vec::new();
-        for slot in &self.slots[..len] {
-            let p = slot.load(Ordering::Acquire);
-            if p.is_null() {
-                continue;
-            }
-            // Safety: as in `find`.
-            let e = unsafe { &*p };
-            let snap = if reset {
-                e.hist.drain(e.name)
-            } else {
-                e.hist.peek(e.name)
-            };
-            if snap.count > 0 {
-                out.push(snap.finish());
-            }
-        }
-        out.sort_by(|a, b| a.name.cmp(b.name));
-        out
-    }
-}
-
 // --- timing handle -----------------------------------------------------
 
 /// A drop-to-record latency timer: measures from creation to drop and
-/// records into the registry. When the registry is disarmed the
-/// constructor takes no clock reading and drop is free.
+/// records into the executor's registry. When histograms are disarmed
+/// the constructor takes no clock reading and drop is free.
 pub struct LatencyTimer<'a> {
-    reg: &'a HistRegistry,
+    reg: &'a Registry,
     name: &'static str,
     start: Option<Instant>,
 }
 
 impl<'a> LatencyTimer<'a> {
     /// Starts a timer for `name` (reads the clock only when armed).
-    pub fn start(reg: &'a HistRegistry, name: &'static str) -> Self {
-        let start = reg.armed().then(Instant::now);
+    pub(crate) fn start(reg: &'a Registry, name: &'static str) -> Self {
+        let start = reg.histograms_armed().then(Instant::now);
         LatencyTimer { reg, name, start }
     }
 
@@ -493,8 +322,7 @@ impl<'a> LatencyTimer<'a> {
 impl Drop for LatencyTimer<'_> {
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.reg.observe(self.name, ns);
+            self.reg.observe(self.name, nanos(start.elapsed()));
         }
     }
 }
@@ -531,16 +359,23 @@ mod tests {
         }
     }
 
+    fn hist_of(values: &[u64]) -> HistogramSnapshot {
+        let h = LatencyHistogram::new();
+        for &v in values {
+            h.record(v);
+        }
+        h.snapshot("t")
+    }
+
+    fn armed() -> Registry {
+        let reg = Registry::default();
+        reg.set_histograms_armed(true);
+        reg
+    }
+
     #[test]
     fn quantiles_hit_exact_extremes() {
-        let reg = HistRegistry::default();
-        reg.arm(true);
-        for v in [17u64, 1_000, 999_999, 123_456_789] {
-            reg.observe("t", v);
-        }
-        let snaps = reg.drain();
-        assert_eq!(snaps.len(), 1);
-        let s = &snaps[0];
+        let s = hist_of(&[17, 1_000, 999_999, 123_456_789]);
         assert_eq!(s.count, 4);
         assert_eq!(s.sum_ns, 17 + 1_000 + 999_999 + 123_456_789);
         assert_eq!(s.min_ns, 17);
@@ -551,14 +386,8 @@ mod tests {
 
     #[test]
     fn quantile_is_within_documented_error() {
-        let reg = HistRegistry::default();
-        reg.arm(true);
-        let mut values: Vec<u64> = (0..1000).map(|i| 1000 + i * 977).collect();
-        for &v in &values {
-            reg.observe("t", v);
-        }
-        values.sort_unstable();
-        let s = &reg.drain()[0];
+        let values: Vec<u64> = (0..1000).map(|i| 1000 + i * 977).collect();
+        let s = hist_of(&values);
         for q in [0.1, 0.5, 0.9, 0.99] {
             let rank = ((q * values.len() as f64).ceil() as usize).max(1);
             let exact = values[rank - 1] as f64;
@@ -571,51 +400,22 @@ mod tests {
     }
 
     #[test]
-    fn drain_resets_but_keeps_registration() {
-        let reg = HistRegistry::default();
-        reg.arm(true);
-        reg.observe("a", 5);
-        assert_eq!(reg.drain().len(), 1);
-        assert!(reg.drain().is_empty(), "second drain sees nothing");
-        reg.observe("a", 7);
-        let snaps = reg.drain();
-        assert_eq!(snaps.len(), 1);
-        assert_eq!(snaps[0].count, 1, "pre-drain samples are gone");
-    }
-
-    #[test]
-    fn snapshot_peeks_without_reset() {
-        let reg = HistRegistry::default();
-        reg.arm(true);
-        reg.observe("a", 5);
-        assert_eq!(reg.snapshot()[0].count, 1);
-        assert_eq!(reg.snapshot()[0].count, 1, "peek does not reset");
-        assert_eq!(reg.drain()[0].count, 1);
-    }
-
-    #[test]
-    fn disarmed_records_nothing() {
-        let reg = HistRegistry::default();
-        reg.observe("a", 5);
+    fn disarmed_timer_records_nothing() {
+        let reg = Registry::default();
         {
             let _t = LatencyTimer::start(&reg, "b");
         }
-        reg.arm(true);
-        assert!(reg.drain().is_empty());
-        reg.arm(false);
-        reg.observe("a", 5);
-        reg.arm(true);
-        assert!(reg.drain().is_empty(), "mid-run disarm drops samples");
+        reg.set_histograms_armed(true);
+        assert!(reg.take().histograms.is_empty());
     }
 
     #[test]
     fn timer_records_when_armed() {
-        let reg = HistRegistry::default();
-        reg.arm(true);
+        let reg = armed();
         {
             let _t = LatencyTimer::start(&reg, "timed");
         }
-        let snaps = reg.drain();
+        let snaps = reg.take().histograms;
         assert_eq!(snaps.len(), 1);
         assert_eq!(snaps[0].name, "timed");
         assert_eq!(snaps[0].count, 1);
@@ -623,52 +423,28 @@ mod tests {
 
     #[test]
     fn cancelled_timer_records_nothing() {
-        let reg = HistRegistry::default();
-        reg.arm(true);
+        let reg = armed();
         LatencyTimer::start(&reg, "t").cancel();
-        assert!(reg.drain().is_empty());
-    }
-
-    #[test]
-    fn registry_caps_distinct_names() {
-        static NAMES: [&str; MAX_HISTOGRAMS + 2] = {
-            // Distinct static names without a proc macro: index into a
-            // fixed literal table.
-            [
-                "h00", "h01", "h02", "h03", "h04", "h05", "h06", "h07", "h08", "h09", "h10", "h11",
-                "h12", "h13", "h14", "h15", "h16", "h17", "h18", "h19", "h20", "h21", "h22", "h23",
-                "h24", "h25", "h26", "h27", "h28", "h29", "h30", "h31", "h32", "h33",
-            ]
-        };
-        let reg = HistRegistry::default();
-        reg.arm(true);
-        for name in NAMES {
-            reg.observe(name, 1);
-        }
-        let snaps = reg.drain();
-        assert_eq!(snaps.len(), MAX_HISTOGRAMS, "overflow names dropped");
+        assert!(reg.take().histograms.is_empty());
     }
 
     #[test]
     fn concurrent_recording_is_exact() {
-        let reg = std::sync::Arc::new(HistRegistry::default());
-        reg.arm(true);
-        let threads = 8;
-        let per_thread = 10_000u64;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let reg = std::sync::Arc::clone(&reg);
-                std::thread::spawn(move || {
+        // Miri explores interleavings, not volume: a few samples per
+        // thread cover the registry lock and the shard atomics.
+        let (threads, per_thread) = if cfg!(miri) { (3u64, 20) } else { (8, 10_000) };
+        let reg = armed();
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let reg = &reg;
+                s.spawn(move || {
                     for i in 0..per_thread {
                         reg.observe("conc", t * per_thread + i + 1);
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let snaps = reg.drain();
+                });
+            }
+        });
+        let snaps = reg.take().histograms;
         assert_eq!(snaps.len(), 1);
         let s = &snaps[0];
         let n = threads * per_thread;
@@ -683,20 +459,6 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        fn build(name: &'static str, values: &[u64]) -> HistogramSnapshot {
-            let reg = HistRegistry::default();
-            reg.arm(true);
-            for &v in values {
-                reg.observe(name, v);
-            }
-            let mut snaps = reg.drain();
-            if snaps.is_empty() {
-                HistogramSnapshot::empty(name).finish()
-            } else {
-                snaps.remove(0)
-            }
-        }
-
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -705,7 +467,7 @@ mod tests {
                 values in proptest::collection::vec(0u64..u64::MAX / 2, 1..200),
                 qs in proptest::collection::vec(0u64..1001, 2..20),
             ) {
-                let s = build("m", &values);
+                let s = hist_of(&values);
                 let mut qs: Vec<f64> = qs.iter().map(|&q| q as f64 / 1000.0).collect();
                 qs.sort_by(|a, b| a.partial_cmp(b).unwrap());
                 let mut last = 0u64;
@@ -721,11 +483,11 @@ mod tests {
                 a in proptest::collection::vec(0u64..1_000_000_000, 0..150),
                 b in proptest::collection::vec(0u64..1_000_000_000, 0..150),
             ) {
-                let mut merged = build("m", &a);
-                merged.merge(&build("m", &b));
+                let mut merged = hist_of(&a);
+                merged.merge(&hist_of(&b));
                 let mut both = a.clone();
                 both.extend_from_slice(&b);
-                let combined = build("m", &both);
+                let combined = hist_of(&both);
                 prop_assert_eq!(merged.count, combined.count);
                 prop_assert_eq!(merged.sum_ns, combined.sum_ns);
                 prop_assert_eq!(merged.min_ns, combined.min_ns);
@@ -744,7 +506,7 @@ mod tests {
             fn count_and_sum_are_exact(
                 values in proptest::collection::vec(0u64..1_000_000_000, 0..200),
             ) {
-                let s = build("m", &values);
+                let s = hist_of(&values);
                 prop_assert_eq!(s.count, values.len() as u64);
                 prop_assert_eq!(s.sum_ns, values.iter().sum::<u64>());
                 if values.is_empty() {

@@ -1,15 +1,14 @@
 //! A global name interner for dynamically composed metric names.
 //!
-//! The whole observability stack — `Recorder` counter keys,
-//! [`crate::hist::HistRegistry`] histogram names, region names —
-//! deliberately takes `&'static str` so the hot paths never hash or
-//! clone strings. That is the right call for names known at compile
-//! time, but multi-tenant serving composes names at runtime
+//! The whole observability stack — the executor's named-metric
+//! registry (region, counter and histogram names alike) and the trace
+//! rings — deliberately takes `&'static str` so recording never clones
+//! or allocates strings. That is the right call for names known at
+//! compile time, but multi-tenant serving composes names at runtime
 //! (`serve.<tenant>.queries`). [`intern`] bridges the gap: each unique
 //! string is leaked exactly once and every later request for the same
 //! text returns the *same* `&'static str` (pointer-equal), so interned
-//! names behave exactly like literals downstream — including the
-//! pointer-first fast path in the histogram registry.
+//! names behave exactly like literals downstream.
 //!
 //! The set only ever grows, by design: tenant names are a small,
 //! bounded vocabulary (one leak per distinct name for the process

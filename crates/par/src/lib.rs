@@ -46,8 +46,10 @@
 //! per-chunk durations (min/max/sum → a load-imbalance ratio), chunk
 //! counts, checkpoint polls, and failure/fault events into a
 //! [`RunMetrics`] snapshot ([`Executor::take_metrics`]); see the
-//! [`metrics`] module. Disabled (the default), the cost is one relaxed
-//! atomic load per region.
+//! [`metrics`] module. With histograms armed, each region execution is
+//! also one wall-time sample of the histogram named after the region.
+//! Disabled (the default), the cost is one relaxed atomic load per
+//! arming flag per region.
 //!
 //! # Failure model
 //!
@@ -100,8 +102,7 @@ pub use intern::intern;
 pub use metrics::{CounterValue, RegionMetrics, RunMetrics, METRICS_SCHEMA};
 pub use trace::{EventKind, Trace, TraceEvent, DEFAULT_EVENT_CAPACITY, TRACE_SCHEMA};
 
-use hist::HistRegistry;
-use metrics::{ChunkStats, Recorder};
+use metrics::{nanos, ChunkStats, Registry};
 use trace::TraceCtl;
 
 /// Suggested number of innermost-loop iterations between
@@ -169,9 +170,8 @@ struct Ctrl {
 pub struct Executor {
     mode: Mode,
     ctrl: Ctrl,
-    metrics: Recorder,
+    metrics: Registry,
     trace: TraceCtl,
-    hist: HistRegistry,
 }
 
 impl Executor {
@@ -180,9 +180,8 @@ impl Executor {
         Executor {
             mode: Mode::Sequential,
             ctrl: Ctrl::default(),
-            metrics: Recorder::default(),
+            metrics: Registry::default(),
             trace: TraceCtl::default(),
-            hist: HistRegistry::default(),
         }
     }
 
@@ -210,9 +209,8 @@ impl Executor {
                 stats: Mutex::new(SimStats::default()),
             },
             ctrl: Ctrl::default(),
-            metrics: Recorder::default(),
+            metrics: Registry::default(),
             trace: TraceCtl::default(),
-            hist: HistRegistry::default(),
         })
     }
 
@@ -240,9 +238,8 @@ impl Executor {
         Ok(Executor {
             mode: Mode::Assist { pool, workers },
             ctrl: Ctrl::default(),
-            metrics: Recorder::default(),
+            metrics: Registry::default(),
             trace: TraceCtl::default(),
-            hist: HistRegistry::default(),
         })
     }
 
@@ -298,33 +295,34 @@ impl Executor {
     /// Enables or disables metrics recording on a live executor.
     /// Disabled recording costs one relaxed atomic load per region.
     pub fn set_metrics_enabled(&self, on: bool) {
-        self.metrics.set_enabled(on);
+        self.metrics.set_metrics_enabled(on);
     }
 
     /// Whether metrics recording is enabled.
     pub fn metrics_enabled(&self) -> bool {
-        self.metrics.enabled()
+        self.metrics.metrics_enabled()
     }
 
-    /// Returns and resets the recorded region metrics. Empty unless
-    /// metrics were enabled and at least one region ran. The enable flag
-    /// itself is untouched, so a long-lived executor keeps recording.
+    /// Returns and resets the recorded region metrics, counters and
+    /// histograms. Empty unless metrics were enabled or histograms
+    /// armed, and something was recorded. The arming flags themselves
+    /// are untouched, so a long-lived executor keeps recording.
     pub fn take_metrics(&self) -> RunMetrics {
-        let mut m = self.metrics.take();
-        m.histograms = self.hist.drain();
-        m
+        self.metrics.take()
     }
 
     /// Arms latency-histogram recording: [`Executor::observe_ns`] and
     /// [`Executor::time`] start recording into named log2-bucketed
-    /// histograms (see the [`hist`] module), drained into
-    /// [`RunMetrics::histograms`] by [`Executor::take_metrics`].
-    /// Disarmed (the default), each observe costs one relaxed atomic
-    /// load and [`Executor::time`] never reads the clock. Histogram
-    /// arming is independent of [`Executor::set_metrics_enabled`] so
-    /// overhead can be measured in isolation.
+    /// histograms (see the [`hist`] module), and every region execution
+    /// records its wall time into the histogram named after the region.
+    /// [`Executor::take_metrics`] drains them into
+    /// [`RunMetrics::histograms`]. Disarmed (the default), each observe
+    /// costs one relaxed atomic load and [`Executor::time`] never reads
+    /// the clock. Histogram arming is independent of
+    /// [`Executor::set_metrics_enabled`] so overhead can be measured in
+    /// isolation.
     pub fn arm_histograms(&self) {
-        self.hist.arm(true);
+        self.set_histograms_armed(true);
     }
 
     /// Builder form of [`Executor::arm_histograms`].
@@ -335,28 +333,25 @@ impl Executor {
 
     /// Enables or disables histogram recording on a live executor.
     pub fn set_histograms_armed(&self, on: bool) {
-        self.hist.arm(on);
+        self.metrics.set_histograms_armed(on);
     }
 
     /// Whether latency histograms are armed.
     pub fn histograms_armed(&self) -> bool {
-        self.hist.armed()
+        self.metrics.histograms_armed()
     }
 
     /// Records one nanosecond latency sample into the histogram named
     /// `name` (no-op when disarmed).
     #[inline]
     pub fn observe_ns(&self, name: &'static str, ns: u64) {
-        self.hist.observe(name, ns);
+        self.metrics.observe(name, ns);
     }
 
     /// Records a [`Duration`] latency sample (no-op when disarmed).
     #[inline]
     pub fn observe(&self, name: &'static str, elapsed: Duration) {
-        if self.hist.armed() {
-            self.hist
-                .observe(name, u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-        }
+        self.metrics.observe(name, nanos(elapsed));
     }
 
     /// Starts a drop-to-record latency timer for `name`: the span from
@@ -365,14 +360,14 @@ impl Executor {
     /// free.
     #[inline]
     pub fn time(&self, name: &'static str) -> LatencyTimer<'_> {
-        LatencyTimer::start(&self.hist, name)
+        LatencyTimer::start(&self.metrics, name)
     }
 
     /// Copies the live histograms without resetting them — the
     /// in-flight view used by `serve-bench --stats-interval`. Empty
     /// when disarmed or nothing was recorded.
     pub fn histogram_snapshots(&self) -> Vec<HistogramSnapshot> {
-        self.hist.snapshot()
+        self.metrics.snapshot()
     }
 
     /// Arms timeline tracing with the default per-thread event capacity
@@ -418,7 +413,7 @@ impl Executor {
     /// intended to be called from region drivers / algorithm code that
     /// flushes thread-local tallies, not per element.
     pub fn add_counter(&self, name: &'static str, delta: u64) {
-        if self.metrics.enabled() && delta > 0 {
+        if self.metrics.metrics_enabled() && delta > 0 {
             self.metrics.update_counter(name, delta, "sum");
         }
     }
@@ -428,7 +423,7 @@ impl Executor {
     /// high-water mark; an armed trace additionally records every sample
     /// as a counter-track point, so the timeline shows the full curve.
     pub fn gauge(&self, name: &'static str, value: u64) {
-        if self.metrics.enabled() {
+        if self.metrics.metrics_enabled() {
             self.metrics.update_counter(name, value, "max");
         }
         if let Some(session) = self.trace.session() {
@@ -565,7 +560,10 @@ impl Executor {
     /// When metrics are enabled (or the mode is simulated, which always
     /// needs chunk clocks for `SimStats`), every chunk is timed; the same
     /// measurements feed both accountings, so `RunMetrics::chunk_max_ns`
-    /// and `SimStats::charged` agree exactly.
+    /// and `SimStats::charged` agree exactly. When histograms are armed,
+    /// the region's wall time from the same `region_t0` clock is one
+    /// sample of the histogram named after the region, whether the
+    /// region succeeded or not.
     fn try_run_ranges<S, MkS, F>(
         &self,
         name: &'static str,
@@ -584,7 +582,8 @@ impl Executor {
         let cancel = self.ctrl.cancel.lock().clone();
         let deadline = *self.ctrl.deadline.lock();
         let plan = self.ctrl.plan.lock().clone();
-        let metering = self.metrics.enabled();
+        let metering = self.metrics.metrics_enabled();
+        let sampling = self.metrics.histograms_armed();
         let timed = metering || self.is_simulated();
         let cstats = ChunkStats::new();
         let cp_mark = self.metrics.checkpoint_mark();
@@ -735,16 +734,22 @@ impl Executor {
                 u64::from(result.is_some()),
             );
         }
-        if metering {
-            let cp_delta = self.metrics.checkpoint_mark().saturating_sub(cp_mark);
-            self.metrics.record_region(
-                name,
-                self.num_workers(),
-                region_t0.elapsed(),
-                &cstats,
-                cp_delta,
-                result.as_ref(),
-            );
+        if metering || sampling {
+            let wall = region_t0.elapsed();
+            if sampling {
+                self.metrics.record_sample(name, nanos(wall));
+            }
+            if metering {
+                let cp_delta = self.metrics.checkpoint_mark().saturating_sub(cp_mark);
+                self.metrics.record_region(
+                    name,
+                    self.num_workers(),
+                    wall,
+                    &cstats,
+                    cp_delta,
+                    result.as_ref(),
+                );
+            }
         }
         match result {
             Some(e) => Err(e),
@@ -1559,6 +1564,43 @@ mod metrics_tests {
         quiet.add_counter("x", 5);
         quiet.gauge("y", 5);
         assert!(quiet.take_metrics().is_empty());
+    }
+
+    #[test]
+    fn every_region_invocation_is_one_histogram_sample() {
+        for exec in executors() {
+            let mode = exec.mode_name();
+            exec.set_metrics_enabled(true);
+            exec.arm_histograms();
+            for _ in 0..3 {
+                exec.region("sampled").for_each_index(100, |_| {});
+            }
+            let token = CancelToken::new();
+            exec.set_cancel(token.clone());
+            token.cancel();
+            let err = exec.region("sampled").try_for_each_index(100, |_| Ok(()));
+            assert_eq!(err, Err(ParError::Cancelled), "{mode}");
+            exec.clear_cancel();
+            let m = exec.take_metrics();
+            let region = m.get("sampled").unwrap();
+            let hist = m.get_histogram("sampled").unwrap();
+            assert_eq!((region.invocations, region.cancelled), (4, 1), "{mode}");
+            assert_eq!(hist.count, region.invocations, "{mode}");
+            assert_eq!(hist.sum_ns, region.wall_ns, "{mode}");
+        }
+    }
+
+    #[test]
+    fn armed_histograms_sample_regions_without_metrics() {
+        for exec in executors() {
+            let mode = exec.mode_name();
+            exec.arm_histograms();
+            exec.region("hist.only").for_each_index(100, |_| {});
+            exec.region("hist.only").for_each_index(100, |_| {});
+            let m = exec.take_metrics();
+            assert!(m.regions.is_empty() && m.counters.is_empty(), "{mode}");
+            assert_eq!(m.get_histogram("hist.only").unwrap().count, 2, "{mode}");
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Region-level observability for the parallel runtime.
+//! Region-level observability for the parallel runtime, and the one
+//! named-metric registry behind it.
 //!
 //! Every parallel region opened through [`Executor::region`] carries a
 //! static name (`"phcd.union"`, `"pbks.triangles"`, …). When metrics are
@@ -7,25 +8,34 @@
 //! ratio follows), chunk counts, checkpoint polls, and any
 //! cancellation / deadline / panic / injected-fault events into a
 //! [`RunMetrics`] snapshot retrievable with
-//! [`Executor::take_metrics`].
+//! [`Executor::take_metrics`]. When histograms are armed, each region
+//! execution — failed ones included — is also one wall-time sample of
+//! the latency histogram with the region's name, so every region has a
+//! p50 and a p99 beside its sums.
+//!
+//! Region aggregates, sum / max counters and latency histograms share
+//! one registry keyed by (interned) name, with no cap on distinct names.
 //!
 //! Cost model: when disabled (the default), the only overhead per region
-//! is one relaxed atomic load; per chunk, nothing. When enabled, each
-//! chunk pays two `Instant::now()` calls and a handful of relaxed atomic
-//! updates on stack-local accumulators; each region pays one short mutex
-//! lock to fold its totals into the per-name slot. In simulated mode the
-//! chunk clocks are shared with the `SimStats` accounting, so the two
-//! views are always consistent: per region, the duration charged to
-//! `SimStats::charged` *is* the `chunk_max` recorded here.
+//! is one relaxed atomic load per arming flag; per chunk, nothing. When
+//! enabled, each chunk pays two `Instant::now()` calls and a handful of
+//! relaxed atomic updates on stack-local accumulators; each region pays
+//! one short registry write lock to fold its totals into the per-name
+//! slot. In simulated mode the chunk clocks are shared with the
+//! `SimStats` accounting, so the two views are always consistent: per
+//! region, the duration charged to `SimStats::charged` *is* the
+//! `chunk_max` recorded here.
 //!
 //! [`Executor::region`]: crate::Executor::region
 //! [`Executor::take_metrics`]: crate::Executor::take_metrics
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 
+use crate::hist::{HistogramSnapshot, LatencyHistogram};
 use crate::trace::escape_json;
 use crate::ParError;
 
@@ -80,7 +90,7 @@ pub struct RegionMetrics {
 
 impl RegionMetrics {
     /// A zeroed aggregate for `name` (useful for tests and synthetic
-    /// snapshots; the recorder creates these internally).
+    /// snapshots; the registry creates these internally).
     pub fn new(name: &'static str) -> Self {
         RegionMetrics {
             name,
@@ -157,7 +167,7 @@ pub struct RunMetrics {
     /// Latency-histogram snapshots (armed via
     /// [`arm_histograms`](crate::Executor::arm_histograms)), sorted by
     /// name.
-    pub histograms: Vec<crate::hist::HistogramSnapshot>,
+    pub histograms: Vec<HistogramSnapshot>,
 }
 
 /// Version tag of the JSON document emitted by [`RunMetrics::to_json`].
@@ -175,7 +185,7 @@ impl RunMetrics {
     }
 
     /// The histogram snapshot named `name`, if it recorded anything.
-    pub fn get_histogram(&self, name: &str) -> Option<&crate::hist::HistogramSnapshot> {
+    pub fn get_histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.iter().find(|h| h.name == name)
     }
 
@@ -334,9 +344,11 @@ impl RunMetrics {
 }
 
 /// Stack-local per-chunk accumulators for one region execution. Chunks
-/// update these with relaxed atomics (they race only on `fetch_*`
-/// operations, which are order-insensitive); the region driver folds
-/// them into the recorder once the barrier completes.
+/// update these with relaxed atomics: they race only on `fetch_*`
+/// RMWs, which never lose an update at any ordering, and the region
+/// driver reads them only after the region's barrier (the sequential
+/// loop, or the assist pool's join), which orders every chunk's
+/// updates before the reads. The driver folds them into the registry.
 #[derive(Debug)]
 pub(crate) struct ChunkStats {
     count: AtomicU64,
@@ -358,7 +370,7 @@ impl ChunkStats {
     }
 
     pub(crate) fn record(&self, d: Duration) {
-        let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        let ns = nanos(d);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
@@ -393,31 +405,65 @@ impl ChunkStats {
     }
 }
 
-/// The per-executor recorder: an enable flag, a global checkpoint-poll
-/// counter (attributed to the currently running region — regions of one
-/// executor never overlap), and per-name slots folded under a mutex at
-/// region end.
-#[derive(Debug, Default)]
-pub(crate) struct Recorder {
-    enabled: AtomicBool,
-    checkpoint_polls: AtomicUsize,
-    slots: Mutex<Vec<RegionMetrics>>,
-    counters: Mutex<Vec<CounterValue>>,
+/// A duration in whole nanoseconds, saturating at `u64::MAX`.
+pub(crate) fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-impl Recorder {
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+/// One name's entry in the [`Registry`]: whichever kinds of telemetry
+/// were recorded under it since the last take.
+struct Slot {
+    /// Creation rank: regions and counters are emitted in this order.
+    rank: usize,
+    region: Option<RegionMetrics>,
+    counter: Option<CounterValue>,
+    hist: Option<LatencyHistogram>,
+}
+
+/// The per-executor named-metric registry: the metrics and histogram
+/// arming flags, a global checkpoint-poll counter (attributed to the
+/// currently running region — regions of one executor never overlap),
+/// and one slot per name holding that name's region aggregate, counter
+/// and latency histogram.
+///
+/// Histogram samples take the lock shared, so concurrent recorders
+/// proceed in parallel on their own shards; region folds, counter
+/// updates, first-time registrations and [`Registry::take`] take it
+/// exclusively.
+#[derive(Default)]
+pub(crate) struct Registry {
+    metrics: AtomicBool,
+    histograms: AtomicBool,
+    checkpoint_polls: AtomicUsize,
+    slots: RwLock<HashMap<&'static str, Slot>>,
+}
+
+// The flags and the poll counter are Relaxed: a flag publishes no data
+// (a region that misses a concurrent toggle records, or skips, one more
+// sample), and the poll counter is an RMW tally read by the region
+// driver after the region's barrier. Slot contents are ordered by the
+// lock.
+impl Registry {
+    pub(crate) fn metrics_enabled(&self) -> bool {
+        self.metrics.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+    pub(crate) fn set_metrics_enabled(&self, on: bool) {
+        self.metrics.store(on, Ordering::Relaxed);
+    }
+
+    pub(crate) fn histograms_armed(&self) -> bool {
+        self.histograms.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn set_histograms_armed(&self, on: bool) {
+        self.histograms.store(on, Ordering::Relaxed);
     }
 
     /// Called from [`Executor::checkpoint`](crate::Executor::checkpoint);
     /// a single relaxed increment when enabled, nothing otherwise.
     pub(crate) fn note_checkpoint(&self) {
-        if self.enabled() {
+        if self.metrics_enabled() {
             self.checkpoint_polls.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -426,6 +472,19 @@ impl Recorder {
     /// a region to attribute the delta to it.
     pub(crate) fn checkpoint_mark(&self) -> usize {
         self.checkpoint_polls.load(Ordering::Relaxed)
+    }
+
+    /// Runs `f` on the slot named `name` under the exclusive lock,
+    /// creating the slot on first use.
+    fn with_slot(&self, name: &'static str, f: impl FnOnce(&mut Slot)) {
+        let mut slots = self.slots.write();
+        let rank = slots.len();
+        f(slots.entry(name).or_insert_with(|| Slot {
+            rank,
+            region: None,
+            counter: None,
+            hist: None,
+        }))
     }
 
     /// Folds one region execution on a `workers`-wide executor into its
@@ -439,57 +498,89 @@ impl Recorder {
         checkpoint_delta: usize,
         outcome: Option<&ParError>,
     ) {
-        let mut slots = self.slots.lock();
-        let slot = match slots.iter_mut().find(|s| s.name == name) {
-            Some(s) => s,
-            None => {
-                slots.push(RegionMetrics::new(name));
-                slots.last_mut().expect("just pushed")
+        self.with_slot(name, |slot| {
+            let r = slot.region.get_or_insert_with(|| RegionMetrics::new(name));
+            r.invocations += 1;
+            r.workers = r.workers.max(workers as u64);
+            r.chunks += chunks.chunks();
+            r.wall_ns += nanos(wall);
+            r.chunk_sum_ns += nanos(chunks.sum());
+            r.chunk_max_ns += nanos(chunks.max());
+            r.chunk_min_ns += chunks.min_ns_or_zero();
+            r.checkpoints += checkpoint_delta as u64;
+            r.faults_injected += chunks.faults_injected();
+            match outcome {
+                Some(ParError::Cancelled) => r.cancelled += 1,
+                Some(ParError::DeadlineExceeded) => r.deadline_exceeded += 1,
+                Some(ParError::Panicked { .. }) => r.panicked += 1,
+                None => {}
             }
-        };
-        slot.invocations += 1;
-        slot.workers = slot.workers.max(workers as u64);
-        slot.chunks += chunks.chunks();
-        slot.wall_ns += u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
-        slot.chunk_sum_ns += u64::try_from(chunks.sum().as_nanos()).unwrap_or(u64::MAX);
-        slot.chunk_max_ns += u64::try_from(chunks.max().as_nanos()).unwrap_or(u64::MAX);
-        slot.chunk_min_ns += chunks.min_ns_or_zero();
-        slot.checkpoints += checkpoint_delta as u64;
-        slot.faults_injected += chunks.faults_injected();
-        match outcome {
-            Some(ParError::Cancelled) => slot.cancelled += 1,
-            Some(ParError::DeadlineExceeded) => slot.deadline_exceeded += 1,
-            Some(ParError::Panicked { .. }) => slot.panicked += 1,
-            None => {}
-        }
+        });
     }
 
-    /// Folds a delta into the named counter slot. `kind` must be
-    /// `"sum"` (add) or `"max"` (high-water mark); a name keeps the kind
-    /// of its first update.
+    /// Folds a delta into the named counter. `kind` must be `"sum"`
+    /// (add) or `"max"` (high-water mark); a name keeps the kind of its
+    /// first update.
     pub(crate) fn update_counter(&self, name: &'static str, value: u64, kind: &'static str) {
-        let mut counters = self.counters.lock();
-        match counters.iter_mut().find(|c| c.name == name) {
-            Some(c) => {
-                if c.kind == "max" {
-                    c.value = c.value.max(value);
-                } else {
-                    c.value = c.value.saturating_add(value);
-                }
-            }
-            None => counters.push(CounterValue { name, value, kind }),
+        self.with_slot(name, |slot| match &mut slot.counter {
+            Some(c) if c.kind == "max" => c.value = c.value.max(value),
+            Some(c) => c.value = c.value.saturating_add(value),
+            None => slot.counter = Some(CounterValue { name, value, kind }),
+        });
+    }
+
+    /// Records `ns` into the histogram named `name` when histograms are
+    /// armed; otherwise returns after one relaxed load.
+    #[inline]
+    pub(crate) fn observe(&self, name: &'static str, ns: u64) {
+        if self.histograms_armed() {
+            self.record_sample(name, ns);
         }
     }
 
-    /// Returns and resets the recorded snapshot (the enable flag is
-    /// left untouched so a long-lived executor keeps recording).
-    pub(crate) fn take(&self) -> RunMetrics {
-        self.checkpoint_polls.store(0, Ordering::Relaxed);
-        RunMetrics {
-            regions: std::mem::take(&mut *self.slots.lock()),
-            counters: std::mem::take(&mut *self.counters.lock()),
-            histograms: Vec::new(),
+    /// Records `ns` into the histogram named `name`, armed or not.
+    pub(crate) fn record_sample(&self, name: &'static str, ns: u64) {
+        if let Some(h) = self.slots.read().get(name).and_then(|s| s.hist.as_ref()) {
+            h.record(ns);
+            return;
         }
+        self.with_slot(name, |slot| {
+            slot.hist
+                .get_or_insert_with(LatencyHistogram::new)
+                .record(ns);
+        });
+    }
+
+    /// Copies every histogram without resetting — the in-flight view
+    /// behind `serve-bench --stats-interval`. Sorted by name.
+    pub(crate) fn snapshot(&self) -> Vec<HistogramSnapshot> {
+        let mut out: Vec<HistogramSnapshot> = self
+            .slots
+            .read()
+            .iter()
+            .filter_map(|(&name, s)| s.hist.as_ref().map(|h| h.snapshot(name)))
+            .collect();
+        out.sort_by(|a, b| a.name.cmp(b.name));
+        out
+    }
+
+    /// Returns and resets everything recorded: regions and counters in
+    /// the order their names were first recorded, histograms sorted by
+    /// name. The arming flags are left untouched so a long-lived
+    /// executor keeps recording.
+    pub(crate) fn take(&self) -> RunMetrics {
+        let slots = std::mem::take(&mut *self.slots.write());
+        self.checkpoint_polls.store(0, Ordering::Relaxed);
+        let mut slots: Vec<(&'static str, Slot)> = slots.into_iter().collect();
+        slots.sort_by_key(|(_, s)| s.rank);
+        let mut m = RunMetrics::default();
+        for (name, s) in slots {
+            m.regions.extend(s.region);
+            m.counters.extend(s.counter);
+            m.histograms.extend(s.hist.map(|h| h.snapshot(name)));
+        }
+        m.histograms.sort_by(|a, b| a.name.cmp(b.name));
+        m
     }
 }
 
@@ -569,7 +660,7 @@ mod tests {
     fn imbalance_counts_idle_workers() {
         // One participant did all the work on a 4-worker executor: the
         // three idle workers count as zero, so the ratio reads 4.0.
-        let rec = Recorder::default();
+        let rec = Registry::default();
         let spans = ChunkStats::new();
         spans.record(Duration::from_nanos(1_000));
         rec.record_region("lone", 4, Duration::from_nanos(1_100), &spans, 0, None);
@@ -655,9 +746,9 @@ mod tests {
     }
 
     #[test]
-    fn recorder_accumulates_and_resets() {
-        let rec = Recorder::default();
-        rec.set_enabled(true);
+    fn registry_accumulates_and_resets() {
+        let rec = Registry::default();
+        rec.set_metrics_enabled(true);
         let cs = ChunkStats::new();
         cs.record(Duration::from_nanos(100));
         cs.record(Duration::from_nanos(300));
@@ -689,7 +780,7 @@ mod tests {
 
     #[test]
     fn counters_sum_and_max_fold_correctly() {
-        let rec = Recorder::default();
+        let rec = Registry::default();
         rec.update_counter("uf.find_hops", 10, "sum");
         rec.update_counter("uf.find_hops", 5, "sum");
         rec.update_counter("pkc.frontier", 100, "max");
@@ -709,5 +800,63 @@ mod tests {
         assert_eq!(cs.min_ns_or_zero(), 0);
         assert_eq!(cs.chunks(), 0);
         assert_eq!(cs.max(), Duration::ZERO);
+    }
+
+    fn armed_registry() -> Registry {
+        let reg = Registry::default();
+        reg.set_histograms_armed(true);
+        reg
+    }
+
+    #[test]
+    fn registry_records_forty_distinct_histogram_names() {
+        let reg = armed_registry();
+        let names: Vec<&'static str> = (0..40)
+            .map(|i| crate::intern(&format!("reg.h{i:02}")))
+            .collect();
+        for (i, &name) in names.iter().enumerate() {
+            reg.observe(name, i as u64 + 1);
+        }
+        let hists = reg.take().histograms;
+        let got: Vec<&str> = hists.iter().map(|h| h.name).collect();
+        assert_eq!(got, names, "every name recorded, sorted by name");
+        assert!(hists.iter().all(|h| h.count == 1));
+    }
+
+    #[test]
+    fn one_name_holds_a_region_a_counter_and_a_histogram() {
+        let reg = armed_registry();
+        reg.record_region("x", 1, Duration::from_nanos(5), &ChunkStats::new(), 0, None);
+        reg.update_counter("x", 2, "sum");
+        reg.observe("x", 5);
+        let m = reg.take();
+        assert_eq!(m.get("x").unwrap().invocations, 1);
+        assert_eq!(m.get_counter("x").unwrap().value, 2);
+        assert_eq!(m.get_histogram("x").unwrap().count, 1);
+    }
+
+    #[test]
+    fn histogram_take_resets_and_snapshot_peeks() {
+        let reg = armed_registry();
+        reg.observe("a", 5);
+        assert_eq!(reg.snapshot()[0].count, 1);
+        assert_eq!(reg.snapshot()[0].count, 1, "peek does not reset");
+        assert_eq!(reg.take().histograms[0].count, 1);
+        assert!(reg.take().is_empty(), "second take sees nothing");
+        reg.observe("a", 7);
+        let hists = reg.take().histograms;
+        assert_eq!(hists.len(), 1);
+        assert_eq!(hists[0].count, 1, "pre-take samples are gone");
+    }
+
+    #[test]
+    fn disarmed_histograms_record_nothing() {
+        let reg = Registry::default();
+        reg.observe("a", 5);
+        assert!(reg.take().is_empty());
+        reg.set_histograms_armed(true);
+        reg.set_histograms_armed(false);
+        reg.observe("a", 5);
+        assert!(reg.take().is_empty(), "mid-run disarm drops samples");
     }
 }

@@ -34,7 +34,8 @@
 //!
 //! Every query and rebuild runs through the shared `Executor`, so the
 //! full observability and failure machinery (metrics regions
-//! `serve.query.*` / `serve.rebuild`, counters `serve.queries`,
+//! `serve.query.*` / `serve.rebuild`, each also a latency histogram
+//! when histograms are armed, counters `serve.queries`,
 //! `serve.batches`, `serve.swaps`, `serve.stale_reads`, deadlines,
 //! cancellation, fault injection) applies to the service for free. A
 //! failed rebuild (panic, cancellation, deadline) never unpublishes

@@ -15,7 +15,8 @@
 //! The virtual clock is also why the generator is reproducible in CI:
 //! no wall-clock sleeps, no timing races — "one tick" is a unit of
 //! *schedule*, not of time. Latency numbers still come from the real
-//! histogram layer (the drains go through `serve.query.batch`).
+//! histogram layer: each drain is one sample of its batch region's
+//! histogram (`serve.<tenant>.query.batch` for a registry tenant).
 
 use hcd_dynamic::EdgeUpdate;
 use hcd_par::{Deadline, Executor};

@@ -186,18 +186,18 @@ fn answer(snap: &Snapshot, q: &Query) -> QueryAnswer {
     }
 }
 
-/// The full set of counter and *region* names one service instance
+/// The full set of counter and region names one service instance
 /// ticks. Single-tenant services use the historical global literals
 /// (so every existing test, baseline, and dashboard is untouched);
 /// tenant services swap in interned `serve.<tenant>.*` names wholesale,
 /// which is what isolates one tenant's metrics from another's.
 ///
-/// **Histogram names are deliberately not here.** The histogram
-/// registry has a small fixed slot budget ([`hcd_par::hist`] caps
-/// distinct names), so latency histograms stay global — per-tenant
-/// latency splits come from the per-tenant counters and regions, while
-/// the histograms aggregate the process-wide latency distribution the
-/// p99 gate actually cares about.
+/// Regions time themselves, so each region name here is also the name
+/// of its latency histogram: a tenant's query and rebuild latencies
+/// land in `serve.<tenant>.query.batch`, `serve.<tenant>.rebuild`, ….
+/// The standalone timers (`serve.apply`, `serve.publish`,
+/// `serve.cache.lookup`, `serve.query.pbks`, the WAL and checkpoint
+/// stages) are not regions and keep their global names.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ServeNames {
     pub(crate) queries: &'static str,
@@ -340,10 +340,11 @@ impl HcdService {
         })
     }
 
-    /// Re-namespaces this instance's counters and regions to
-    /// `serve.<tenant>.*` (interned once per distinct tenant). Latency
-    /// histograms stay global: the histogram registry has a fixed slot
-    /// budget. Call before the service is shared;
+    /// Re-namespaces this instance's counters, regions and region
+    /// latency histograms to `serve.<tenant>.*` (interned once per
+    /// distinct tenant); the timers that are not regions (`serve.apply`,
+    /// `serve.cache.lookup`, …) keep their global names. Call before
+    /// the service is shared;
     /// [`crate::ServiceRegistry`] does this for every tenant it hosts.
     pub fn with_tenant(mut self, tenant: &str) -> Self {
         self.names = ServeNames::for_tenant(tenant);
@@ -496,12 +497,10 @@ impl HcdService {
     /// the snapshot is loaded once, the closure runs under the
     /// executor's deadline/cancellation/fault plan, and the stale-read
     /// counter ticks when a publication raced the query. The region
-    /// name is per-tenant; `hist` is the global latency histogram the
-    /// sample lands in (see [`ServeNames`] on why they differ).
+    /// times itself into the histogram of the same name.
     fn try_query_one<T, F>(
         &self,
         region: &'static str,
-        hist: &'static str,
         exec: &Executor,
         f: F,
     ) -> Result<Response<T>, ParError>
@@ -509,7 +508,6 @@ impl HcdService {
         T: Send,
         F: Fn(&Snapshot) -> T + Sync,
     {
-        let _lat = exec.time(hist);
         let snap = self.cell.load();
         let slot: Mutex<Option<T>> = Mutex::new(None);
         exec.region(region).try_for_each_chunk(
@@ -588,15 +586,13 @@ impl HcdService {
                     value: members,
                 });
             }
-            let resp = self.try_query_one(
-                self.names.region_query_core,
-                "serve.query.core",
-                exec,
-                |snap| match answer(snap, &Query::CoreContaining(v, k)) {
-                    QueryAnswer::CoreContaining(m) => m,
-                    _ => unreachable!("answer() preserves the variant"),
-                },
-            )?;
+            let resp =
+                self.try_query_one(self.names.region_query_core, exec, |snap| {
+                    match answer(snap, &Query::CoreContaining(v, k)) {
+                        QueryAnswer::CoreContaining(m) => m,
+                        _ => unreachable!("answer() preserves the variant"),
+                    }
+                })?;
             // Key by the generation the answer was actually computed
             // from — a publication racing the miss inserts under the
             // *new* generation, never poisoning the old one.
@@ -606,15 +602,12 @@ impl HcdService {
             self.note_cache(exec, cache, 0, 1);
             return Ok(resp);
         }
-        self.try_query_one(
-            self.names.region_query_core,
-            "serve.query.core",
-            exec,
-            |snap| match answer(snap, &Query::CoreContaining(v, k)) {
+        self.try_query_one(self.names.region_query_core, exec, |snap| {
+            match answer(snap, &Query::CoreContaining(v, k)) {
                 QueryAnswer::CoreContaining(m) => m,
                 _ => unreachable!("answer() preserves the variant"),
-            },
-        )
+            }
+        })
     }
 
     /// `(depth, subtree size)` of `v`'s tree node (region
@@ -624,15 +617,13 @@ impl HcdService {
         v: VertexId,
         exec: &Executor,
     ) -> Result<Response<Option<(usize, usize)>>, ParError> {
-        self.try_query_one(
-            self.names.region_query_position,
-            "serve.query.position",
-            exec,
-            |snap| match answer(snap, &Query::HierarchyPosition(v)) {
-                QueryAnswer::HierarchyPosition(p) => p,
-                _ => unreachable!("answer() preserves the variant"),
-            },
-        )
+        self.try_query_one(self.names.region_query_position, exec, |snap| match answer(
+            snap,
+            &Query::HierarchyPosition(v),
+        ) {
+            QueryAnswer::HierarchyPosition(p) => p,
+            _ => unreachable!("answer() preserves the variant"),
+        })
     }
 
     /// k-core membership of `v` (region `serve.query.member`).
@@ -642,17 +633,12 @@ impl HcdService {
         k: u32,
         exec: &Executor,
     ) -> Result<Response<bool>, ParError> {
-        self.try_query_one(
-            self.names.region_query_member,
-            "serve.query.member",
-            exec,
-            |snap| {
-                matches!(
-                    answer(snap, &Query::InKCore(v, k)),
-                    QueryAnswer::InKCore(true)
-                )
-            },
-        )
+        self.try_query_one(self.names.region_query_member, exec, |snap| {
+            matches!(
+                answer(snap, &Query::InKCore(v, k)),
+                QueryAnswer::InKCore(true)
+            )
+        })
     }
 
     /// Whether `u` and `v` share a k-core (region `serve.query.same`).
@@ -663,17 +649,12 @@ impl HcdService {
         k: u32,
         exec: &Executor,
     ) -> Result<Response<bool>, ParError> {
-        self.try_query_one(
-            self.names.region_query_same,
-            "serve.query.same",
-            exec,
-            move |snap| {
-                matches!(
-                    answer(snap, &Query::SameKCore(u, v, k)),
-                    QueryAnswer::SameKCore(true)
-                )
-            },
-        )
+        self.try_query_one(self.names.region_query_same, exec, move |snap| {
+            matches!(
+                answer(snap, &Query::SameKCore(u, v, k)),
+                QueryAnswer::SameKCore(true)
+            )
+        })
     }
 
     /// PBKS best-community search on the current snapshot under
@@ -728,7 +709,6 @@ impl HcdService {
         queries: &[Query],
         exec: &Executor,
     ) -> Result<BatchAnswers, ParError> {
-        let _lat = exec.time("serve.query.batch");
         let snap = self.cell.load();
         let slots: Vec<Mutex<Option<QueryAnswer>>> =
             queries.iter().map(|_| Mutex::new(None)).collect();
@@ -813,8 +793,8 @@ impl HcdService {
     /// writer's CSR (histogram `dynamic.merge`) with coreness recomputed
     /// by PKC on it ([`DynamicCore::try_apply_batch`], regions `pkc.*`),
     /// PHCD on that same CSR in the fault-injectable
-    /// `serve.rebuild` region (regions `phcd.*` nested inside, timed as
-    /// the `serve.rebuild` histogram), one atomic epoch swap, then (per
+    /// `serve.rebuild` region (regions `phcd.*` nested inside; the
+    /// region times itself), one atomic epoch swap, then (per
     /// [`DurabilityConfig::checkpoint_every`]) a snapshot checkpoint.
     ///
     /// On `Err`, nothing was published and the previous snapshot keeps
@@ -927,7 +907,6 @@ impl HcdService {
             || (),
             |_, _, _| {
                 exec.checkpoint()?;
-                let _lat = exec.time("serve.rebuild");
                 *built.lock() = Some(hcd_core::try_phcd(&csr, &cores, exec)?);
                 Ok(())
             },

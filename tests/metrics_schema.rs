@@ -630,20 +630,30 @@ fn open_loop_serve_bench_emits_tenant_namespaced_metrics() {
             "un-namespaced counter leaked: {leaked}"
         );
     }
-    // Histogram names stay global (the 32-slot histogram table is
-    // shared), so the latency report aggregates across tenants.
-    let hist_names: Vec<&str> = doc
+    // Regions time themselves, so each tenant's batch region is also a
+    // tenant-named histogram; the cache-lookup timer is not a region and
+    // keeps its global name.
+    let hists: Vec<(&str, f64)> = doc
         .get("histograms")
         .and_then(|h| h.get("entries"))
         .and_then(Json::as_arr)
         .unwrap()
         .iter()
-        .map(|h| h.get("name").and_then(Json::as_str).unwrap())
+        .map(|h| {
+            (
+                h.get("name").and_then(Json::as_str).unwrap(),
+                h.get("count").and_then(Json::as_f64).unwrap(),
+            )
+        })
         .collect();
-    for hist in ["serve.query.batch", "serve.cache.lookup"] {
+    for hist in [
+        "serve.t0.query.batch",
+        "serve.t1.query.batch",
+        "serve.cache.lookup",
+    ] {
         assert!(
-            hist_names.contains(&hist),
-            "missing histogram {hist}: {hist_names:?}"
+            hists.iter().any(|&(n, count)| n == hist && count >= 1.0),
+            "missing histogram {hist}: {hists:?}"
         );
     }
     std::fs::remove_file(&graph).ok();
