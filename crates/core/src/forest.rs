@@ -7,14 +7,34 @@
 //! four per-level steps of PHCD once, over element *ranks*; the caller
 //! supplies the rank order, the level bounds, a per-element work prefix
 //! and a [`Links`] callback, which is all that differs between the two.
+//!
+//! ## Memory ordering
+//!
+//! Every dependency between chunks crosses a region boundary: all chunks
+//! of a region finish before the serial code after it and the next
+//! region start, and the executor's join orders their writes before
+//! both (the guarantee the plain writes to `pivot_of` rely on too).
+//! Within a region the kernel's own atomics need only atomicity: each
+//! either picks one winner with a single read-modify-write (the
+//! `u_stamp` and `in_kpc` dedup flags, the `tid` pivot claim) or is read
+//! only after a later boundary (`tid` ids, `node_parent`). So they are
+//! all `Relaxed`. The union-find orders its own accesses (its module
+//! docs say how).
+//!
+//! ## Counting
+//!
+//! Each chunk of the `kpc`, `union`, `pivots` and `parents` regions
+//! tallies its union-find work into a local [`UfCounts`] and folds it
+//! into the total once, so counting adds no shared write to the loops
+//! and costs the same whether or not metrics are armed.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering::Relaxed};
 
 use parking_lot::Mutex;
 
 use hcd_graph::FxHashMap;
 use hcd_par::{Executor, ParError, CHECKPOINT_STRIDE};
-use hcd_unionfind::{ConcurrentPivotUnionFind, UfStats, UnionFindPivot};
+use hcd_unionfind::{ConcurrentPivotUnionFind, UfCounts};
 
 use crate::index::{TreeNode, NO_NODE};
 
@@ -94,37 +114,12 @@ pub fn try_build_forest<L: Links>(
     if n == 0 {
         return Ok((Vec::new(), Vec::new()));
     }
-    // Union-find operation counts only when someone is looking (metrics
-    // or an armed trace). The kernel is monomorphised per counting type,
-    // so the uncounted union-find carries no counting code.
     let uf = ConcurrentPivotUnionFind::new_identity(n);
-    if exec.metrics_enabled() || exec.trace_armed() {
-        build_forest(
-            uf.with_stats(),
-            order,
-            level_start,
-            work,
-            links,
-            names,
-            exec,
-        )
-    } else {
-        build_forest(uf, order, level_start, work, links, names, exec)
-    }
-}
-
-/// [`try_build_forest`] on a fresh union-find over `order.len() > 0`
-/// ranks.
-fn build_forest<L: Links, S: UfStats + Sync>(
-    uf: ConcurrentPivotUnionFind<S>,
-    order: &[u32],
-    level_start: &[usize],
-    work: &[u64],
-    links: &L,
-    names: &Names,
-    exec: &Executor,
-) -> Result<(Vec<TreeNode>, Vec<u32>), ParError> {
-    let n = order.len();
+    let uf_counts = Mutex::new(UfCounts::default());
+    let fold = |c: UfCounts| {
+        let mut total = uf_counts.lock();
+        *total = total.merged(c);
+    };
     let tid: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NO_NODE)).collect();
     // Node storage, appended level by level (serially, tiny).
     let mut node_k: Vec<u32> = Vec::new();
@@ -155,19 +150,24 @@ fn build_forest<L: Links, S: UfStats + Sync>(
             exec.region(names.kpc)
                 .try_map_chunks_weighted(level_work, |_, range| {
                     let mut local = Vec::new();
+                    let mut c = UfCounts::default();
                     for i in range {
                         links.for_each_link((lo + i) as u32, lo as u32, |ru| {
                             let ru = ru as usize;
-                            if ru >= hi && u_stamp[ru].swap(k, Ordering::AcqRel) != k {
-                                let pvt = uf.get_pivot(ru as u32);
-                                if !in_kpc[pvt as usize].load(Ordering::Acquire)
-                                    && !in_kpc[pvt as usize].swap(true, Ordering::AcqRel)
+                            // Relaxed: one swap per stamp decides the dedup.
+                            if ru >= hi && u_stamp[ru].swap(k, Relaxed) != k {
+                                let pvt = uf.get_pivot_counted(ru as u32, &mut c);
+                                // Relaxed: the load only skips a doomed swap,
+                                // and the swap alone picks the one pusher.
+                                if !in_kpc[pvt as usize].load(Relaxed)
+                                    && !in_kpc[pvt as usize].swap(true, Relaxed)
                                 {
                                     local.push(pvt);
                                 }
                             }
                         });
                     }
+                    fold(c);
                     Ok(local)
                 })?;
         let kpc_pivot: Vec<u32> = kpc_parts.into_iter().flatten().collect();
@@ -181,11 +181,12 @@ fn build_forest<L: Links, S: UfStats + Sync>(
             || (),
             |_, _, range| {
                 let mut since = 0u64;
+                let mut c = UfCounts::default();
                 for i in range {
                     let r = (lo + i) as u32;
                     links.for_each_link(r, lo as u32, |ru| {
                         if ru > r {
-                            uf.union(r, ru);
+                            uf.union_counted(r, ru, &mut c);
                         }
                     });
                     since += work[lo + i + 1] - work[lo + i];
@@ -194,6 +195,7 @@ fn build_forest<L: Links, S: UfStats + Sync>(
                         since = 0;
                     }
                 }
+                fold(c);
                 Ok(())
             },
         )?;
@@ -215,14 +217,16 @@ fn build_forest<L: Links, S: UfStats + Sync>(
                 .try_map_chunks(level_len, |_, range| {
                     let _ = &out;
                     let mut fresh = Vec::new();
+                    let mut c = UfCounts::default();
                     for i in range {
-                        let pvt = uf.get_pivot((lo + i) as u32);
+                        let pvt = uf.get_pivot_counted((lo + i) as u32, &mut c);
                         // SAFETY: slot i is written by exactly one worker.
                         unsafe { *out.0.add(i) = pvt };
                         if pivot_claim(&tid, order[pvt as usize]) {
                             fresh.push(pvt);
                         }
                     }
+                    fold(c);
                     Ok(fresh)
                 })?;
             // Deterministic node ids: sort fresh pivots by rank.
@@ -234,7 +238,8 @@ fn build_forest<L: Links, S: UfStats + Sync>(
                 node_members.push(Mutex::new(Vec::new()));
                 node_parent.push(AtomicU32::new(NO_NODE));
                 node_children.push(Mutex::new(Vec::new()));
-                tid[order[pvt as usize] as usize].store(id, Ordering::Release);
+                // Relaxed: read only in the regions after this one.
+                tid[order[pvt as usize] as usize].store(id, Relaxed);
             }
         }
 
@@ -247,10 +252,12 @@ fn build_forest<L: Links, S: UfStats + Sync>(
             |_, groups, range| {
                 for i in range.clone() {
                     let x = order[lo + i];
-                    let id = tid[order[pivot_of[i] as usize] as usize].load(Ordering::Acquire);
+                    // Relaxed: the id was stored before this region; the
+                    // store below is read only after it.
+                    let id = tid[order[pivot_of[i] as usize] as usize].load(Relaxed);
                     debug_assert_ne!(id, NO_NODE);
                     debug_assert_ne!(id, RESERVED);
-                    tid[x as usize].store(id, Ordering::Release);
+                    tid[x as usize].store(id, Relaxed);
                     groups.entry(id).or_default().push(x);
                 }
                 for (id, mut xs) in groups.drain() {
@@ -265,16 +272,21 @@ fn build_forest<L: Links, S: UfStats + Sync>(
             kpc_pivot.len(),
             || (),
             |_, _, range| {
+                let mut c = UfCounts::default();
                 for &pr in &kpc_pivot[range] {
-                    in_kpc[pr as usize].store(false, Ordering::Relaxed);
-                    let ch = tid[order[pr as usize] as usize].load(Ordering::Acquire);
-                    let pa_rank = uf.get_pivot(pr);
-                    let pa = tid[order[pa_rank as usize] as usize].load(Ordering::Acquire);
+                    // Relaxed throughout: the flag is next read in the next
+                    // level's step 1, the ids were stored in earlier
+                    // regions, and `node_parent` is read after the loop.
+                    in_kpc[pr as usize].store(false, Relaxed);
+                    let ch = tid[order[pr as usize] as usize].load(Relaxed);
+                    let pa_rank = uf.get_pivot_counted(pr, &mut c);
+                    let pa = tid[order[pa_rank as usize] as usize].load(Relaxed);
                     debug_assert_ne!(ch, NO_NODE);
                     debug_assert_ne!(pa, NO_NODE);
-                    node_parent[ch as usize].store(pa, Ordering::Release);
+                    node_parent[ch as usize].store(pa, Relaxed);
                     node_children[pa as usize].lock().push(ch);
                 }
+                fold(c);
                 Ok(())
             },
         )?;
@@ -282,7 +294,7 @@ fn build_forest<L: Links, S: UfStats + Sync>(
 
     // Flush algorithm counters (no-ops unless metrics are enabled).
     exec.add_counter(names.union_phases, union_phases);
-    let uc = uf.counts();
+    let uc = uf_counts.into_inner();
     exec.add_counter(names.finds, uc.finds);
     exec.add_counter(names.find_hops, uc.find_hops);
     exec.add_counter(names.unions, uc.unions);
@@ -299,7 +311,7 @@ fn build_forest<L: Links, S: UfStats + Sync>(
             TreeNode {
                 k: node_k[i],
                 vertices,
-                parent: node_parent[i].load(Ordering::Acquire),
+                parent: node_parent[i].load(Relaxed),
                 children,
             }
         })
@@ -316,7 +328,8 @@ const RESERVED: u32 = u32::MAX - 1;
 /// afterwards (the winner leaves `RESERVED` in place, replaced before
 /// any step-3b or step-4 read).
 fn pivot_claim(tid: &[AtomicU32], pvt: u32) -> bool {
+    // Relaxed: the CAS alone picks the winner; the id is stored serially.
     tid[pvt as usize]
-        .compare_exchange(NO_NODE, RESERVED, Ordering::AcqRel, Ordering::Acquire)
+        .compare_exchange(NO_NODE, RESERVED, Relaxed, Relaxed)
         .is_ok()
 }

@@ -50,21 +50,8 @@ pub fn try_phcd(g: &CsrGraph, cores: &CoreDecomposition, exec: &Executor) -> Res
     try_phcd_with_ranks(g, cores, &ranks, exec)
 }
 
-/// PHCD with a precomputed rank order (lets benchmarks separate the
-/// Algorithm 1 cost).
-pub fn phcd_with_ranks(
-    g: &CsrGraph,
-    cores: &CoreDecomposition,
-    ranks: &VertexRanks,
-    exec: &Executor,
-) -> Hcd {
-    match try_phcd_with_ranks(g, cores, ranks, exec) {
-        Ok(hcd) => hcd,
-        Err(e) => e.raise(),
-    }
-}
-
-/// Fallible version of [`phcd_with_ranks`].
+/// [`try_phcd`] with a precomputed rank order (lets benchmarks separate
+/// the Algorithm 1 cost).
 ///
 /// `_cores` is the decomposition `ranks` was computed from; the rank
 /// order already carries every coreness the construction reads.

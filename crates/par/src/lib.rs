@@ -819,31 +819,12 @@ impl<'a> Region<'a> {
             .try_run_ranges(self.name, ranges, make_scratch, body)
     }
 
-    /// Like [`Region::for_each_chunk`], but chunk boundaries balance
+    /// Like [`Region::try_for_each_chunk`], but chunk boundaries balance
     /// *weight* instead of count: `weight_prefix` is the prefix-sum array
     /// of per-item costs (length `n + 1`; it may be a window into a larger
     /// prefix array). Use this for skewed workloads — e.g. adjacency scans
     /// over power-law graphs, where equal-count chunks would leave one
     /// worker holding all the hubs.
-    pub fn for_each_chunk_weighted<S, MkS, F>(
-        &self,
-        weight_prefix: &[u64],
-        make_scratch: MkS,
-        body: F,
-    ) where
-        S: Send,
-        MkS: Fn() -> S + Sync,
-        F: Fn(usize, &mut S, Range<usize>) + Sync,
-    {
-        if let Err(e) = self.try_for_each_chunk_weighted(weight_prefix, make_scratch, |w, s, r| {
-            body(w, s, r);
-            Ok(())
-        }) {
-            e.raise();
-        }
-    }
-
-    /// Fallible version of [`Region::for_each_chunk_weighted`].
     pub fn try_for_each_chunk_weighted<S, MkS, F>(
         &self,
         weight_prefix: &[u64],
@@ -927,20 +908,8 @@ impl<'a> Region<'a> {
         Ok(slots.into_iter().filter_map(|s| s.into_inner()).collect())
     }
 
-    /// Weighted analogue of [`Region::map_chunks`]; see
-    /// [`Region::for_each_chunk_weighted`] for the prefix convention.
-    pub fn map_chunks_weighted<T, F>(&self, weight_prefix: &[u64], body: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, Range<usize>) -> T + Sync,
-    {
-        match self.try_map_chunks_weighted(weight_prefix, |w, range| Ok(body(w, range))) {
-            Ok(v) => v,
-            Err(e) => e.raise(),
-        }
-    }
-
-    /// Fallible version of [`Region::map_chunks_weighted`].
+    /// Weighted analogue of [`Region::try_map_chunks`]; see
+    /// [`Region::try_for_each_chunk_weighted`] for the prefix convention.
     pub fn try_map_chunks_weighted<T, F>(
         &self,
         weight_prefix: &[u64],

@@ -322,7 +322,9 @@ impl RunMetrics {
                 .map(|&(idx, c)| format!("[{idx}, {c}]"))
                 .collect();
             out.push_str(&format!(
-                "\n      {{\"name\": \"{}\", \"count\": {}, \"sum_ns\": {},                  \"min_ns\": {}, \"max_ns\": {}, \"p50_ns\": {}, \"p90_ns\": {},                  \"p99_ns\": {}, \"p999_ns\": {}, \"buckets\": [{}]}}",
+                "\n      {{\"name\": \"{}\", \"count\": {}, \"sum_ns\": {}, \
+                 \"min_ns\": {}, \"max_ns\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \
+                 \"p99_ns\": {}, \"p999_ns\": {}, \"buckets\": [{}]}}",
                 escape_json(h.name),
                 h.count,
                 h.sum_ns,

@@ -26,10 +26,31 @@
 //! loop terminates, and at quiescence every root's pivot is exactly the
 //! minimum member of its component — which is when PHCD reads pivots
 //! (its union phase and pivot-read phases are separated by barriers).
+//!
+//! ## Memory ordering
+//!
+//! Every atomic access here is `SeqCst`. The pivot protocol is a
+//! store-buffering pattern: a linker CASes the loser's entry and then
+//! loads the loser's pivot, while a merger CASes that pivot and then
+//! loads the entry to see whether it is still a root. Release/acquire
+//! lets both loads miss the other thread's write, which would lose the
+//! merged candidate; a single total order rules that out. On x86 a
+//! `SeqCst` load is a plain load and every CAS is already a locked
+//! instruction: the hierarchy kernel compiles to the same instructions
+//! as with release/acquire.
+//!
+//! ## Counting
+//!
+//! [`find_counted`](ConcurrentPivotUnionFind::find_counted),
+//! [`union_counted`](ConcurrentPivotUnionFind::union_counted) and
+//! [`get_pivot_counted`](ConcurrentPivotUnionFind::get_pivot_counted)
+//! tally into a caller-owned [`UfCounts`]: plain integers, no shared
+//! counter, so a parallel caller keeps one per chunk and folds it once.
+//! The [`UnionFindPivot`] methods pass a throwaway tally.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::SeqCst};
 
-use crate::{NoStats, Stats, UfCounts, UfStats, UnionFindPivot};
+use crate::{UfCounts, UnionFindPivot};
 
 const PARENT_MASK: u64 = 0xFFFF_FFFF;
 
@@ -73,10 +94,9 @@ fn rank_of(word: u64) -> u32 {
 /// assert!(uf.same_set(0, 99));
 /// assert_eq!(uf.get_pivot(42), 0);
 /// ```
-pub struct ConcurrentPivotUnionFind<S = NoStats> {
+pub struct ConcurrentPivotUnionFind {
     entry: Vec<AtomicU64>,
     pivot: Vec<AtomicU32>,
-    stats: S,
 }
 
 impl ConcurrentPivotUnionFind {
@@ -85,33 +105,13 @@ impl ConcurrentPivotUnionFind {
         ConcurrentPivotUnionFind {
             entry: (0..n as u32).map(|i| AtomicU64::new(pack(0, i))).collect(),
             pivot: (0..n as u32).map(AtomicU32::new).collect(),
-            stats: NoStats,
         }
-    }
-
-    /// Switches on operation counting (builder form); see [`UfCounts`].
-    /// Without it the structure carries no counting code at all.
-    pub fn with_stats(self) -> ConcurrentPivotUnionFind<Stats> {
-        ConcurrentPivotUnionFind {
-            entry: self.entry,
-            pivot: self.pivot,
-            stats: Stats::default(),
-        }
-    }
-}
-
-impl<S: UfStats> ConcurrentPivotUnionFind<S> {
-    /// A quiescent-or-approximate snapshot of the operation tallies;
-    /// all-zero when stats are disabled. Exact once all mutator threads
-    /// have joined (relaxed counters carry no ordering, only totals).
-    pub fn counts(&self) -> UfCounts {
-        self.stats.counts()
     }
 
     /// Number of distinct components (quiescent snapshot).
     pub fn num_components(&self) -> usize {
         (0..self.len())
-            .filter(|&x| parent_of(self.entry[x].load(Ordering::Acquire)) == x as u32)
+            .filter(|&x| parent_of(self.entry[x].load(SeqCst)) == x as u32)
             .count()
     }
 
@@ -123,7 +123,7 @@ impl<S: UfStats> ConcurrentPivotUnionFind<S> {
     /// poisoned state behind.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.len();
-        let parent = |x: usize| parent_of(self.entry[x].load(Ordering::Acquire)) as usize;
+        let parent = |x: usize| parent_of(self.entry[x].load(SeqCst)) as usize;
         let mut root_of = vec![usize::MAX; n];
         for (x, slot) in root_of.iter_mut().enumerate() {
             let mut cur = x;
@@ -146,7 +146,7 @@ impl<S: UfStats> ConcurrentPivotUnionFind<S> {
             if root_of[r] != r {
                 continue;
             }
-            let pv = self.pivot[r].load(Ordering::Acquire) as usize;
+            let pv = self.pivot[r].load(SeqCst) as usize;
             if pv >= n {
                 return Err(format!("root {r} has out-of-range pivot {pv}"));
             }
@@ -163,82 +163,51 @@ impl<S: UfStats> ConcurrentPivotUnionFind<S> {
         Ok(())
     }
 
-    /// Min-merges candidate pivot `pv` into the component currently
-    /// containing `root`, chasing root changes until the write sticks on a
-    /// live root.
-    fn merge_pivot(&self, mut root: u32, pv: u32) {
-        // Retries (failed pivot CAS) and chases (root relinked under a
-        // new root mid-merge) both measure pivot-protocol contention.
-        let mut retries = 0u64;
+    /// [`UnionFindPivot::find`], tallying one find and its hops into `c`.
+    #[inline]
+    pub fn find_counted(&self, mut x: u32, c: &mut UfCounts) -> u32 {
+        // Tallies stay in locals until the call returns: `c` lives behind a
+        // pointer, and an increment through it on every hop is a memory
+        // read-modify-write in the hottest loop.
+        let mut hops = 0;
         loop {
-            let cur = self.pivot[root as usize].load(Ordering::Acquire);
-            if pv < cur
-                && self.pivot[root as usize]
-                    .compare_exchange(cur, pv, Ordering::AcqRel, Ordering::Acquire)
-                    .is_err()
-            {
-                retries += 1;
-                continue; // someone else updated; re-evaluate
-            }
-            // If `root` was linked away (before or after our write), the
-            // linker may have read a stale pivot — propagate to the live
-            // root ourselves.
-            let live = self.find(root);
-            if live == root {
-                break;
-            }
-            retries += 1;
-            root = live;
-        }
-        self.stats.pivot_merges(retries);
-    }
-}
-
-impl<S: UfStats> UnionFindPivot for ConcurrentPivotUnionFind<S> {
-    fn len(&self) -> usize {
-        self.entry.len()
-    }
-
-    fn find(&self, mut x: u32) -> u32 {
-        let mut hops = 0u64;
-        let root = loop {
-            let e = self.entry[x as usize].load(Ordering::Acquire);
+            let e = self.entry[x as usize].load(SeqCst);
             let p = parent_of(e);
             if p == x {
-                break x;
+                c.finds += 1;
+                c.find_hops += hops;
+                return x;
             }
             hops += 1;
-            let ep = self.entry[p as usize].load(Ordering::Acquire);
-            let gp = parent_of(ep);
+            let gp = parent_of(self.entry[p as usize].load(SeqCst));
             if gp != p {
                 // Path halving: x -> grandparent. Failure is benign.
                 let _ = self.entry[x as usize].compare_exchange(
                     e,
                     pack(rank_of(e), gp),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
+                    SeqCst,
+                    SeqCst,
                 );
             }
             x = p;
-        };
-        self.stats.find(hops);
-        root
+        }
     }
 
-    fn union(&self, x: u32, y: u32) -> bool {
-        let mut retries = 0u64;
+    /// [`UnionFindPivot::union`], tallying its finds, link retries, pivot
+    /// merges and (when it returns `true`) one union into `c`.
+    #[inline]
+    pub fn union_counted(&self, x: u32, y: u32, c: &mut UfCounts) -> bool {
         loop {
-            let rx = self.find(x);
-            let ry = self.find(y);
+            let rx = self.find_counted(x, c);
+            let ry = self.find_counted(y, c);
             if rx == ry {
-                self.stats.union(retries, false);
                 return false;
             }
-            let ex = self.entry[rx as usize].load(Ordering::Acquire);
-            let ey = self.entry[ry as usize].load(Ordering::Acquire);
+            let ex = self.entry[rx as usize].load(SeqCst);
+            let ey = self.entry[ry as usize].load(SeqCst);
             // Re-validate rootness (entries may have changed since find).
             if parent_of(ex) != rx || parent_of(ey) != ry {
-                retries += 1;
+                c.cas_retries += 1;
                 continue;
             }
             let (kx, ky) = (rank_of(ex), rank_of(ey));
@@ -249,15 +218,10 @@ impl<S: UfStats> UnionFindPivot for ConcurrentPivotUnionFind<S> {
                 (rx, ry, ey, kx == ky)
             };
             if self.entry[loser as usize]
-                .compare_exchange(
-                    eloser,
-                    pack(rank_of(eloser), winner),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
+                .compare_exchange(eloser, pack(rank_of(eloser), winner), SeqCst, SeqCst)
                 .is_err()
             {
-                retries += 1;
+                c.cas_retries += 1;
                 continue;
             }
             if tie {
@@ -267,20 +231,72 @@ impl<S: UfStats> UnionFindPivot for ConcurrentPivotUnionFind<S> {
                 let _ = self.entry[winner as usize].compare_exchange(
                     ew,
                     pack(rank_of(eloser) + 1, winner),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
+                    SeqCst,
+                    SeqCst,
                 );
             }
-            let pl = self.pivot[loser as usize].load(Ordering::Acquire);
-            self.merge_pivot(winner, pl);
-            self.stats.union(retries, true);
+            let pl = self.pivot[loser as usize].load(SeqCst);
+            self.merge_pivot(winner, pl, c);
+            c.unions += 1;
             return true;
         }
     }
 
+    /// [`UnionFindPivot::get_pivot`], tallying its find into `c`.
+    #[inline]
+    pub fn get_pivot_counted(&self, x: u32, c: &mut UfCounts) -> u32 {
+        let r = self.find_counted(x, c);
+        self.pivot[r as usize].load(SeqCst)
+    }
+
+    /// Min-merges candidate pivot `pv` into the component currently
+    /// containing `root`, chasing root changes until the write sticks on a
+    /// live root. Retries (failed pivot CAS) and chases (root relinked
+    /// under a new root mid-merge) both count as `pivot_merges`: they
+    /// measure pivot-protocol contention.
+    #[inline]
+    fn merge_pivot(&self, mut root: u32, pv: u32, c: &mut UfCounts) {
+        loop {
+            let cur = self.pivot[root as usize].load(SeqCst);
+            if pv < cur
+                && self.pivot[root as usize]
+                    .compare_exchange(cur, pv, SeqCst, SeqCst)
+                    .is_err()
+            {
+                c.pivot_merges += 1;
+                continue; // someone else updated; re-evaluate
+            }
+            // If `root` was linked away (before or after our write), the
+            // linker may have read a stale pivot — propagate to the live
+            // root ourselves.
+            let live = self.find_counted(root, c);
+            if live == root {
+                return;
+            }
+            c.pivot_merges += 1;
+            root = live;
+        }
+    }
+}
+
+impl UnionFindPivot for ConcurrentPivotUnionFind {
+    fn len(&self) -> usize {
+        self.entry.len()
+    }
+
+    #[inline]
+    fn find(&self, x: u32) -> u32 {
+        self.find_counted(x, &mut UfCounts::default())
+    }
+
+    #[inline]
+    fn union(&self, x: u32, y: u32) -> bool {
+        self.union_counted(x, y, &mut UfCounts::default())
+    }
+
+    #[inline]
     fn get_pivot(&self, x: u32) -> u32 {
-        let r = self.find(x);
-        self.pivot[r as usize].load(Ordering::Acquire)
+        self.get_pivot_counted(x, &mut UfCounts::default())
     }
 }
 
@@ -310,47 +326,57 @@ mod tests {
         }
     }
 
+    /// Unions `i` with `i + 1` for every `i ≡ t (mod threads)` on
+    /// `threads` threads, each counting into its own tally; returns the
+    /// merged tally and the total number of `true` returns.
+    fn race_chain(uf: &Arc<ConcurrentPivotUnionFind>, threads: usize) -> (UfCounts, u64) {
+        let n = uf.len();
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let uf = Arc::clone(uf);
+                std::thread::spawn(move || {
+                    let mut c = UfCounts::default();
+                    let mut merged = 0u64;
+                    for i in (t..n - 1).step_by(threads) {
+                        merged += uf.union_counted(i as u32, i as u32 + 1, &mut c) as u64;
+                    }
+                    (c, merged)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .fold((UfCounts::default(), 0), |(c, m), (tc, tm)| {
+                (c.merged(tc), m + tm)
+            })
+    }
+
     #[test]
     fn concurrent_chain_stress() {
         // Many threads build one long chain; pivot must be the global min.
         let n = sized(20_000);
         let uf = Arc::new(ConcurrentPivotUnionFind::new_identity(n));
-        let threads = 8;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let uf = Arc::clone(&uf);
-                std::thread::spawn(move || {
-                    for i in (t..n - 1).step_by(threads) {
-                        uf.union(i as u32, i as u32 + 1);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        race_chain(&uf, 8);
         assert_eq!(uf.num_components(), 1);
         assert_eq!(uf.get_pivot((n - 1) as u32), 0);
     }
 
-    /// Races random unions over `conc` on 8 threads; the partition, the
-    /// pivots and the merge count must match a sequential run.
-    fn random_unions_match_sequential<S: UfStats + Send + Sync + 'static>(
-        conc: ConcurrentPivotUnionFind<S>,
-    ) -> UfCounts {
+    #[test]
+    fn concurrent_random_unions_match_sequential() {
+        // Races random unions on 8 threads; the partition, the pivots and
+        // the merge count must match a sequential run.
         use rand::{Rng, SeedableRng};
-        let n = conc.len();
+        let n = sized(5_000);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
         let ops: Vec<(u32, u32)> = (0..4 * n)
             .map(|_| (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32)))
             .collect();
 
-        let seq = crate::PivotUnionFind::new_identity(n).with_stats();
-        for &(a, b) in &ops {
-            seq.union(a, b);
-        }
+        let seq = crate::PivotUnionFind::new_identity(n);
+        let seq_merges = ops.iter().filter(|&&(a, b)| seq.union(a, b)).count() as u64;
 
-        let conc = Arc::new(conc);
+        let conc = Arc::new(ConcurrentPivotUnionFind::new_identity(n));
         let threads = 8;
         let chunk = ops.len().div_ceil(threads);
         let ops = Arc::new(ops);
@@ -359,57 +385,33 @@ mod tests {
                 let conc = Arc::clone(&conc);
                 let ops = Arc::clone(&ops);
                 std::thread::spawn(move || {
-                    let start = t * chunk;
+                    let mut c = UfCounts::default();
                     let end = ((t + 1) * chunk).min(ops.len());
-                    for &(a, b) in &ops[start..end] {
-                        conc.union(a, b);
+                    for &(a, b) in &ops[t * chunk..end] {
+                        conc.union_counted(a, b, &mut c);
                     }
+                    c
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        let counts = handles
+            .into_iter()
+            .fold(UfCounts::default(), |c, h| c.merged(h.join().unwrap()));
 
         // Same partition and same pivots as sequential execution.
         for v in 0..n as u32 {
             assert!(conc.same_set(v, seq.find(v)), "partition mismatch at {v}");
             assert_eq!(conc.get_pivot(v), seq.get_pivot(v), "pivot mismatch at {v}");
         }
-        let counts = conc.counts();
-        if !counts.is_zero() {
-            assert_eq!(counts.unions, seq.counts().unions, "merge count");
-        }
-        counts
-    }
-
-    #[test]
-    fn concurrent_random_unions_match_sequential() {
-        let n = sized(5_000);
-        let quiet = random_unions_match_sequential(ConcurrentPivotUnionFind::new_identity(n));
-        assert!(quiet.is_zero());
-        let counted =
-            random_unions_match_sequential(ConcurrentPivotUnionFind::new_identity(n).with_stats());
-        assert!(counted.unions > 0 && counted.finds >= 2 * counted.unions);
+        assert_eq!(counts.unions, seq_merges, "merge count");
+        assert!(counts.finds >= 2 * counts.unions);
     }
 
     #[test]
     fn validate_accepts_concurrent_result() {
         let n = sized(10_000);
         let uf = Arc::new(ConcurrentPivotUnionFind::new_identity(n));
-        let handles: Vec<_> = (0..8)
-            .map(|t| {
-                let uf = Arc::clone(&uf);
-                std::thread::spawn(move || {
-                    for i in (t..n - 1).step_by(8) {
-                        uf.union(i as u32, i as u32 + 1);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        race_chain(&uf, 8);
         uf.validate().unwrap();
     }
 
@@ -451,45 +453,49 @@ mod tests {
     }
 
     #[test]
-    fn stats_disabled_by_default_and_count_when_enabled() {
-        let quiet = ConcurrentPivotUnionFind::new_identity(10);
-        quiet.union(0, 1);
-        assert!(quiet.counts().is_zero());
-
-        let uf = ConcurrentPivotUnionFind::new_identity(100).with_stats();
-        for i in 0..99 {
-            uf.union(i, i + 1);
+    fn split_tallies_merge_to_one_tally() {
+        // One union sequence on two identical structures: counted into a
+        // single tally, and split over several tallies that are merged.
+        // Single-threaded the two runs take the same steps, so the
+        // merged tally must equal the single one field for field.
+        let ops: Vec<(u32, u32)> = (0..99)
+            .map(|i| (i, i + 1))
+            .chain((0..100).map(|i| (i, (i * 37 + 11) % 100)))
+            .collect();
+        let one_uf = ConcurrentPivotUnionFind::new_identity(100);
+        let mut one = UfCounts::default();
+        let mut trues = 0u64;
+        for &(a, b) in &ops {
+            trues += one_uf.union_counted(a, b, &mut one) as u64;
+            one_uf.get_pivot_counted(b, &mut one);
         }
-        let c = uf.counts();
-        assert_eq!(c.unions, 99);
-        // Each union: two finds up front plus at least one inside
-        // merge_pivot's root re-check.
-        assert!(c.finds >= 297, "finds {}", c.finds);
-        assert_eq!(c.cas_retries, 0, "no contention single-threaded");
+        let split_uf = ConcurrentPivotUnionFind::new_identity(100);
+        let split = ops.chunks(17).fold(UfCounts::default(), |acc, part| {
+            let mut c = UfCounts::default();
+            for &(a, b) in part {
+                split_uf.union_counted(a, b, &mut c);
+                split_uf.get_pivot_counted(b, &mut c);
+            }
+            acc.merged(c)
+        });
+        assert_eq!(split, one);
+        assert_eq!(one.unions, trues);
+        assert_eq!(one.unions, 99);
+        // Two finds per union call, plus merge_pivot's root re-check per
+        // merge, plus one per get_pivot.
+        assert!(one.finds >= 3 * ops.len() as u64 + one.unions);
+        assert_eq!(one.cas_retries, 0, "no contention single-threaded");
     }
 
     #[test]
-    fn stats_are_coherent_under_contention() {
-        // 8 threads race on a dense merge pattern; totals must reflect
-        // every successful union exactly once even though retries vary
-        // run to run.
+    fn tallies_count_every_union_once_under_contention() {
+        // 8 threads race on a dense merge pattern; the merged per-thread
+        // tallies must reflect every successful union exactly once even
+        // though retries vary run to run.
         let n = sized(10_000);
-        let uf = Arc::new(ConcurrentPivotUnionFind::new_identity(n).with_stats());
-        let handles: Vec<_> = (0..8)
-            .map(|t| {
-                let uf = Arc::clone(&uf);
-                std::thread::spawn(move || {
-                    for i in (t..n - 1).step_by(8) {
-                        uf.union(i as u32, i as u32 + 1);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let c = uf.counts();
-        // Exactly n-1 merges happened in total, regardless of the race.
+        let uf = Arc::new(ConcurrentPivotUnionFind::new_identity(n));
+        let (c, trues) = race_chain(&uf, 8);
+        assert_eq!(c.unions, trues);
         assert_eq!(c.unions, (n - 1) as u64);
         assert!(c.finds >= 2 * c.unions);
         uf.validate().unwrap();

@@ -13,29 +13,26 @@
 //!   min-merge protocol that converges at quiescence (see module docs of
 //!   [`concurrent`]).
 //!
-//! Both structure variants implement the common [`UnionFindPivot`] trait
-//! so the PHCD algorithm is generic over the execution mode. Both take
-//! their operation counting as a type parameter ([`UfStats`]): the
-//! default [`NoStats`] compiles every count away, and `with_stats()`
-//! switches a structure to the counting [`Stats`].
+//! Both structure variants implement the common [`UnionFindPivot`] trait.
+//! The concurrent variant also has counted forms of its operations
+//! (`find_counted`, `union_counted`, `get_pivot_counted`) that tally into
+//! a caller-owned [`UfCounts`]: a plain struct, so a parallel caller keeps
+//! one per chunk and folds it once; the uncounted trait methods pass a
+//! throwaway tally.
 
 pub mod concurrent;
 pub mod seq;
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 pub use concurrent::ConcurrentPivotUnionFind;
 pub use seq::PivotUnionFind;
 
-/// Operation counters of a union-find instance, collected when stats are
-/// enabled with `with_stats()` on either variant (default off, at no
-/// cost: the disabled counter is the zero-sized [`NoStats`]).
+/// Operation tallies of the concurrent union-find's counted methods
+/// ([`ConcurrentPivotUnionFind::union_counted`] and friends).
 ///
 /// These are the structure-level signals the paper's performance story
 /// turns on: `find_hops` measures path-compression effectiveness,
-/// `cas_retries` measures linking contention (always 0 for the
-/// sequential variant), `pivot_merges` measures how often pivot
-/// min-merges had to retry or chase relinked roots.
+/// `cas_retries` measures linking contention, `pivot_merges` measures
+/// how often pivot min-merges had to retry or chase relinked roots.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct UfCounts {
     /// `find` calls (including those inside `union` / `get_pivot`).
@@ -46,16 +43,14 @@ pub struct UfCounts {
     /// Successful unions (calls that actually merged two components).
     pub unions: u64,
     /// Failed link/rank CAS attempts that forced the union loop to
-    /// retry (concurrent variant only).
+    /// retry.
     pub cas_retries: u64,
-    /// Pivot min-merge CAS retries plus root-chase iterations
-    /// (sequential variant: pivot overwrites during unions).
+    /// Pivot min-merge CAS retries plus root-chase iterations.
     pub pivot_merges: u64,
 }
 
 impl UfCounts {
-    /// Element-wise sum, for folding per-structure counts into one
-    /// report.
+    /// Element-wise sum, for folding per-chunk tallies into one report.
     pub fn merged(self, other: UfCounts) -> UfCounts {
         UfCounts {
             finds: self.finds + other.finds,
@@ -63,88 +58,6 @@ impl UfCounts {
             unions: self.unions + other.unions,
             cas_retries: self.cas_retries + other.cas_retries,
             pivot_merges: self.pivot_merges + other.pivot_merges,
-        }
-    }
-
-    /// Whether every counter is zero.
-    pub fn is_zero(&self) -> bool {
-        *self == UfCounts::default()
-    }
-}
-
-/// How a union-find counts its operations, fixed by its type.
-pub trait UfStats {
-    /// One `find` that took `hops` parent-pointer hops.
-    fn find(&self, hops: u64);
-    /// One `union` call that retried `cas_retries` times and merged two
-    /// components or found them already merged.
-    fn union(&self, cas_retries: u64, merged: bool);
-    /// `n` pivot min-merge retries or chases (sequential variant: pivot
-    /// overwrites).
-    fn pivot_merges(&self, n: u64);
-    /// The tallies so far.
-    fn counts(&self) -> UfCounts;
-}
-
-/// Counts nothing; every [`UfStats`] call compiles to nothing.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoStats;
-
-impl UfStats for NoStats {
-    #[inline]
-    fn find(&self, _: u64) {}
-    #[inline]
-    fn union(&self, _: u64, _: bool) {}
-    #[inline]
-    fn pivot_merges(&self, _: u64) {}
-    fn counts(&self) -> UfCounts {
-        UfCounts::default()
-    }
-}
-
-/// Relaxed atomic tallies shared by all mutator threads. Per-call hop
-/// and retry counts are accumulated locally and folded with one
-/// `fetch_add` each, so counting adds O(1) atomics per operation, not per
-/// hop. Totals are exact once all mutator threads have joined.
-#[derive(Debug, Default)]
-pub struct Stats {
-    finds: AtomicU64,
-    find_hops: AtomicU64,
-    unions: AtomicU64,
-    cas_retries: AtomicU64,
-    pivot_merges: AtomicU64,
-}
-
-/// Adds `n` to `c` unless it is zero, sparing the atomic.
-#[inline]
-fn add(c: &AtomicU64, n: u64) {
-    if n > 0 {
-        c.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-impl UfStats for Stats {
-    #[inline]
-    fn find(&self, hops: u64) {
-        add(&self.finds, 1);
-        add(&self.find_hops, hops);
-    }
-    #[inline]
-    fn union(&self, cas_retries: u64, merged: bool) {
-        add(&self.cas_retries, cas_retries);
-        add(&self.unions, merged as u64);
-    }
-    #[inline]
-    fn pivot_merges(&self, n: u64) {
-        add(&self.pivot_merges, n);
-    }
-    fn counts(&self) -> UfCounts {
-        UfCounts {
-            finds: self.finds.load(Ordering::Relaxed),
-            find_hops: self.find_hops.load(Ordering::Relaxed),
-            unions: self.unions.load(Ordering::Relaxed),
-            cas_retries: self.cas_retries.load(Ordering::Relaxed),
-            pivot_merges: self.pivot_merges.load(Ordering::Relaxed),
         }
     }
 }
@@ -204,12 +117,10 @@ mod trait_tests {
     #[test]
     fn seq_implements_trait() {
         exercise(PivotUnionFind::new_identity(5));
-        exercise(PivotUnionFind::new_identity(5).with_stats());
     }
 
     #[test]
     fn concurrent_implements_trait() {
         exercise(ConcurrentPivotUnionFind::new_identity(5));
-        exercise(ConcurrentPivotUnionFind::new_identity(5).with_stats());
     }
 }

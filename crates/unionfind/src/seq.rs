@@ -1,8 +1,9 @@
-//! Sequential union-find with pivot.
+//! Sequential union-find with pivot: the reference the concurrent
+//! variant is tested and benchmarked against.
 
 use std::cell::Cell;
 
-use crate::{NoStats, Stats, UfCounts, UfStats, UnionFindPivot};
+use crate::UnionFindPivot;
 
 /// Sequential union-find with path halving, union by rank, and per-root
 /// pivot (minimum member) maintenance.
@@ -22,11 +23,10 @@ use crate::{NoStats, Stats, UfCounts, UfStats, UnionFindPivot};
 /// assert!(uf.same_set(1, 3));
 /// assert_eq!(uf.get_pivot(3), 1); // smallest id in {1,2,3}
 /// ```
-pub struct PivotUnionFind<S = NoStats> {
+pub struct PivotUnionFind {
     parent: Vec<Cell<u32>>,
     rank: Vec<Cell<u8>>,
     pivot: Vec<Cell<u32>>,
-    stats: S,
 }
 
 impl PivotUnionFind {
@@ -36,26 +36,7 @@ impl PivotUnionFind {
             parent: (0..n as u32).map(Cell::new).collect(),
             rank: vec![Cell::new(0); n],
             pivot: (0..n as u32).map(Cell::new).collect(),
-            stats: NoStats,
         }
-    }
-
-    /// Switches on operation counting (builder form); see [`UfCounts`].
-    /// Without it the structure carries no counting code at all.
-    pub fn with_stats(self) -> PivotUnionFind<Stats> {
-        PivotUnionFind {
-            parent: self.parent,
-            rank: self.rank,
-            pivot: self.pivot,
-            stats: Stats::default(),
-        }
-    }
-}
-
-impl<S: UfStats> PivotUnionFind<S> {
-    /// The operation tallies so far; all-zero when stats are disabled.
-    pub fn counts(&self) -> UfCounts {
-        self.stats.counts()
     }
 
     /// Number of distinct components.
@@ -112,25 +93,21 @@ impl<S: UfStats> PivotUnionFind<S> {
     }
 }
 
-impl<S: UfStats> UnionFindPivot for PivotUnionFind<S> {
+impl UnionFindPivot for PivotUnionFind {
     fn len(&self) -> usize {
         self.parent.len()
     }
 
     fn find(&self, mut x: u32) -> u32 {
-        let mut hops = 0u64;
-        let root = loop {
+        loop {
             let p = self.parent[x as usize].get();
             if p == x {
-                break x;
+                return x;
             }
-            hops += 1;
             let gp = self.parent[p as usize].get();
             self.parent[x as usize].set(gp);
             x = gp;
-        };
-        self.stats.find(hops);
-        root
+        }
     }
 
     fn union(&self, x: u32, y: u32) -> bool {
@@ -151,14 +128,10 @@ impl<S: UfStats> UnionFindPivot for PivotUnionFind<S> {
             }
         };
         self.parent[loser as usize].set(winner);
-        let pw = self.pivot[winner as usize].get();
         let pl = self.pivot[loser as usize].get();
-        let pivot_updated = pl < pw;
-        if pivot_updated {
+        if pl < self.pivot[winner as usize].get() {
             self.pivot[winner as usize].set(pl);
         }
-        self.stats.union(0, true);
-        self.stats.pivot_merges(pivot_updated as u64);
         true
     }
 
@@ -226,37 +199,6 @@ mod tests {
         }
         assert_eq!(uf.get_pivot(99), 0);
         assert_eq!(uf.num_components(), 1);
-    }
-
-    #[test]
-    fn stats_disabled_by_default_and_count_when_enabled() {
-        let quiet = PivotUnionFind::new_identity(10);
-        quiet.union(0, 1);
-        assert!(quiet.counts().is_zero());
-
-        let uf = PivotUnionFind::new_identity(100).with_stats();
-        for i in 0..99 {
-            uf.union(i, i + 1);
-        }
-        let c = uf.counts();
-        assert_eq!(c.unions, 99);
-        // Every union calls find twice.
-        assert_eq!(c.finds, 198);
-        assert_eq!(c.cas_retries, 0, "sequential variant never retries");
-        // Chain merges keep pivot 0 at the root without new minima after
-        // the first few unions; pivot_merges counts actual overwrites.
-        assert!(c.pivot_merges <= c.unions);
-        // Redundant unions count finds but no union.
-        let before = uf.counts();
-        assert!(!uf.union(0, 99));
-        let after = uf.counts();
-        assert_eq!(after.unions, before.unions);
-        assert_eq!(after.finds, before.finds + 2);
-        // find_hops shrink to zero as path halving compresses.
-        let _ = uf.find(0);
-        let settled = uf.counts();
-        uf.find(0);
-        assert_eq!(uf.counts().find_hops, settled.find_hops);
     }
 
     #[test]

@@ -9,7 +9,7 @@ pub use hcd_decomp::{
     core_decomposition, pkc_core_decomposition, try_pkc_core_decomposition, CoreDecomposition,
 };
 
-pub use hcd_core::phcd::{phcd_with_ranks, try_phcd_with_ranks};
+pub use hcd_core::phcd::try_phcd_with_ranks;
 pub use hcd_core::query::{
     core_containing, core_node_at, cores_per_level, hierarchy_position, in_k_core, same_k_core,
 };

@@ -1,6 +1,7 @@
 //! Bounded-exhaustive checks: every labelled simple graph on at most six
 //! vertices (2^15 edge sets on six), in every executor mode: the
-//! hierarchy kernel against its oracles, and PBKS against BKS; plus the
+//! hierarchy kernel against its oracles and against itself with metrics
+//! armed, and PBKS against BKS; plus the
 //! local core queries against their definitions. Random proptests sample
 //! large graphs; this covers every small shape, including the ones a
 //! sampler rarely draws.
@@ -41,27 +42,50 @@ fn hierarchy_kernel_matches_oracles_on_every_graph_up_to_six_vertices() {
         Executor::assist(4),
         Executor::simulated(3),
     ];
+    // The same modes with metrics armed: counting must not change the
+    // output.
+    let armed = [
+        Executor::sequential().with_metrics(),
+        Executor::assist(4).with_metrics(),
+        Executor::simulated(3).with_metrics(),
+    ];
     let graphs = for_every_graph_up_to_six_vertices(|g| {
         let cores = core_decomposition(g);
         let truth = naive_hcd(g, &cores).canonicalize();
         assert_eq!(lcps(g, &cores).canonicalize(), truth, "LCPS on {g:?}");
         let reference = phcd(g, &cores, &modes[0]);
         assert_eq!(reference.canonicalize(), truth, "PHCD seq on {g:?}");
-        for exec in &modes[1..] {
-            let h = phcd(g, &cores, exec);
+        for exec in modes[1..].iter().chain(&armed) {
+            let h = try_phcd(g, &cores, exec).unwrap();
             let mode = exec.mode_name();
-            assert_eq!(h.nodes(), reference.nodes(), "PHCD {mode} on {g:?}");
-            assert_eq!(h.tids(), reference.tids(), "PHCD {mode} on {g:?}");
+            let on = if exec.metrics_enabled() {
+                "armed"
+            } else {
+                "disarmed"
+            };
+            assert_eq!(h.nodes(), reference.nodes(), "PHCD {mode} {on} on {g:?}");
+            assert_eq!(h.tids(), reference.tids(), "PHCD {mode} {on} on {g:?}");
         }
 
         let (idx, td) = truss_decomposition(g);
         let truth = naive_htd(g, &idx, &td).canonicalize();
-        for exec in &modes {
+        for (exec, metered) in modes.iter().zip(&armed) {
             let h = phtd(g, &idx, &td, exec);
             let mode = exec.mode_name();
             assert_eq!(h.canonicalize(), truth, "PHTD {mode} on {g:?}");
+            let counted = try_phtd(g, &idx, &td, metered).unwrap();
+            assert_eq!(counted.nodes(), h.nodes(), "PHTD {mode} armed on {g:?}");
+            assert!(
+                (0..idx.len() as u32).all(|e| counted.tid(e) == h.tid(e)),
+                "PHTD {mode} armed tids on {g:?}"
+            );
         }
     });
+    for exec in &armed {
+        let m = exec.take_metrics();
+        assert!(m.get_counter("phcd.uf.unions").is_some());
+        assert!(m.get_counter("truss.uf.unions").is_some());
+    }
     assert_eq!(graphs, 1 + 1 + 2 + 8 + 64 + 1024 + 32768);
 }
 

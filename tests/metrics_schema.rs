@@ -181,6 +181,17 @@ fn validate_schema(doc: &Json) -> Vec<String> {
     names
 }
 
+/// Asserts that the document has histogram entries and that none of
+/// them carries a run of spaces after a comma: each entry is one line of
+/// `"key": value` pairs joined by `", "`.
+fn assert_compact_histogram_entries(text: &str) {
+    let entries: Vec<&str> = text.lines().filter(|l| l.contains("\"p50_ns\"")).collect();
+    assert!(!entries.is_empty(), "no histogram entries:\n{text}");
+    for entry in entries {
+        assert!(!entry.contains(",  "), "stray spaces in {entry}");
+    }
+}
+
 fn gen_graph(name: &str, model: &str) -> PathBuf {
     let graph = tmp(name);
     let out = cli()
@@ -333,6 +344,7 @@ fn serve_bench_metrics_cover_the_serving_layer() {
     let text = std::fs::read_to_string(&metrics).expect("metrics file written");
     let doc = Json::parse(&text).expect("valid JSON");
     let names = validate_schema(&doc);
+    assert_compact_histogram_entries(&text);
     // The workload mixes batched reads with rebuild/publish cycles; both
     // serving regions must appear, alongside the PKC and PHCD regions
     // that the generation-0 build and every update batch open.
