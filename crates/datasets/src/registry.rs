@@ -2,7 +2,7 @@
 
 use hcd_graph::{CsrGraph, GraphBuilder};
 
-use crate::{barabasi_albert, clique_overlay, core_tree, gnp, rmat};
+use crate::{clique_overlay, core_tree, gnp, rmat};
 
 /// Generation scale, selectable via the `HCD_BENCH_SCALE` environment
 /// variable (`tiny` | `small` | `full`; default `small`).
@@ -162,11 +162,6 @@ pub static DATASETS: [Dataset; 10] = [
         },
     },
 ];
-
-/// Other generators exposed for examples: a small Barabási–Albert graph.
-pub fn example_social(seed: u64) -> CsrGraph {
-    barabasi_albert(2_000, 4, seed)
-}
 
 #[cfg(test)]
 mod tests {

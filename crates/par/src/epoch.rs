@@ -44,11 +44,17 @@ impl EpochCounter {
 
     /// The current generation.
     pub fn current(&self) -> u64 {
+        // Acquire pairs with the Release half of `advance`: a thread
+        // that reads `g` sees the slot store of publication `g`, so its
+        // next `EpochCell::load` is at least that new.
         self.0.load(Ordering::Acquire)
     }
 
     /// Advances to the next generation and returns it.
     pub fn advance(&self) -> u64 {
+        // Release publishes the slot store made before it (see
+        // `current`); the Acquire half orders it after any earlier
+        // advance, so generations are handed out in publication order.
         self.0.fetch_add(1, Ordering::AcqRel) + 1
     }
 }

@@ -433,27 +433,6 @@ impl Executor {
 
     // --- failure-model control plane ---------------------------------
 
-    /// Installs a cancellation token (builder form). Regions abort with
-    /// [`ParError::Cancelled`] once the token is cancelled.
-    pub fn with_cancel(self, token: CancelToken) -> Self {
-        self.set_cancel(token);
-        self
-    }
-
-    /// Installs a deadline (builder form). Regions abort with
-    /// [`ParError::DeadlineExceeded`] once it expires.
-    pub fn with_deadline(self, deadline: Deadline) -> Self {
-        self.set_deadline(deadline);
-        self
-    }
-
-    /// Installs a fault plan (builder form) and restarts region numbering
-    /// at zero.
-    pub fn with_fault_plan(self, plan: FaultPlan) -> Self {
-        self.set_fault_plan(plan);
-        self
-    }
-
     /// Installs (or replaces) the cancellation token on a live executor.
     pub fn set_cancel(&self, token: CancelToken) {
         *self.ctrl.cancel.lock() = Some(token);
@@ -462,11 +441,6 @@ impl Executor {
     /// Removes the cancellation token.
     pub fn clear_cancel(&self) {
         *self.ctrl.cancel.lock() = None;
-    }
-
-    /// The currently installed cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<CancelToken> {
-        self.ctrl.cancel.lock().clone()
     }
 
     /// Installs (or replaces) the deadline on a live executor.

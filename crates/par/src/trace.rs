@@ -69,20 +69,6 @@ pub enum EventKind {
     Counter,
 }
 
-impl EventKind {
-    fn label(self) -> &'static str {
-        match self {
-            EventKind::RegionEnter => "region_enter",
-            EventKind::RegionExit => "region_exit",
-            EventKind::ChunkBegin => "chunk_begin",
-            EventKind::ChunkEnd => "chunk_end",
-            EventKind::Checkpoint => "checkpoint",
-            EventKind::Fault => "fault",
-            EventKind::Counter => "counter",
-        }
-    }
-}
-
 /// One timeline event. `ts_ns` is relative to the arming instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -391,27 +377,6 @@ impl Trace {
             emit(&line);
         }
         out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Debug-friendly flat listing (one `ts kind name worker value` line
-    /// per event); not part of the stable schema.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&format!(
-                "{:>12} {:<12} {:<24} w={} v={}\n",
-                e.ts_ns,
-                e.kind.label(),
-                e.name,
-                if e.worker == NO_WORKER {
-                    "-".to_string()
-                } else {
-                    e.worker.to_string()
-                },
-                e.value
-            ));
-        }
         out
     }
 }

@@ -126,6 +126,9 @@ pub struct CacheStats {
 pub struct QueryCache {
     shards: Box<[RwLock<Shard>]>,
     per_shard_capacity: usize,
+    // Statistics only, so every access is `Relaxed`: the shard locks
+    // guard the entries, and no other memory is published through a
+    // counter.
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,

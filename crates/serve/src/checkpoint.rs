@@ -160,6 +160,7 @@ mod tests {
 
     fn tempdir() -> PathBuf {
         static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        // Relaxed: the id only has to be unique.
         let id = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("hcd-ckpt-test-{}-{id}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

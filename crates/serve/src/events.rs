@@ -43,30 +43,26 @@ use std::path::Path;
 use std::time::Instant;
 
 use hcd_par::trace::escape_json;
-use parking_lot::Mutex;
 
 use crate::recover::RecoveryReport;
 
 /// Version tag carried on every event line.
 pub const EVENTS_SCHEMA: &str = "hcd-events-v1";
 
-struct Sink {
+/// An append-only JSONL event log (see module docs). Cheap when absent:
+/// the service's writer holds an `Option<EventLog>` and skips all
+/// formatting when it is `None`. The writer owns it, so it needs no lock
+/// of its own.
+pub struct EventLog {
     out: BufWriter<Box<dyn Write + Send>>,
     lines: u64,
-}
-
-/// An append-only JSONL event log (see module docs). Cheap when absent:
-/// the service holds an `Option<EventLog>` and skips all formatting
-/// when it is `None`.
-pub struct EventLog {
-    sink: Mutex<Sink>,
     opened: Instant,
 }
 
 impl std::fmt::Debug for EventLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventLog")
-            .field("lines", &self.lines_written())
+            .field("lines", &self.lines)
             .finish()
     }
 }
@@ -81,36 +77,33 @@ impl EventLog {
     /// tempfile; the CLI uses a file).
     pub fn to_writer(w: Box<dyn Write + Send>) -> EventLog {
         EventLog {
-            sink: Mutex::new(Sink {
-                out: BufWriter::new(w),
-                lines: 0,
-            }),
+            out: BufWriter::new(w),
+            lines: 0,
             opened: Instant::now(),
         }
     }
 
     /// Number of event lines written so far.
     pub fn lines_written(&self) -> u64 {
-        self.sink.lock().lines
+        self.lines
     }
 
-    fn emit(&self, kind: &str, fields: &str) {
+    fn emit(&mut self, kind: &str, fields: &str) {
         let t_us = self.opened.elapsed().as_micros();
-        let mut sink = self.sink.lock();
         let line = format!(
             "{{\"schema\": \"{EVENTS_SCHEMA}\", \"t_us\": {t_us}, \"kind\": \"{kind}\"{fields}}}\n"
         );
         // Event-log IO errors must never fail the write path they
         // observe; a broken log is reported by the missing tail, not by
         // poisoning the service.
-        let _ = sink.out.write_all(line.as_bytes());
-        let _ = sink.out.flush();
-        sink.lines += 1;
+        let _ = self.out.write_all(line.as_bytes());
+        let _ = self.out.flush();
+        self.lines += 1;
     }
 
     /// A batch of edge updates was applied to the writer state.
     pub fn batch_applied(
-        &self,
+        &mut self,
         seq: u64,
         generation: u64,
         applied: u64,
@@ -128,7 +121,7 @@ impl EventLog {
     }
 
     /// A new snapshot generation became visible to readers.
-    pub fn published(&self, seq: u64, generation: u64, affected: u64, duration_ns: u64) {
+    pub fn published(&mut self, seq: u64, generation: u64, affected: u64, duration_ns: u64) {
         self.emit(
             "published",
             &format!(
@@ -140,16 +133,17 @@ impl EventLog {
 
     /// An update batch changed nothing; no generation was published and
     /// nothing was logged to the WAL.
-    pub fn noop(&self, seq: u64, generation: u64, skipped: u64) {
+    pub fn noop(&mut self, seq: u64, generation: u64, skipped: u64) {
         self.emit(
             "no-op",
             &format!(", \"seq\": {seq}, \"generation\": {generation}, \"skipped\": {skipped}"),
         );
     }
 
-    /// A snapshot checkpoint was written (or attempted — a crash-point
-    /// failure is reported as `fault-kept-old-snapshot` instead).
-    pub fn checkpoint(&self, seq: u64, generation: u64, duration_ns: u64) {
+    /// A snapshot checkpoint was written. A failed one writes no event:
+    /// the batch was already published, and an IO error ticks
+    /// `serve.ckpt_errors` instead.
+    pub fn checkpoint(&mut self, seq: u64, generation: u64, duration_ns: u64) {
         self.emit(
             "checkpoint",
             &format!(
@@ -160,7 +154,7 @@ impl EventLog {
 
     /// A write-path failure left the previous snapshot serving.
     pub fn fault_kept_old_snapshot(
-        &self,
+        &mut self,
         seq: u64,
         generation: u64,
         error: &str,
@@ -177,7 +171,7 @@ impl EventLog {
     }
 
     /// A durable service recovered its state from disk.
-    pub fn recovery(&self, report: &RecoveryReport) {
+    pub fn recovery(&mut self, report: &RecoveryReport) {
         self.emit(
             "recovery",
             &format!(
@@ -217,7 +211,7 @@ mod tests {
     #[test]
     fn every_line_is_schema_tagged_json() {
         let path = tmp("tagged.jsonl");
-        let log = EventLog::create(&path).unwrap();
+        let mut log = EventLog::create(&path).unwrap();
         log.batch_applied(1, 1, 10, 2, 7, 12345);
         log.published(1, 1, 7, 23456);
         log.noop(1, 1, 8);
@@ -252,7 +246,7 @@ mod tests {
     #[test]
     fn recovery_event_carries_the_report() {
         let path = tmp("recovery.jsonl");
-        let log = EventLog::create(&path).unwrap();
+        let mut log = EventLog::create(&path).unwrap();
         log.recovery(&RecoveryReport {
             checkpoint_seq: 3,
             checkpoints_skipped: 1,

@@ -212,7 +212,7 @@ impl HcdService {
             poisoned: false,
         };
         Ok((
-            HcdService::from_recovered(snapshot, writer, durable),
+            HcdService::from_parts(snapshot, writer, Some(durable)),
             report,
         ))
     }
@@ -235,6 +235,7 @@ mod tests {
 
     fn tempdir() -> PathBuf {
         static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        // Relaxed: the id only has to be unique.
         let id = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir =
             std::env::temp_dir().join(format!("hcd-recover-test-{}-{id}", std::process::id()));

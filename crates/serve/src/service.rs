@@ -2,6 +2,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 use hcd_core::query::{core_containing, hierarchy_position, in_k_core, same_k_core};
 use hcd_dynamic::{BatchReport, DynamicCore, EdgeUpdate};
@@ -98,8 +99,7 @@ impl Default for DurabilityConfig {
     }
 }
 
-/// The writer-side durability state, held under the same lock discipline
-/// as the [`DynamicCore`] writer (always writer lock first).
+/// The writer-side durability state (part of [`Writer`]).
 pub(crate) struct Durable {
     pub(crate) dir: PathBuf,
     pub(crate) wal: WalWriter,
@@ -296,21 +296,11 @@ impl ServeNames {
 /// state.
 pub struct HcdService {
     cell: EpochCell<Snapshot>,
-    writer: Mutex<DynamicCore>,
-    /// Durability state; `None` for a purely in-memory service.
-    durable: Mutex<Option<Durable>>,
+    writer: Mutex<Writer>,
     /// Cumulative count of reads answered from a superseded snapshot.
+    /// A statistic: no other memory is published through it, so every
+    /// access is `Relaxed`.
     stale_reads: std::sync::atomic::AtomicU64,
-    /// Whether the maintained writer state has run ahead of the
-    /// published snapshot (a publish attempt failed after its batch was
-    /// applied). While set, the no-op fast path is disabled, so even an
-    /// all-no-op batch publishes the cumulative state. Logically guarded
-    /// by the writer lock; atomic so readers of the flag don't need it.
-    writer_dirty: std::sync::atomic::AtomicBool,
-    /// Structured writer event log (see [`crate::events`]); `None`
-    /// unless attached. Leaf lock: taken only while already holding the
-    /// writer lock, released before returning.
-    events: Mutex<Option<EventLog>>,
     /// Counter/region names this instance ticks (global literals for
     /// single-tenant services, `serve.<tenant>.*` for registry tenants).
     names: ServeNames,
@@ -322,22 +312,56 @@ pub struct HcdService {
     cache: Option<QueryCache>,
 }
 
+/// Everything only the writer touches, behind the service's one writer
+/// lock. Readers never take it.
+struct Writer {
+    core: DynamicCore,
+    /// Durability state; `None` for a purely in-memory service.
+    durable: Option<Durable>,
+    /// Structured writer event log (see [`crate::events`]); `None`
+    /// unless attached.
+    events: Option<EventLog>,
+    /// The maintained state has run ahead of the published snapshot (a
+    /// publish attempt failed after its batch was applied). While set,
+    /// the no-op fast path is off, so even an all-no-op batch publishes
+    /// the cumulative state.
+    dirty: bool,
+}
+
+fn ns_since(t: Instant) -> u64 {
+    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 impl HcdService {
     /// Builds the generation-0 snapshot from `g` and starts serving it.
     pub fn try_new(g: &CsrGraph, exec: &Executor) -> Result<Self, ParError> {
         let snapshot = Snapshot::try_build(g, 0, exec)?;
-        let writer = DynamicCore::from_parts(Arc::clone(&snapshot.graph), snapshot.cores.clone());
-        Ok(HcdService {
-            cell: EpochCell::new(snapshot),
-            writer: Mutex::new(writer),
-            durable: Mutex::new(None),
+        let core = DynamicCore::from_parts(Arc::clone(&snapshot.graph), snapshot.cores.clone());
+        Ok(Self::from_parts(snapshot, core, None))
+    }
+
+    /// Assembles a service that serves `snapshot` at its own generation
+    /// (a recovered snapshot keeps its replayed epoch numbering) and
+    /// writes through `core` and, when durable, `durable`.
+    pub(crate) fn from_parts(
+        snapshot: Snapshot,
+        core: DynamicCore,
+        durable: Option<Durable>,
+    ) -> Self {
+        let generation = snapshot.generation;
+        HcdService {
+            cell: EpochCell::new_at(snapshot, generation),
+            writer: Mutex::new(Writer {
+                core,
+                durable,
+                events: None,
+                dirty: false,
+            }),
             stale_reads: std::sync::atomic::AtomicU64::new(0),
-            writer_dirty: std::sync::atomic::AtomicBool::new(false),
-            events: Mutex::new(None),
             names: ServeNames::GLOBAL,
             tenant: None,
             cache: None,
-        })
+        }
     }
 
     /// Re-namespaces this instance's counters, regions and region
@@ -409,14 +433,14 @@ impl HcdService {
         cfg: DurabilityConfig,
         exec: &Executor,
     ) -> Result<(), ServeError> {
-        let writer = self.writer.lock();
+        let mut writer = self.writer.lock();
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).map_err(WalError::Io)?;
-        let seq = writer.seq();
+        let seq = writer.core.seq();
         let snap = self.cell.load();
         checkpoint::write_checkpoint(&dir, seq, &snap.graph, exec)?;
         let wal = WalWriter::create(dir.join(WAL_FILE_NAME), cfg.fsync).map_err(WalError::Io)?;
-        *self.durable.lock() = Some(Durable {
+        writer.durable = Some(Durable {
             dir,
             wal,
             cfg,
@@ -426,50 +450,24 @@ impl HcdService {
         Ok(())
     }
 
-    /// Assembles a recovered service: the snapshot keeps its replayed
-    /// epoch numbering and the durability state resumes appending where
-    /// the pre-crash log left off.
-    pub(crate) fn from_recovered(
-        snapshot: Snapshot,
-        writer: DynamicCore,
-        durable: Durable,
-    ) -> Self {
-        let generation = snapshot.generation;
-        HcdService {
-            cell: EpochCell::new_at(snapshot, generation),
-            writer: Mutex::new(writer),
-            durable: Mutex::new(Some(durable)),
-            stale_reads: std::sync::atomic::AtomicU64::new(0),
-            writer_dirty: std::sync::atomic::AtomicBool::new(false),
-            events: Mutex::new(None),
-            names: ServeNames::GLOBAL,
-            tenant: None,
-            cache: None,
-        }
-    }
-
-    /// Whether this service write-ahead-logs its batches.
+    /// Whether this service write-ahead-logs its batches. Waits for an
+    /// in-flight write.
     pub fn is_durable(&self) -> bool {
-        self.durable.lock().is_some()
+        self.writer.lock().durable.is_some()
     }
 
-    /// The durability directory, when the service is durable.
+    /// The durability directory, when the service is durable. Waits for
+    /// an in-flight write.
     pub fn durability_dir(&self) -> Option<PathBuf> {
-        self.durable.lock().as_ref().map(|d| d.dir.clone())
+        self.writer.lock().durable.as_ref().map(|d| d.dir.clone())
     }
 
     /// Attaches a structured writer event log: every later write-path
     /// decision (batch applied, published, no-op, checkpoint, fault)
     /// is appended as one JSONL record. Replaces any previous log.
+    /// Waits for an in-flight write.
     pub fn attach_event_log(&self, log: EventLog) {
-        *self.events.lock() = Some(log);
-    }
-
-    /// Runs `f` against the attached event log, if any.
-    fn with_events(&self, f: impl FnOnce(&EventLog)) {
-        if let Some(log) = self.events.lock().as_ref() {
-            f(log);
-        }
+        self.writer.lock().events = Some(log);
     }
 
     /// Infallible [`HcdService::try_new`] (panics on construction
@@ -812,45 +810,59 @@ impl HcdService {
         updates: &[EdgeUpdate],
         exec: &Executor,
     ) -> Result<Response<BatchReport>, ServeError> {
-        use std::sync::atomic::Ordering;
-        let mut writer = self.writer.lock();
-        let mut durable = self.durable.lock();
-        if let Some(d) = durable.as_mut() {
-            if d.poisoned {
-                return Err(ServeError::Wal(WalError::Poisoned));
-            }
+        let mut guard = self.writer.lock();
+        let w = &mut *guard;
+        if w.durable.as_ref().is_some_and(|d| d.poisoned) {
+            return Err(ServeError::Wal(WalError::Poisoned));
         }
-        let was_dirty = self.writer_dirty.load(Ordering::Relaxed);
-        if !was_dirty && writer.batch_is_noop(updates) {
+        if !w.dirty && w.core.batch_is_noop(updates) {
             // Nothing would change and the published snapshot already
             // reflects the writer state exactly: acknowledge without
             // logging, bumping the sequence, or publishing.
             exec.add_counter(self.names.noop_batches, 1);
-            self.with_events(|log| {
-                log.noop(writer.seq(), self.cell.generation(), updates.len() as u64)
-            });
+            let (seq, generation) = (w.core.seq(), self.cell.generation());
+            if let Some(log) = &mut w.events {
+                log.noop(seq, generation, updates.len() as u64);
+            }
             return Ok(Response {
-                generation: self.cell.generation(),
+                generation,
                 value: BatchReport {
-                    seq: writer.seq(),
+                    seq,
                     applied: 0,
                     skipped: updates.len(),
                     ..BatchReport::default()
                 },
             });
         }
-        // Everything past the fast path is real write work: time it as
-        // one `serve.apply` histogram sample and stamp the event-log
-        // records with durations from the same clock reading.
-        let started = std::time::Instant::now();
-        let _apply_lat = exec.time("serve.apply");
-        let seq_attempt = writer.seq() + 1;
-        let elapsed_ns =
-            |s: std::time::Instant| u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if let Some(d) = durable.as_mut() {
+        // Everything past the fast path is real write work. One clock
+        // reading times it as one `serve.apply` sample and stamps every
+        // event's `duration_ns`; every failure comes back here, so its
+        // fault event is written in one place.
+        let started = Instant::now();
+        let seq = w.core.seq() + 1;
+        let result = self.write_batch(w, updates, exec, started);
+        if let (Err(e), Some(log)) = (&result, &mut w.events) {
+            let generation = self.cell.generation();
+            log.fault_kept_old_snapshot(seq, generation, &e.to_string(), ns_since(started));
+        }
+        exec.observe("serve.apply", started.elapsed());
+        result
+    }
+
+    /// The write pipeline past the no-op fast path: WAL append, apply,
+    /// rebuild, publish, then a due checkpoint. Each failure returns at
+    /// once through `?` and publishes nothing.
+    fn write_batch(
+        &self,
+        w: &mut Writer,
+        updates: &[EdgeUpdate],
+        exec: &Executor,
+        started: Instant,
+    ) -> Result<Response<BatchReport>, ServeError> {
+        if let Some(d) = &mut w.durable {
             // Log under the sequence number apply_batch is about to
             // stamp, so replay and live application agree exactly.
-            match d.wal.append(writer.seq() + 1, updates, exec) {
+            match d.wal.append(w.core.seq() + 1, updates, exec) {
                 Ok(bytes) => {
                     exec.add_counter(self.names.wal_appends, 1);
                     exec.add_counter(self.names.wal_bytes, bytes);
@@ -860,49 +872,25 @@ impl HcdService {
                         d.poisoned = true;
                     }
                     exec.add_counter(self.names.wal_errors, 1);
-                    let e = ServeError::Wal(e);
-                    self.with_events(|log| {
-                        log.fault_kept_old_snapshot(
-                            seq_attempt,
-                            self.cell.generation(),
-                            &e.to_string(),
-                            elapsed_ns(started),
-                        )
-                    });
-                    return Err(e);
+                    return Err(e.into());
                 }
             }
         }
         // From here until the swap succeeds, any failure leaves the
         // writer ahead of the published snapshot: the batch is applied
-        // (and logged) but not served. Mark the forest stale up front;
-        // a completed publish clears it.
-        self.writer_dirty.store(true, Ordering::Relaxed);
-        let report = match writer.try_apply_batch(updates, exec) {
-            Ok(r) => r,
-            Err(e) => {
-                let e = ServeError::Par(e);
-                self.with_events(|log| {
-                    log.fault_kept_old_snapshot(
-                        seq_attempt,
-                        self.cell.generation(),
-                        &e.to_string(),
-                        elapsed_ns(started),
-                    )
-                });
-                return Err(e);
-            }
-        };
+        // (and logged) but not served. A completed publish clears it.
+        w.dirty = true;
+        let report = w.core.try_apply_batch(updates, exec)?;
         exec.add_counter(self.names.batches, 1);
         let affected = (report.changed.len() + report.touched.len()) as u64;
 
         // Rebuild the hierarchy on the CSR the writer just merged, inside
         // the named rebuild region so deadlines, cancellation, and the
         // fault matrix govern it.
-        let csr = Arc::clone(writer.graph().csr());
-        let cores = writer.decomposition();
+        let csr = Arc::clone(w.core.graph().csr());
+        let cores = w.core.decomposition();
         let built: Mutex<Option<hcd_core::Hcd>> = Mutex::new(None);
-        let rebuilt = exec.region(self.names.region_rebuild).try_for_each_chunk(
+        exec.region(self.names.region_rebuild).try_for_each_chunk(
             1,
             || (),
             |_, _, _| {
@@ -910,33 +898,21 @@ impl HcdService {
                 *built.lock() = Some(hcd_core::try_phcd(&csr, &cores, exec)?);
                 Ok(())
             },
-        );
-        if let Err(e) = rebuilt {
-            let e = ServeError::Par(e);
-            self.with_events(|log| {
-                log.fault_kept_old_snapshot(
-                    report.seq,
-                    self.cell.generation(),
-                    &e.to_string(),
-                    elapsed_ns(started),
-                )
-            });
-            return Err(e);
-        }
+        )?;
         let hcd = built.into_inner().expect("rebuild region ran");
 
-        self.with_events(|log| {
+        let serving = self.cell.generation();
+        if let Some(log) = &mut w.events {
             log.batch_applied(
                 report.seq,
-                self.cell.generation(),
+                serving,
                 report.applied as u64,
                 report.skipped as u64,
                 affected,
-                elapsed_ns(started),
-            )
-        });
-        let generation = self.cell.generation() + 1;
-        let snapshot = Arc::new(Snapshot::from_parts(csr, cores, hcd, generation));
+                ns_since(started),
+            );
+        }
+        let snapshot = Arc::new(Snapshot::from_parts(csr, cores, hcd, serving + 1));
         // Hold the retiring snapshot until the batch returns: freeing it
         // inside `publish` would run under the cell's write lock, which
         // stalls readers and is timed as the swap.
@@ -947,8 +923,8 @@ impl HcdService {
         };
         // The writer lock serializes publications, so the generation we
         // stamped is the one the cell advanced to.
-        debug_assert_eq!(published, generation);
-        self.writer_dirty.store(false, Ordering::Relaxed);
+        debug_assert_eq!(published, serving + 1);
+        w.dirty = false;
         exec.add_counter(self.names.swaps, 1);
         if let Some(cache) = &self.cache {
             // Every pre-publication generation just became stale; the
@@ -958,23 +934,25 @@ impl HcdService {
             exec.add_counter(self.names.cache_evictions, evicted);
             exec.gauge(self.names.cache_bytes, cache.stats().bytes);
         }
-        self.with_events(|log| log.published(report.seq, published, affected, elapsed_ns(started)));
+        if let Some(log) = &mut w.events {
+            log.published(report.seq, published, affected, ns_since(started));
+        }
 
-        if let Some(d) = durable.as_mut() {
+        if let Some(d) = &mut w.durable {
             // Saturating: recovery can restore a checkpoint newer than
             // the replayed WAL tail, leaving `last_checkpoint_seq`
             // ahead of the live sequence for a while.
             let due = d.cfg.checkpoint_every > 0
                 && report.seq.saturating_sub(d.last_checkpoint_seq) >= d.cfg.checkpoint_every;
             if due {
-                let ckpt_started = std::time::Instant::now();
+                let ckpt_started = Instant::now();
                 match checkpoint::write_checkpoint(&d.dir, report.seq, &snapshot.graph, exec) {
                     Ok(_) => {
                         d.last_checkpoint_seq = report.seq;
                         exec.add_counter(self.names.checkpoints, 1);
-                        self.with_events(|log| {
-                            log.checkpoint(report.seq, published, elapsed_ns(ckpt_started))
-                        });
+                        if let Some(log) = &mut w.events {
+                            log.checkpoint(report.seq, published, ns_since(ckpt_started));
+                        }
                     }
                     Err(CheckpointError::Crashed(_)) => {
                         // The batch is already durable (WAL) and
@@ -1244,6 +1222,7 @@ mod tests {
 
     fn tempdir() -> PathBuf {
         static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        // Relaxed: the id only has to be unique.
         let id = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("hcd-serve-test-{}-{id}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1319,6 +1298,125 @@ mod tests {
         let m = exec.take_metrics();
         assert_eq!(m.get_counter("serve.wal_errors").unwrap().value, 1);
         assert_eq!(m.get_counter("fault.crashes").unwrap().value, 1);
+    }
+
+    #[test]
+    fn every_writer_exit_writes_its_events() {
+        use crate::events::EventLog;
+        use hcd_par::diff::Json;
+        use hcd_par::{CrashPoint, Fault, FaultPlan};
+        let exec = Executor::sequential().with_metrics().with_histograms();
+        let cfg = DurabilityConfig {
+            fsync: FsyncPolicy::Always,
+            checkpoint_every: 1,
+        };
+        let durable = |dir: &Path| {
+            let svc = HcdService::try_new_durable(&triangle_plus_tail(), dir, cfg, &exec).unwrap();
+            let path = dir.join("events.jsonl");
+            svc.attach_event_log(EventLog::create(&path).unwrap());
+            (svc, path)
+        };
+        let events = |path: &Path| -> Vec<(String, u64, u64)> {
+            std::fs::read_to_string(path)
+                .unwrap()
+                .lines()
+                .map(|line| {
+                    let doc = Json::parse(line).unwrap();
+                    let num = |key| doc.get(key).and_then(Json::as_f64).unwrap() as u64;
+                    let kind = doc.get("kind").and_then(Json::as_str).unwrap();
+                    (kind.to_string(), num("seq"), num("generation"))
+                })
+                .collect()
+        };
+        let count = |name| {
+            exec.histogram_snapshots()
+                .iter()
+                .find(|h| h.name == name)
+                .map_or(0, |h| h.count)
+        };
+
+        // One service runs every exit but the WAL crash, ending with the
+        // checkpoint crash that poisons it.
+        let (dir_a, dir_b) = (tempdir(), tempdir());
+        let (svc, path_a) = durable(&dir_a);
+        // Count from here: the initial build ran PKC too.
+        exec.take_metrics();
+        svc.try_apply_batch(&[EdgeUpdate::Insert(0, 1)], &exec)
+            .unwrap();
+        // Region 0 is the level-0 pkc.scan, which runs a chunk because
+        // the batch isolates 4.
+        exec.set_fault_plan(FaultPlan::new().inject(0, 0, Fault::Panic));
+        svc.try_apply_batch(&[EdgeUpdate::Insert(1, 3), EdgeUpdate::Remove(3, 4)], &exec)
+            .unwrap_err();
+        assert_eq!((count("pkc.scan"), count("serve.rebuild")), (1, 0));
+        // The writer is dirty, so an empty batch takes the full path but
+        // changes no edge: no PKC region runs and region 0 is the
+        // rebuild.
+        exec.set_fault_plan(FaultPlan::new().inject(0, 0, Fault::Panic));
+        svc.try_apply_batch(&[], &exec).unwrap_err();
+        assert_eq!((count("pkc.scan"), count("serve.rebuild")), (1, 1));
+        exec.clear_fault_plan();
+        svc.try_apply_batch(&[EdgeUpdate::Insert(0, 4)], &exec)
+            .unwrap();
+        exec.set_fault_plan(FaultPlan::new().crash(CrashPoint::CkptPreRename, 0));
+        svc.try_apply_batch(&[EdgeUpdate::Insert(1, 4)], &exec)
+            .unwrap();
+        assert_eq!(exec.crashes_fired(), 1);
+
+        let (svc, path_b) = durable(&dir_b);
+        exec.set_fault_plan(FaultPlan::new().crash(CrashPoint::WalPreAppend, 0));
+        let err = svc
+            .try_apply_batch(&[EdgeUpdate::Insert(0, 3)], &exec)
+            .unwrap_err();
+        assert!(err.is_simulated_crash(), "{err}");
+        exec.clear_fault_plan();
+
+        let fault = "fault-kept-old-snapshot";
+        let a = events(&path_a);
+        let b = events(&path_b);
+        let kinds: Vec<&str> = a.iter().chain(&b).map(|e| e.0.as_str()).collect();
+        assert_eq!(
+            kinds,
+            [
+                "no-op",
+                fault,
+                fault,
+                "batch-applied",
+                "published",
+                "checkpoint",
+                "batch-applied",
+                "published",
+                fault
+            ]
+        );
+        // (seq, generation) of each event: faults name the batch they
+        // dropped and the generation that kept serving.
+        let stamps: Vec<(u64, u64)> = a.iter().chain(&b).map(|e| (e.1, e.2)).collect();
+        assert_eq!(
+            stamps,
+            [
+                (0, 0),
+                (1, 0),
+                (2, 0),
+                (3, 0),
+                (3, 1),
+                (3, 1),
+                (4, 1),
+                (4, 2),
+                (1, 0)
+            ]
+        );
+        // Every write past the no-op fast path is one `serve.apply`
+        // sample, whichever way it left.
+        assert_eq!(count("serve.apply"), 5);
+        let m = exec.take_metrics();
+        let counter = |name| m.get_counter(name).map_or(0, |c| c.value);
+        let tally = |kind| kinds.iter().filter(|&&k| k == kind).count() as u64;
+        assert_eq!(tally("published"), counter("serve.swaps"));
+        assert_eq!(tally("no-op"), counter("serve.noop_batches"));
+        assert_eq!(tally("checkpoint"), counter("serve.checkpoints"));
+        std::fs::remove_dir_all(&dir_a).ok();
+        std::fs::remove_dir_all(&dir_b).ok();
     }
 
     #[test]

@@ -657,6 +657,7 @@ mod tests {
     /// Unique-per-test temp dir under the target-adjacent tmp root.
     fn tempdir() -> PathBuf {
         static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        // Relaxed: the id only has to be unique.
         let id = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("hcd-wal-test-{}-{id}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

@@ -751,7 +751,7 @@ fn serve_bench(path: &str, args: &[String], exec: &Executor) -> Result<(), CliEr
         service = service.with_cache(CacheConfig::default());
     }
     if let Some(p) = &events_path {
-        let log = EventLog::create(p)
+        let mut log = EventLog::create(p)
             .map_err(|e| CliError::Runtime(format!("cannot create event log {p}: {e}")))?;
         if let Some(r) = &recovery {
             log.recovery(r);

@@ -2,20 +2,21 @@
 //! vertices (2^15 edge sets on six), in every executor mode: the
 //! hierarchy kernel against its oracles and against itself with metrics
 //! armed, and PBKS against BKS; plus the
-//! local core queries against their definitions. Random proptests sample
-//! large graphs; this covers every small shape, including the ones a
-//! sampler rarely draws.
+//! local core queries against their definitions, and every snapshot the
+//! serve writer publishes after a single-edge flip against a fresh
+//! build. Random proptests sample large graphs; this covers every small
+//! shape, including the ones a sampler rarely draws.
 
 use hcd::prelude::*;
 
-/// Calls `f` on every labelled simple graph with `n <= 6` vertices and
-/// returns how many there were.
-fn for_every_graph_up_to_six_vertices(mut f: impl FnMut(&CsrGraph)) -> usize {
-    let pairs: Vec<(VertexId, VertexId)> = (0..6)
-        .flat_map(|u| (u + 1..6).map(move |v| (u, v)))
+/// Calls `f` on every labelled simple graph with `n <= max_n` vertices
+/// and returns how many there were.
+fn for_every_graph_up_to(max_n: VertexId, mut f: impl FnMut(&CsrGraph)) -> usize {
+    let pairs: Vec<(VertexId, VertexId)> = (0..max_n)
+        .flat_map(|u| (u + 1..max_n).map(move |v| (u, v)))
         .collect();
     let mut graphs = 0;
-    for n in 0..=6usize {
+    for n in 0..=max_n as usize {
         let local: Vec<_> = pairs.iter().filter(|p| (p.1 as usize) < n).collect();
         for mask in 0u32..1 << local.len() {
             graphs += 1;
@@ -49,7 +50,7 @@ fn hierarchy_kernel_matches_oracles_on_every_graph_up_to_six_vertices() {
         Executor::assist(4).with_metrics(),
         Executor::simulated(3).with_metrics(),
     ];
-    let graphs = for_every_graph_up_to_six_vertices(|g| {
+    let graphs = for_every_graph_up_to(6, |g| {
         let cores = core_decomposition(g);
         let truth = naive_hcd(g, &cores).canonicalize();
         assert_eq!(lcps(g, &cores).canonicalize(), truth, "LCPS on {g:?}");
@@ -95,7 +96,7 @@ fn core_queries_match_their_definitions_on_every_graph_up_to_six_vertices() {
     // from `core_containing` itself. With n <= 6 the cost rule sorts
     // subtrees of one or two vertices and scans `tid` for larger ones,
     // so both branches run.
-    let graphs = for_every_graph_up_to_six_vertices(|g| {
+    let graphs = for_every_graph_up_to(6, |g| {
         let cores = core_decomposition(g);
         let hcd = phcd(g, &cores, &Executor::sequential());
         for v in g.vertices() {
@@ -140,7 +141,7 @@ fn pbks_matches_bks_on_every_graph_up_to_six_vertices() {
         Executor::simulated(3),
     ];
     let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-    let graphs = for_every_graph_up_to_six_vertices(|g| {
+    let graphs = for_every_graph_up_to(6, |g| {
         let cores = core_decomposition(g);
         let hcd = phcd(g, &cores, &modes[0]);
         let ctx = SearchContext::new(g, &cores, &hcd);
@@ -162,4 +163,56 @@ fn pbks_matches_bks_on_every_graph_up_to_six_vertices() {
         }
     });
     assert_eq!(graphs, 1 + 1 + 2 + 8 + 64 + 1024 + 32768);
+}
+
+#[test]
+fn serve_snapshots_match_a_fresh_build_after_every_single_edge_flip() {
+    // Every graph on at most five vertices: flip each vertex pair with
+    // one batch, then flip it back. Each flip must publish exactly the
+    // next generation, and the published edges, coreness and hierarchy
+    // must equal a from-scratch build of the flipped graph. (Six
+    // vertices is about a million batches: minutes in a debug build.)
+    for exec in [Executor::sequential(), Executor::assist(2)] {
+        let mode = exec.mode_name();
+        let graphs = for_every_graph_up_to(5, |g| {
+            let svc = HcdService::new(g, &exec);
+            let n = g.num_vertices() as VertexId;
+            for u in 0..n {
+                for v in u + 1..n {
+                    let present = g.has_edge(u, v);
+                    let flipped = GraphBuilder::new()
+                        .min_vertices(n as usize)
+                        .edges(g.edges().filter(|&e| e != (u, v)))
+                        .edges((!present).then_some((u, v)))
+                        .build();
+                    let (flip, back) = if present {
+                        (EdgeUpdate::Remove(u, v), EdgeUpdate::Insert(u, v))
+                    } else {
+                        (EdgeUpdate::Insert(u, v), EdgeUpdate::Remove(u, v))
+                    };
+                    for (update, want) in [(flip, &flipped), (back, g)] {
+                        let generation = svc.generation();
+                        let what = format!("{update:?} on {g:?}, {mode}");
+                        let resp = svc.try_apply_batch(&[update], &exec).unwrap();
+                        assert_eq!(resp.generation, generation + 1, "{what}");
+                        let snap = svc.snapshot();
+                        assert_eq!(snap.generation, generation + 1, "{what}");
+                        let fresh = ServeSnapshot::try_build(want, 0, &exec).unwrap();
+                        assert!(snap.graph.edges().eq(fresh.graph.edges()), "edges, {what}");
+                        assert_eq!(
+                            snap.cores.as_slice(),
+                            fresh.cores.as_slice(),
+                            "coreness, {what}"
+                        );
+                        assert_eq!(
+                            snap.hcd.canonicalize(),
+                            fresh.hcd.canonicalize(),
+                            "hierarchy, {what}"
+                        );
+                    }
+                }
+            }
+        });
+        assert_eq!(graphs, 1 + 1 + 2 + 8 + 64 + 1024, "{mode}");
+    }
 }
