@@ -13,7 +13,7 @@
 //!
 //! The executor is **sequential**: the workload's operation stream is a
 //! pure function of the seed, so every counter — `serve.queries`,
-//! `serve.batches`, `serve.swaps`, plus the `pkc.*`/`phcd.*` traffic of
+//! `serve.batches`, `serve.swaps`, plus the `bz.peel`/`phcd.*` traffic of
 //! the rebuilds — is bit-reproducible across machines. Only the
 //! nanosecond timings vary, which `--counters-only` ignores.
 //!

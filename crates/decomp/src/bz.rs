@@ -1,64 +1,104 @@
 //! Serial Batagelj–Zaversnik core decomposition.
 
+use std::convert::Infallible;
+
 use hcd_graph::{CsrGraph, VertexId};
+use hcd_par::{Executor, ParError, CHECKPOINT_STRIDE};
 
 use crate::CoreDecomposition;
 
 /// The `O(m)` bin-sort peeling algorithm of Batagelj & Zaversnik \[19\].
 ///
 /// Vertices are kept bucketed by their *current* degree; the algorithm
-/// repeatedly removes a vertex of minimum current degree, assigns it that
-/// degree as coreness (monotonically clamped), and decrements its
-/// remaining neighbors, moving them between buckets in `O(1)` via the
-/// classic `bin`/`pos`/`vert` swap trick.
+/// repeatedly removes a vertex of minimum current degree, whose current
+/// degree is then its coreness, and decrements its remaining neighbors
+/// of larger degree, moving them between buckets in `O(1)` via the
+/// classic `start`/`pos`/`vert` swap trick.
 pub fn core_decomposition(g: &CsrGraph) -> CoreDecomposition {
+    match peel(g, || Ok::<(), Infallible>(())) {
+        Ok(coreness) => CoreDecomposition::from_coreness(coreness),
+        Err(never) => match never {},
+    }
+}
+
+/// Fallible bin-sort peeling on `exec`: the same kernel as
+/// [`core_decomposition`], run as the single chunk of region `bz.peel`.
+///
+/// The region gives the peel what every region has: a histogram sample,
+/// a `(region, chunk 0)` fault-injection site and region accounting. The
+/// kernel polls [`Executor::checkpoint`] once before it peels and then
+/// every [`CHECKPOINT_STRIDE`] arcs, so cancellation and deadlines stop
+/// it within one stride with a typed [`ParError`].
+pub(crate) fn try_bz_core_decomposition(
+    g: &CsrGraph,
+    exec: &Executor,
+) -> Result<CoreDecomposition, ParError> {
+    let mut peeled = exec
+        .region("bz.peel")
+        .try_map_chunks(1, |_, _| peel(g, || exec.checkpoint()))?;
+    Ok(CoreDecomposition::from_coreness(
+        peeled.pop().expect("a one-item region runs its chunk"),
+    ))
+}
+
+/// The bin-sort kernel: returns the coreness array, calling `checkpoint`
+/// before the first vertex and then every [`CHECKPOINT_STRIDE`] arcs.
+fn peel<E>(g: &CsrGraph, mut checkpoint: impl FnMut() -> Result<(), E>) -> Result<Vec<u32>, E> {
+    checkpoint()?;
     let n = g.num_vertices();
     if n == 0 {
-        return CoreDecomposition::from_coreness(Vec::new());
+        return Ok(Vec::new());
     }
     let max_deg = g.max_degree();
 
-    // deg[v]: current degree during peeling.
+    // deg[v]: current degree during peeling. A peeled vertex is never
+    // decremented again, so deg ends as the coreness array.
     let mut deg: Vec<u32> = (0..n as VertexId).map(|v| g.degree(v) as u32).collect();
 
-    // Bucket sort vertices by degree.
-    let mut bin = vec![0usize; max_deg + 2];
+    // Bucket sort vertices by degree. Positions fit in u32 because vertex
+    // ids do.
+    let mut start = vec![0u32; max_deg + 2];
     for &d in &deg {
-        bin[d as usize + 1] += 1;
+        start[d as usize + 1] += 1;
     }
     for i in 0..=max_deg {
-        bin[i + 1] += bin[i];
+        start[i + 1] += start[i];
     }
-    let mut start = bin.clone(); // start[d] = first index of bucket d in vert
+    // start[d] = first index of bucket d in vert.
     let mut vert = vec![0 as VertexId; n];
-    let mut pos = vec![0usize; n];
+    let mut pos = vec![0u32; n];
     {
-        let mut cursor = bin.clone();
+        let mut cursor = start.clone();
         for v in 0..n as VertexId {
             let d = deg[v as usize] as usize;
-            vert[cursor[d]] = v;
+            vert[cursor[d] as usize] = v;
             pos[v as usize] = cursor[d];
             cursor[d] += 1;
         }
     }
 
-    let mut coreness = vec![0u32; n];
+    let mut since = 0usize;
     for i in 0..n {
         let v = vert[i];
         let dv = deg[v as usize];
-        coreness[v as usize] = dv;
+        let neighbors = g.neighbors(v);
+        since += neighbors.len();
+        if since >= CHECKPOINT_STRIDE {
+            checkpoint()?;
+            since = 0;
+        }
         // Peel v: decrement every neighbor of larger current degree.
-        for &u in g.neighbors(v) {
+        for &u in neighbors {
             let du = deg[u as usize];
             if du > dv {
                 // Swap u with the first element of its bucket, then shrink
                 // the bucket boundary so u lands in bucket du-1.
                 let pu = pos[u as usize];
                 let pw = start[du as usize];
-                let w = vert[pw];
+                let w = vert[pw as usize];
                 if u != w {
-                    vert[pu] = w;
-                    vert[pw] = u;
+                    vert[pu as usize] = w;
+                    vert[pw as usize] = u;
                     pos[w as usize] = pu;
                     pos[u as usize] = pw;
                 }
@@ -67,7 +107,7 @@ pub fn core_decomposition(g: &CsrGraph) -> CoreDecomposition {
             }
         }
     }
-    CoreDecomposition::from_coreness(coreness)
+    Ok(deg)
 }
 
 #[cfg(test)]

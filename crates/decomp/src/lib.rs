@@ -10,11 +10,20 @@
 //! tests:
 //!
 //! * [`bz::core_decomposition`] — the serial Batagelj–Zaversnik bin-sort
-//!   peeling algorithm, `O(m)` \[19\].
+//!   peeling algorithm, `O(n + m)` \[19\].
 //! * [`pkc::pkc_core_decomposition`] — parallel level-synchronous peeling
-//!   in the style of ParK/PKC \[20\], \[24\]: `O(n·kmax + m)` work with
-//!   frontier expansion via atomic degree decrements, plus the PKC
-//!   remaining-vertex compaction optimization.
+//!   in the style of ParK/PKC \[20\], \[24\]: frontier expansion via
+//!   atomic degree decrements, with vertices filed in degree buckets so
+//!   that the scan work is `O(n + m)` as well (one bucket entry per
+//!   degree value a vertex passes through).
+//!
+//! [`try_core_decomposition`] picks between them by the executor alone.
+//! An executor that runs one chunk at a time and does not simulate
+//! (`num_workers() == 1`, not simulated) gets the bin-sort peel, run in
+//! the single-chunk region `bz.peel`: with one thread, PKC's CAS
+//! decrements, bucket re-filing and one region per level and wave buy
+//! nothing. Every other executor gets PKC, so the simulated paper
+//! curves keep measuring the parallel peel.
 
 pub mod bz;
 pub mod pkc;
@@ -23,6 +32,38 @@ pub use bz::core_decomposition;
 pub use pkc::{pkc_core_decomposition, try_pkc_core_decomposition};
 
 use hcd_graph::{CsrGraph, VertexId};
+use hcd_par::{Executor, ParError};
+
+/// Core decomposition of `g` with the peel that suits `exec`: bin-sort
+/// peeling (region `bz.peel`) on an executor that runs one chunk at a
+/// time and does not simulate, PKC (regions `pkc.*`,
+/// [`try_pkc_core_decomposition`]) on every other one. Both return the
+/// same coreness; on `Err` (panic, cancellation, deadline) nothing is
+/// kept and the executor stays usable.
+///
+/// # Examples
+///
+/// ```
+/// use hcd_decomp::{core_decomposition, try_core_decomposition};
+/// use hcd_graph::GraphBuilder;
+/// use hcd_par::Executor;
+///
+/// let g = GraphBuilder::new().edges([(0, 1), (1, 2), (2, 0), (2, 3)]).build();
+/// let seq = try_core_decomposition(&g, &Executor::sequential()).unwrap();
+/// let sim = try_core_decomposition(&g, &Executor::simulated(2)).unwrap();
+/// assert_eq!(seq, core_decomposition(&g));
+/// assert_eq!(seq, sim);
+/// ```
+pub fn try_core_decomposition(
+    g: &CsrGraph,
+    exec: &Executor,
+) -> Result<CoreDecomposition, ParError> {
+    if exec.num_workers() == 1 && !exec.is_simulated() {
+        bz::try_bz_core_decomposition(g, exec)
+    } else {
+        try_pkc_core_decomposition(g, exec)
+    }
+}
 
 /// The result of a core decomposition.
 ///
@@ -166,6 +207,29 @@ mod tests {
         let g = GraphBuilder::new().edges([(0, 1)]).build();
         let bogus = CoreDecomposition::from_coreness(vec![5, 5]);
         assert!(bogus.check_feasible(&g).is_err());
+    }
+
+    #[test]
+    fn the_executor_picks_the_peel() {
+        let g = GraphBuilder::new()
+            .edges([(0, 1), (1, 2), (2, 0), (2, 3)])
+            .build();
+        for (exec, peel) in [
+            (Executor::sequential(), "bz."),
+            (Executor::assist(1), "bz."),
+            (Executor::assist(2), "pkc."),
+            (Executor::simulated(1), "pkc."),
+        ] {
+            exec.set_metrics_enabled(true);
+            let cd = try_core_decomposition(&g, &exec).unwrap();
+            assert_eq!(cd, core_decomposition(&g));
+            let m = exec.take_metrics();
+            let names: Vec<_> = m.regions.iter().map(|r| r.name).collect();
+            assert!(
+                !names.is_empty() && names.iter().all(|n| n.starts_with(peel)),
+                "{exec:?}: {names:?}"
+            );
+        }
     }
 
     #[test]

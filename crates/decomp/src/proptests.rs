@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use hcd_graph::builder::build_from_edges;
 use hcd_par::Executor;
 
-use crate::{bz, pkc};
+use crate::{bz, pkc, try_core_decomposition};
 
 fn arb_edges(max_n: u32, max_m: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
     prop::collection::vec((0..max_n, 0..max_n), 0..max_m)
@@ -21,6 +21,9 @@ proptest! {
         let a = bz::core_decomposition(&g);
         let b = pkc::pkc_core_decomposition(&g, &Executor::assist(4));
         prop_assert_eq!(a.as_slice(), b.as_slice());
+        // The fallible path on one worker: the same kernel in its region.
+        let c = try_core_decomposition(&g, &Executor::sequential()).unwrap();
+        prop_assert_eq!(a.as_slice(), c.as_slice());
     }
 
     #[test]

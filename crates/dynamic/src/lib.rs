@@ -12,11 +12,12 @@
 //! * [`DynamicCore`] — coreness kept exact after every batch:
 //!   [`DynamicCore::apply_batch`] merges the batch (histogram
 //!   `dynamic.merge`) and recomputes coreness on the new CSR with
-//!   parallel PKC (Liu & Dong, *Parallel k-Core Decomposition: Theory
-//!   and Practice*, see PAPERS.md). The [`BatchReport`] names the
-//!   vertices whose coreness moved and the endpoints the applied updates
-//!   touched. PKC runs through [`hcd_par::Executor`] regions (`pkc.*`),
-//!   so cancellation, deadlines, fault injection, and metrics govern
+//!   [`hcd_decomp::try_core_decomposition`]: bin-sort peeling on a
+//!   one-worker executor, parallel PKC (Liu & Dong, *Parallel k-Core
+//!   Decomposition: Theory and Practice*, see PAPERS.md) on any other.
+//!   The [`BatchReport`] names the vertices whose coreness moved and the
+//!   endpoints the applied updates touched. Either peel runs through
+//!   [`hcd_par::Executor`] regions (`bz.peel` or `pkc.*`), so cancellation, deadlines, fault injection, and metrics govern
 //!   maintenance exactly as they govern construction; counters
 //!   `dynamic.affected_vertices` / `dynamic.traversal_edges` report the
 //!   n and 2m the recompute examined;

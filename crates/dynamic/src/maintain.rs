@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use hcd_core::Hcd;
-use hcd_decomp::{core_decomposition, try_pkc_core_decomposition, CoreDecomposition};
+use hcd_decomp::{core_decomposition, try_core_decomposition, CoreDecomposition};
 use hcd_graph::{CsrGraph, VertexId};
 use hcd_par::{Executor, ParError};
 
@@ -56,11 +56,12 @@ impl BatchReport {
 ///
 /// Each batch that changes the edge set merges its net arc changes into
 /// the next CSR ([`DynamicGraph`], timed as the `dynamic.merge`
-/// histogram) and recomputes coreness on it with parallel PKC (regions
-/// `pkc.*`), so cancellation, deadlines, fault injection and metrics
-/// govern maintenance exactly as they govern construction. The CSR is
-/// shared ([`DynamicGraph::csr`]), so a caller that publishes the new
-/// state never copies the graph.
+/// histogram) and recomputes coreness on it with
+/// [`try_core_decomposition`] (region `bz.peel` on a one-worker
+/// executor, regions `pkc.*` otherwise), so cancellation, deadlines,
+/// fault injection and metrics govern maintenance exactly as they govern
+/// construction. The CSR is shared ([`DynamicGraph::csr`]), so a caller
+/// that publishes the new state never copies the graph.
 ///
 /// # Examples
 ///
@@ -183,7 +184,7 @@ impl DynamicCore {
         match self.try_apply_batch(updates, &Executor::sequential()) {
             Ok(report) => report,
             // A fresh sequential executor cannot cancel, time out, or
-            // inject faults, and PKC does not panic.
+            // inject faults, and the peel does not panic.
             Err(e) => unreachable!("sequential batch maintenance failed: {e}"),
         }
     }
@@ -195,9 +196,10 @@ impl DynamicCore {
     /// classifying repeated updates of one pair within the batch), and
     /// their net arc changes are merged into the next CSR in one pass
     /// (histogram `dynamic.merge`). A batch that changed the edge set then
-    /// recomputes coreness on that CSR with parallel PKC; `changed` is the
-    /// ascending diff of the old and new coreness. A batch that applied
-    /// nothing opens no region.
+    /// recomputes coreness on that CSR with [`try_core_decomposition`]
+    /// (bin-sort peeling on a one-worker executor, PKC otherwise);
+    /// `changed` is the ascending diff of the old and new coreness. A
+    /// batch that applied nothing opens no region.
     ///
     /// Counters `dynamic.affected_vertices` and
     /// `dynamic.traversal_edges` report what the recompute examined: the
@@ -229,12 +231,12 @@ impl DynamicCore {
         self.cache = None;
 
         let csr = self.g.csr();
-        let cores = match try_pkc_core_decomposition(csr, exec) {
+        let cores = match try_core_decomposition(csr, exec) {
             Ok(cores) => cores,
             Err(e) => {
-                // PKC was abandoned mid-flight; restore the exact-coreness
-                // invariant so memory stays consistent with the (kept)
-                // graph mutation and the durable log.
+                // The peel was abandoned mid-flight; restore the
+                // exact-coreness invariant so memory stays consistent with
+                // the (kept) graph mutation and the durable log.
                 self.cores = core_decomposition(csr);
                 return Err(e);
             }
@@ -511,9 +513,9 @@ mod tests {
             .unwrap();
         let m = exec.take_metrics();
         let names: Vec<_> = m.regions.iter().map(|r| r.name).collect();
-        assert!(names.contains(&"pkc.scan"), "{names:?}");
-        assert!(names.contains(&"pkc.wave"), "{names:?}");
-        assert!(names.iter().all(|n| n.starts_with("pkc.")), "{names:?}");
+        // One worker: the recompute is the single bin-sort region.
+        assert!(names.contains(&"bz.peel"), "{names:?}");
+        assert!(names.iter().all(|n| *n == "bz.peel"), "{names:?}");
         // The recompute examined the whole new graph: n = 5, 2m = 10.
         let affected = m.get_counter("dynamic.affected_vertices").unwrap();
         assert_eq!((affected.kind, affected.value), ("sum", 5));
@@ -533,19 +535,18 @@ mod tests {
         let g = hcd_graph::GraphBuilder::new()
             .edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
             .build();
-        // The batch isolates vertex 4, so PKC's level-0 pkc.scan (region
-        // 0) and the pkc.wave peeling it (region 1) both run a chunk:
-        // panic in the first region, then cancel in the next one.
-        for (region, fault) in [(0, Fault::Panic), (1, Fault::Cancel)] {
+        // On one worker the recompute is the single `bz.peel` region
+        // (region 0): panic in its chunk, then cancel in it.
+        for fault in [Fault::Panic, Fault::Cancel] {
             let exec = Executor::sequential();
-            exec.set_fault_plan(FaultPlan::new().inject(region, 0, fault));
+            exec.set_fault_plan(FaultPlan::new().inject(0, 0, fault));
             let mut dc = DynamicCore::from_csr(&g);
             let seq_before = dc.seq();
             let err = dc
                 .try_apply_batch(&[EdgeUpdate::Insert(1, 3), EdgeUpdate::Remove(3, 4)], &exec)
                 .unwrap_err();
-            match region {
-                0 => assert!(matches!(err, ParError::Panicked { .. }), "{err:?}"),
+            match fault {
+                Fault::Panic => assert!(matches!(err, ParError::Panicked { .. }), "{err:?}"),
                 _ => assert!(matches!(err, ParError::Cancelled), "{err:?}"),
             }
             // The mutation is kept, the sequence number advanced, and

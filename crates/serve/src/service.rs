@@ -283,17 +283,18 @@ impl ServeNames {
 /// * the **writer** (serialized by an internal lock; any thread may
 ///   call it) applies an [`EdgeUpdate`] batch to the maintained
 ///   [`DynamicCore`], which merges the batch into the next CSR of the
-///   graph and recomputes coreness on it with PKC; the writer then runs
+///   graph and recomputes coreness on it (bin-sort peeling on a
+///   one-worker executor, PKC otherwise); the writer then runs
 ///   PHCD on that same CSR and publishes the result with an atomic epoch
 ///   swap. The published snapshot and the writer share that CSR.
 ///   Batches that change nothing publish no new generation at all.
 ///
 /// A rebuild failure (contained panic, cancellation, expired deadline —
-/// including injected faults in the `pkc.*`, `serve.rebuild` and
-/// `phcd.*` regions) publishes nothing: the service keeps serving the
-/// previous snapshot, the writer keeps the batch, and the next
-/// successful [`HcdService::try_apply_batch`] publishes the cumulative
-/// state.
+/// including injected faults in the `bz.peel` or `pkc.*`,
+/// `serve.rebuild` and `phcd.*` regions) publishes nothing: the service
+/// keeps serving the previous snapshot, the writer keeps the batch, and
+/// the next successful [`HcdService::try_apply_batch`] publishes the
+/// cumulative state.
 pub struct HcdService {
     cell: EpochCell<Snapshot>,
     writer: Mutex<Writer>,
@@ -789,7 +790,8 @@ impl HcdService {
     /// append + fsync** when the service is durable (the batch is on
     /// disk before anything observes it), the batch merged into the
     /// writer's CSR (histogram `dynamic.merge`) with coreness recomputed
-    /// by PKC on it ([`DynamicCore::try_apply_batch`], regions `pkc.*`),
+    /// on it ([`DynamicCore::try_apply_batch`]: region `bz.peel` on a
+    /// one-worker executor, regions `pkc.*` otherwise),
     /// PHCD on that same CSR in the fault-injectable
     /// `serve.rebuild` region (regions `phcd.*` nested inside; the
     /// region times itself), one atomic epoch swap, then (per
@@ -1089,16 +1091,15 @@ mod tests {
         use hcd_par::{Fault, FaultPlan};
         let exec = Executor::sequential();
         let svc = HcdService::new(&triangle_plus_tail(), &exec);
-        // Panic in the first region of the next batch: PKC's level-0
-        // pkc.scan, which runs a chunk because the batch isolates 4.
+        // Panic in the first region of the next batch: the one-worker
+        // recompute's single `bz.peel` region.
         exec.set_fault_plan(FaultPlan::new().inject(0, 0, Fault::Panic));
         let err = svc
             .try_apply_batch(&[EdgeUpdate::Insert(1, 3), EdgeUpdate::Remove(3, 4)], &exec)
             .unwrap_err();
         assert!(matches!(err, ServeError::Par(ParError::Panicked { .. })));
-        // Cancel in the next region of the batch after: the level-1
-        // pkc.scan (level 0 has no vertex once 4 is reattached).
-        exec.set_fault_plan(FaultPlan::new().inject(1, 0, Fault::Cancel));
+        // Cancel in the same region of the batch after.
+        exec.set_fault_plan(FaultPlan::new().inject(0, 0, Fault::Cancel));
         let err = svc
             .try_apply_batch(&[EdgeUpdate::Insert(0, 4)], &exec)
             .unwrap_err();
@@ -1145,10 +1146,9 @@ mod tests {
         assert!(names.contains(&"serve.query.member"), "{names:?}");
         assert!(names.contains(&"serve.query.batch"), "{names:?}");
         assert!(names.contains(&"serve.rebuild"), "{names:?}");
-        // The batch recomputed coreness with PKC and rebuilt the
-        // hierarchy with PHCD on the same CSR.
-        assert!(names.contains(&"pkc.scan"), "{names:?}");
-        assert!(names.contains(&"pkc.wave"), "{names:?}");
+        // The batch recomputed coreness with the one-worker bin-sort
+        // peel and rebuilt the hierarchy with PHCD on the same CSR.
+        assert!(names.contains(&"bz.peel"), "{names:?}");
         assert!(names.contains(&"phcd.union"), "{names:?}");
         assert!(
             !names.iter().any(|n| n.starts_with("dynamic.")),
@@ -1339,22 +1339,20 @@ mod tests {
         // checkpoint crash that poisons it.
         let (dir_a, dir_b) = (tempdir(), tempdir());
         let (svc, path_a) = durable(&dir_a);
-        // Count from here: the initial build ran PKC too.
+        // Count from here: the initial build ran the peel too.
         exec.take_metrics();
         svc.try_apply_batch(&[EdgeUpdate::Insert(0, 1)], &exec)
             .unwrap();
-        // Region 0 is the level-0 pkc.scan, which runs a chunk because
-        // the batch isolates 4.
+        // Region 0 is the one-worker recompute's `bz.peel`.
         exec.set_fault_plan(FaultPlan::new().inject(0, 0, Fault::Panic));
         svc.try_apply_batch(&[EdgeUpdate::Insert(1, 3), EdgeUpdate::Remove(3, 4)], &exec)
             .unwrap_err();
-        assert_eq!((count("pkc.scan"), count("serve.rebuild")), (1, 0));
+        assert_eq!((count("bz.peel"), count("serve.rebuild")), (1, 0));
         // The writer is dirty, so an empty batch takes the full path but
-        // changes no edge: no PKC region runs and region 0 is the
-        // rebuild.
+        // changes no edge: no peel runs and region 0 is the rebuild.
         exec.set_fault_plan(FaultPlan::new().inject(0, 0, Fault::Panic));
         svc.try_apply_batch(&[], &exec).unwrap_err();
-        assert_eq!((count("pkc.scan"), count("serve.rebuild")), (1, 1));
+        assert_eq!((count("bz.peel"), count("serve.rebuild")), (1, 1));
         exec.clear_fault_plan();
         svc.try_apply_batch(&[EdgeUpdate::Insert(0, 4)], &exec)
             .unwrap();

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use hcd_core::{try_phcd, Hcd};
-use hcd_decomp::{try_pkc_core_decomposition, CoreDecomposition};
+use hcd_decomp::{try_core_decomposition, CoreDecomposition};
 use hcd_graph::CsrGraph;
 use hcd_par::{Executor, ParError};
 
@@ -30,11 +30,12 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Builds generation-`generation` state from a graph: PKC core
-    /// decomposition + PHCD, both under `exec` (regions `pkc.*`,
-    /// `phcd.*` — the same pipeline as a from-scratch construction).
+    /// Builds generation-`generation` state from a graph: core
+    /// decomposition ([`try_core_decomposition`]: region `bz.peel` on a
+    /// one-worker executor, `pkc.*` otherwise) + PHCD (`phcd.*`), both
+    /// under `exec` — the same pipeline as a from-scratch construction.
     pub fn try_build(g: &CsrGraph, generation: u64, exec: &Executor) -> Result<Self, ParError> {
-        let cores = try_pkc_core_decomposition(g, exec)?;
+        let cores = try_core_decomposition(g, exec)?;
         let hcd = try_phcd(g, &cores, exec)?;
         Ok(Snapshot {
             graph: Arc::new(g.clone()),

@@ -3,8 +3,8 @@
 //! The paper's dynamic counterpart ([15] in its references) maintains
 //! the hierarchy under updates; this example drives `hcd-dynamic`:
 //! each batch of edge updates is merged into the next CSR of the graph,
-//! and coreness is recomputed on it with PKC, with the HCD refreshed on
-//! demand.
+//! and coreness is recomputed on it (by bin-sort peeling, since
+//! `apply_batch` runs on one worker), with the HCD refreshed on demand.
 //!
 //! ```text
 //! cargo run --release --example dynamic_updates

@@ -517,9 +517,10 @@ fn metrics_diff(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// PKC core decomposition, then PHCD, on the graph as loaded.
+/// Core decomposition (bin-sort peeling on one worker, PKC otherwise),
+/// then PHCD, on the graph as loaded.
 fn pipeline(g: &CsrGraph, exec: &Executor) -> Result<(CoreDecomposition, Hcd), CliError> {
-    let cores = try_pkc_core_decomposition(g, exec).map_err(par_err)?;
+    let cores = try_core_decomposition(g, exec).map_err(par_err)?;
     let hcd = try_phcd(g, &cores, exec).map_err(par_err)?;
     Ok((cores, hcd))
 }

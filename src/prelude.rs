@@ -6,7 +6,8 @@ pub use hcd_graph::{CsrGraph, GraphBuilder, InducedSubgraph, VertexId};
 pub use hcd_unionfind::{ConcurrentPivotUnionFind, PivotUnionFind, UfCounts, UnionFindPivot};
 
 pub use hcd_decomp::{
-    core_decomposition, pkc_core_decomposition, try_pkc_core_decomposition, CoreDecomposition,
+    core_decomposition, pkc_core_decomposition, try_core_decomposition, try_pkc_core_decomposition,
+    CoreDecomposition,
 };
 
 pub use hcd_core::phcd::try_phcd_with_ranks;

@@ -4,10 +4,25 @@
 //! are injected into arbitrary chunks. The oversubscription tests run
 //! more assist workers than the machine has cores and assert that pool
 //! workers really stole chunks (`par.assist.steals > 0`), so the
-//! interleavings they exercise are genuinely multi-threaded.
+//! interleavings they exercise are genuinely multi-threaded. Each also
+//! runs one round that holds chunk 0 of its first regions
+//! ([`hold_chunk_zero`]), so the assertion does not depend on whether
+//! a helper happens to wake before the owner finishes alone.
+
+use std::time::Duration;
 
 use hcd::prelude::*;
 use hcd::search::PrimaryValues;
+
+/// Sleeps in chunk 0 of each of the first four regions. Whichever
+/// thread claims that chunk is held for 50 ms, so a pool helper, woken
+/// when the region was published, claims a later chunk of any region
+/// with more than one: the round is certain to steal.
+fn hold_chunk_zero() -> FaultPlan {
+    (0..4).fold(FaultPlan::new(), |plan, region| {
+        plan.inject(region, 0, Fault::Delay(50_000))
+    })
+}
 
 #[test]
 fn repeated_parallel_phcd_runs_on_adversarial_graph() {
@@ -33,8 +48,11 @@ fn repeated_parallel_phcd_runs_on_adversarial_graph() {
     let cores = core_decomposition(&g);
     let truth = naive_hcd(&g, &cores).canonicalize();
     let mut steals = 0;
-    for round in 0..10 {
+    for round in 0..11 {
         let exec = Executor::assist(8);
+        if round == 10 {
+            exec.set_fault_plan(hold_chunk_zero());
+        }
         let m = metered(&exec, |e| {
             let h = phcd(&g, &cores, e);
             assert_eq!(h.canonicalize(), truth, "round {round}");
@@ -58,6 +76,12 @@ fn pkc_under_heavy_thread_oversubscription() {
             steals += counter(&m, "par.assist.steals");
         }
     }
+    let exec = Executor::assist(2);
+    exec.set_fault_plan(hold_chunk_zero());
+    let m = metered(&exec, |e| {
+        assert_eq!(pkc_core_decomposition(&g, e), expected);
+    });
+    steals += counter(&m, "par.assist.steals");
     assert!(steals > 0, "no chunk ran off the owner thread");
 }
 
@@ -73,8 +97,11 @@ fn concurrent_search_is_stable_under_oversubscription() {
         &Executor::sequential(),
     );
     let mut steals = 0;
-    for _ in 0..5 {
+    for round in 0..6 {
         let exec = Executor::assist(16);
+        if round == 5 {
+            exec.set_fault_plan(hold_chunk_zero());
+        }
         let m = metered(&exec, |e| {
             let got = pbks_scores(&ctx, &Metric::ClusteringCoefficient, e);
             assert_eq!(got.1, reference.1);
@@ -158,6 +185,97 @@ fn injected_panic_matrix_pkc() {
             assert_eq!(got, reference, "{mode} chunk {chunk}");
         }
     }
+}
+
+/// The sequential peel (`try_core_decomposition` on one worker) is one
+/// `bz.peel` region with one chunk. On a graph with more arcs than one
+/// checkpoint stride, each failure surfaces as its typed error, and the
+/// same executor then reproduces the clean result.
+#[test]
+fn injected_fault_matrix_seq_peel() {
+    let g = rmat(11, 10, None, 78);
+    assert!(g.num_arcs() > 4 * CHECKPOINT_STRIDE);
+    let reference = core_decomposition(&g);
+    let exec = Executor::sequential();
+    // The peel's result and its region's record.
+    let peel = |exec: &Executor| {
+        let mut result = None;
+        let m = metered(exec, |e| {
+            result = Some(try_core_decomposition(&g, e));
+        });
+        let record = m.regions.iter().find(|r| r.name == "bz.peel").cloned();
+        (result.unwrap(), record.expect("the peel runs in bz.peel"))
+    };
+    let rerun_is_clean = |cell: &str| {
+        let (got, record) = peel(&exec);
+        assert_eq!(got.as_ref(), Ok(&reference), "{cell}: rerun");
+        // Polled before the loop and at least once per stride after.
+        assert!(record.checkpoints >= 4, "{cell}: {record:?}");
+    };
+    rerun_is_clean("clean");
+
+    exec.set_fault_plan(FaultPlan::new().inject(0, 0, Fault::Panic));
+    let (got, record) = peel(&exec);
+    match got {
+        Err(ParError::Panicked { worker: 0, payload }) => {
+            assert!(payload.contains("injected fault"), "{payload}")
+        }
+        other => panic!("panic: expected Panicked, got {other:?}"),
+    }
+    assert_eq!((record.faults_injected, record.panicked), (1, 1));
+    exec.clear_fault_plan();
+    rerun_is_clean("panic");
+
+    // An injected cancel aborts at the chunk boundary and trips the
+    // installed token.
+    let token = CancelToken::new();
+    exec.set_cancel(token.clone());
+    exec.set_fault_plan(FaultPlan::new().inject(0, 0, Fault::Cancel));
+    let (got, record) = peel(&exec);
+    assert!(matches!(got, Err(ParError::Cancelled)), "cancel: {got:?}");
+    assert!(token.is_cancelled());
+    assert_eq!(record.cancelled, 1);
+    exec.clear_fault_plan();
+    exec.clear_cancel();
+    rerun_is_clean("cancel");
+
+    // A cancel from another thread while the chunk runs is seen by the
+    // peel's own poll. The fault plan cannot cancel past the chunk
+    // boundary, so this cell leans on time: the chunk is held 800 ms
+    // past its boundary check, and the token is cancelled 200 ms after
+    // both threads pass the barrier.
+    let token = CancelToken::new();
+    exec.set_cancel(token.clone());
+    exec.set_fault_plan(FaultPlan::new().inject(0, 0, Fault::Delay(800_000)));
+    let start = std::sync::Barrier::new(2);
+    let (got, record) = std::thread::scope(|s| {
+        s.spawn(|| {
+            start.wait();
+            std::thread::sleep(Duration::from_millis(200));
+            token.cancel();
+        });
+        start.wait();
+        peel(&exec)
+    });
+    assert!(matches!(got, Err(ParError::Cancelled)), "poll: {got:?}");
+    assert!(
+        record.checkpoints > 0,
+        "cancel not seen by a poll: {record:?}"
+    );
+    assert_eq!(record.cancelled, 1);
+    exec.clear_fault_plan();
+    exec.clear_cancel();
+    rerun_is_clean("cancel mid-peel");
+
+    exec.set_deadline(Deadline::from_now(Duration::ZERO));
+    let (got, record) = peel(&exec);
+    assert!(
+        matches!(got, Err(ParError::DeadlineExceeded)),
+        "deadline: {got:?}"
+    );
+    assert_eq!(record.deadline_exceeded, 1);
+    exec.clear_deadline();
+    rerun_is_clean("deadline");
 }
 
 /// One matrix cell: a fault to inject and the error shape it must surface as.

@@ -1,7 +1,8 @@
 //! Bounded-exhaustive checks: every labelled simple graph on at most six
 //! vertices (2^15 edge sets on six), in every executor mode: the
-//! hierarchy kernel against its oracles and against itself with metrics
-//! armed, and PBKS against BKS; plus the
+//! sequential bin-sort peel against PKC, the hierarchy kernel against
+//! its oracles and against itself with metrics armed, and PBKS against
+//! BKS; plus the
 //! local core queries against their definitions, and every snapshot the
 //! serve writer publishes after a single-edge flip against a fresh
 //! build. Random proptests sample large graphs; this covers every small
@@ -32,6 +33,36 @@ fn for_every_graph_up_to(max_n: VertexId, mut f: impl FnMut(&CsrGraph)) -> usize
         }
     }
     graphs
+}
+
+#[test]
+fn core_decomposition_matches_pkc_on_every_graph_up_to_six_vertices() {
+    // One-worker executors run bin-sort peeling; PKC runs by name on
+    // every mode, so the two peels stay cross-checked even though the
+    // serve path compares the bin-sort peel only with itself.
+    let seq = Executor::sequential();
+    let pkc_modes = [
+        Executor::sequential(),
+        Executor::assist(2),
+        Executor::simulated(3),
+    ];
+    let graphs = for_every_graph_up_to(6, |g| {
+        let reference = core_decomposition(g);
+        reference
+            .check_feasible(g)
+            .unwrap_or_else(|e| panic!("BZ on {g:?}: {e}"));
+        let peeled = try_core_decomposition(g, &seq).unwrap();
+        assert_eq!(peeled, reference, "seq peel on {g:?}");
+        peeled.check_feasible(g).unwrap();
+        for exec in &pkc_modes {
+            let mode = exec.mode_name();
+            let pkc = try_pkc_core_decomposition(g, exec).unwrap();
+            assert_eq!(pkc, reference, "PKC {mode} on {g:?}");
+            pkc.check_feasible(g)
+                .unwrap_or_else(|e| panic!("PKC {mode} on {g:?}: {e}"));
+        }
+    });
+    assert_eq!(graphs, 1 + 1 + 2 + 8 + 64 + 1024 + 32768);
 }
 
 #[test]

@@ -219,9 +219,10 @@ fn soak(mode: &str) {
 }
 
 /// Panic, cancellation, and deadline failures injected into the write
-/// path's `pkc.*` regions and into a read region abort the operation
-/// but leave the service serving the previous snapshot, which remains
-/// fully queryable; a later clean batch publishes the cumulative state.
+/// path's core-decomposition regions and into a read region abort the
+/// operation but leave the service serving the previous snapshot, which
+/// remains fully queryable; a later clean batch publishes the cumulative
+/// state.
 #[test]
 fn injected_faults_leave_the_previous_snapshot_serving() {
     injected_faults_body("seq");
@@ -254,22 +255,25 @@ fn injected_faults_body(mode: &str) {
         .unwrap();
     let updates = [EdgeUpdate::Insert(2, 3), EdgeUpdate::Remove(0, 1)];
 
-    // Panic in the first region of the batch that runs a chunk. PKC
-    // opens one pkc.scan per level; this graph has min degree 1, so the
-    // level-0 scan (region 0 after the plan reset) is empty and region 1
-    // is the level-1 pkc.scan.
+    // Panic in the first region of the batch that runs a chunk. On one
+    // worker that is region 0, the single `bz.peel`. PKC opens one
+    // pkc.scan per level; this graph has min degree 1, so the level-0
+    // scan (region 0 after the plan reset) is empty and region 1 is the
+    // level-1 pkc.scan.
+    let (panic_at, cancel_at) = if mode == "seq" { (0, 0) } else { (1, 2) };
     let exec = mk_exec(mode);
-    exec.set_fault_plan(FaultPlan::new().inject(1, 0, Fault::Panic));
+    exec.set_fault_plan(FaultPlan::new().inject(panic_at, 0, Fault::Panic));
     let err = service.try_apply_batch(&updates, &exec).unwrap_err();
     assert!(
         matches!(err, ServeError::Par(ParError::Panicked { .. })),
         "{err:?}"
     );
 
-    // Cancellation tripped in the next region: the pkc.wave peeling
-    // level 1 (the failed batch kept its mutation; min degree is still 1).
+    // Cancellation tripped in `bz.peel` again, or in PKC's next region:
+    // the pkc.wave peeling level 1 (the failed batch kept its mutation;
+    // min degree is still 1).
     let exec = mk_exec(mode);
-    exec.set_fault_plan(FaultPlan::new().inject(2, 0, Fault::Cancel));
+    exec.set_fault_plan(FaultPlan::new().inject(cancel_at, 0, Fault::Cancel));
     let err = service
         .try_apply_batch(&[EdgeUpdate::Insert(4, 5)], &exec)
         .unwrap_err();
