@@ -6,10 +6,10 @@
 //! preprocessing cost, showing the break-even point.
 
 use hcd_bench::{banner, datasets, executor, ratio, scale, secs, time_best, THREAD_SWEEP};
-use hcd_core::phcd;
+use hcd_core::try_phcd;
 use hcd_decomp::core_decomposition;
-use hcd_search::ablation::type_a_scores_inline;
-use hcd_search::pbks::pbks_scores;
+use hcd_search::ablation::try_type_a_scores_inline;
+use hcd_search::pbks::try_pbks_scores;
 use hcd_search::{Metric, SearchContext};
 
 fn main() {
@@ -23,13 +23,16 @@ fn main() {
     for d in datasets(&[]) {
         let g = d.generate(scale());
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &executor(p));
+        let hcd = try_phcd(&g, &cores, &executor(p)).unwrap();
         let par = executor(p);
 
-        let (ctx, prep_t) = time_best(&par, |e| SearchContext::with_executor(&g, &cores, &hcd, e));
-        let (_, with_t) = time_best(&par, |e| pbks_scores(&ctx, &metric, e));
-        let (_, without_t) =
-            time_best(&par, |e| type_a_scores_inline(&g, &cores, &hcd, &metric, e));
+        let (ctx, prep_t) = time_best(&par, |e| {
+            SearchContext::try_with_executor(&g, &cores, &hcd, e).unwrap()
+        });
+        let (_, with_t) = time_best(&par, |e| try_pbks_scores(&ctx, &metric, e).unwrap());
+        let (_, without_t) = time_best(&par, |e| {
+            try_type_a_scores_inline(&g, &cores, &hcd, &metric, e).unwrap()
+        });
 
         println!(
             "{:<8} | {:>10} {:>12} {:>12} {:>8.2}x",

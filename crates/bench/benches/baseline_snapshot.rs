@@ -17,7 +17,7 @@
 //! threshold absorbs.
 
 use hcd_bench::banner;
-use hcd_core::phcd;
+use hcd_core::try_phcd;
 use hcd_datasets::rmat;
 use hcd_decomp::try_pkc_core_decomposition;
 use hcd_par::Executor;
@@ -40,7 +40,7 @@ fn main() {
     let g = rmat(12, 8, None, 42);
     let exec = Executor::assist(4).with_metrics();
     let cores = try_pkc_core_decomposition(&g, &exec).expect("pkc");
-    let hcd = phcd(&g, &cores, &exec);
+    let hcd = try_phcd(&g, &cores, &exec).unwrap();
     let ctx = SearchContext::try_with_executor(&g, &cores, &hcd, &exec).expect("search context");
     let best = try_pbks(&ctx, &Metric::AverageDegree, &exec).expect("pbks");
 

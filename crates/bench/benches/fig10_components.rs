@@ -6,10 +6,10 @@
 use hcd_bench::{
     banner, datasets, executor, ratio, scale, time_best, FIGURE_DATASETS, THREAD_SWEEP,
 };
-use hcd_core::{lcps, phcd};
-use hcd_decomp::{core_decomposition, pkc_core_decomposition};
+use hcd_core::{lcps, try_phcd};
+use hcd_decomp::{core_decomposition, try_pkc_core_decomposition};
 use hcd_search::bks::{bks_scores_with, SortedAdjacency};
-use hcd_search::pbks::pbks_scores;
+use hcd_search::pbks::try_pbks_scores;
 use hcd_search::{Metric, SearchContext};
 
 fn main() {
@@ -26,24 +26,26 @@ fn main() {
 
         // CD: parallel PKC vs serial Batagelj-Zaversnik.
         let (_, bz_t) = time_best(&seq, |_| core_decomposition(&g));
-        let (cores, pkc_t) = time_best(&par, |e| pkc_core_decomposition(&g, e));
+        let (cores, pkc_t) = time_best(&par, |e| try_pkc_core_decomposition(&g, e).unwrap());
 
         // HCD: PHCD(p) vs LCPS.
         let (_, lcps_t) = time_best(&seq, |_| lcps(&g, &cores));
-        let (hcd, phcd_t) = time_best(&par, |e| phcd(&g, &cores, e));
+        let (hcd, phcd_t) = time_best(&par, |e| try_phcd(&g, &cores, e).unwrap());
 
         // Score computation, preprocessing excluded on both sides.
-        let ctx = SearchContext::with_executor(&g, &cores, &hcd, &par);
+        let ctx = SearchContext::try_with_executor(&g, &cores, &hcd, &par).unwrap();
         let sorted = SortedAdjacency::build(&g, cores.as_slice());
         let (_, bks_a) = time_best(&seq, |_| {
             bks_scores_with(&ctx, &sorted, &Metric::AverageDegree)
         });
-        let (_, pbks_a) = time_best(&par, |e| pbks_scores(&ctx, &Metric::AverageDegree, e));
+        let (_, pbks_a) = time_best(&par, |e| {
+            try_pbks_scores(&ctx, &Metric::AverageDegree, e).unwrap()
+        });
         let (_, bks_b) = time_best(&seq, |_| {
             bks_scores_with(&ctx, &sorted, &Metric::ClusteringCoefficient)
         });
         let (_, pbks_b) = time_best(&par, |e| {
-            pbks_scores(&ctx, &Metric::ClusteringCoefficient, e)
+            try_pbks_scores(&ctx, &Metric::ClusteringCoefficient, e).unwrap()
         });
 
         println!(

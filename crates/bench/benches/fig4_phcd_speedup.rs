@@ -3,7 +3,7 @@
 use hcd_bench::{
     banner, datasets, executor, ratio, scale, time_best, FIGURE_DATASETS, THREAD_SWEEP,
 };
-use hcd_core::{lcps, phcd};
+use hcd_core::{lcps, try_phcd};
 use hcd_decomp::core_decomposition;
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
         print!("{:<8}", d.abbrev);
         for p in THREAD_SWEEP {
             let exec = executor(p);
-            let (_, t) = time_best(&exec, |e| phcd(&g, &cores, e));
+            let (_, t) = time_best(&exec, |e| try_phcd(&g, &cores, e).unwrap());
             print!(" {:>8.2}", ratio(lcps_t, t));
         }
         println!();

@@ -4,10 +4,10 @@
 use hcd_bench::{
     banner, datasets, executor, ratio, scale, time_best, FIGURE_DATASETS, THREAD_SWEEP,
 };
-use hcd_core::phcd;
+use hcd_core::try_phcd;
 use hcd_decomp::core_decomposition;
 use hcd_search::bks::{bks_scores_with, SortedAdjacency};
-use hcd_search::pbks::pbks_scores;
+use hcd_search::pbks::try_pbks_scores;
 use hcd_search::{Metric, SearchContext};
 
 fn main() {
@@ -21,14 +21,14 @@ fn main() {
     for d in datasets(&FIGURE_DATASETS) {
         let g = d.generate(scale());
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &executor(1));
+        let hcd = try_phcd(&g, &cores, &executor(1)).unwrap();
         let ctx = SearchContext::new(&g, &cores, &hcd);
         let sorted = SortedAdjacency::build(&g, cores.as_slice());
         let (_, bks_t) = time_best(&executor(1), |_| bks_scores_with(&ctx, &sorted, &metric));
         print!("{:<8}", d.abbrev);
         for p in THREAD_SWEEP {
             let exec = executor(p);
-            let (_, t) = time_best(&exec, |e| pbks_scores(&ctx, &metric, e));
+            let (_, t) = time_best(&exec, |e| try_pbks_scores(&ctx, &metric, e).unwrap());
             print!(" {:>8.2}", ratio(bks_t, t));
         }
         println!();

@@ -5,11 +5,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use hcd_core::{phcd, VertexRanks};
+use hcd_core::{try_phcd, VertexRanks};
 use hcd_datasets::rmat;
-use hcd_decomp::{core_decomposition, pkc_core_decomposition};
+use hcd_decomp::{core_decomposition, try_pkc_core_decomposition};
 use hcd_par::Executor;
-use hcd_search::accumulate::accumulate_bottom_up;
+use hcd_search::accumulate::try_accumulate_bottom_up;
 use hcd_search::bks::SortedAdjacency;
 use hcd_truss::truss_decomposition;
 use hcd_unionfind::{ConcurrentPivotUnionFind, PivotUnionFind, UnionFindPivot};
@@ -55,7 +55,7 @@ fn bench_core_decomposition(c: &mut Criterion) {
         b.iter(|| black_box(core_decomposition(&g)))
     });
     group.bench_function("pkc_1thread", |b| {
-        b.iter(|| black_box(pkc_core_decomposition(&g, &exec)))
+        b.iter(|| black_box(try_pkc_core_decomposition(&g, &exec).unwrap()))
     });
     group.finish();
 }
@@ -66,10 +66,10 @@ fn bench_construction(c: &mut Criterion) {
     let exec = Executor::sequential();
     let mut group = c.benchmark_group("hcd_construction");
     group.bench_function("vertex_ranks", |b| {
-        b.iter(|| black_box(VertexRanks::compute(&cores, &exec)))
+        b.iter(|| black_box(VertexRanks::try_compute(&cores, &exec).unwrap()))
     });
     group.bench_function("phcd_serial", |b| {
-        b.iter(|| black_box(phcd(&g, &cores, &exec)))
+        b.iter(|| black_box(try_phcd(&g, &cores, &exec).unwrap()))
     });
     group.bench_function("lcps", |b| b.iter(|| black_box(hcd_core::lcps(&g, &cores))));
     group.finish();
@@ -84,7 +84,7 @@ fn bench_truss(c: &mut Criterion) {
     let (idx, td) = truss_decomposition(&g);
     let exec = Executor::sequential();
     group.bench_function("phtd_serial", |b| {
-        b.iter(|| black_box(hcd_truss::phtd(&g, &idx, &td, &exec)))
+        b.iter(|| black_box(hcd_truss::try_phtd(&g, &idx, &td, &exec).unwrap()))
     });
     group.finish();
 }
@@ -93,7 +93,7 @@ fn bench_search_substrates(c: &mut Criterion) {
     let g = rmat(12, 8, None, 4);
     let cores = core_decomposition(&g);
     let exec = Executor::sequential();
-    let hcd = phcd(&g, &cores, &exec);
+    let hcd = try_phcd(&g, &cores, &exec).unwrap();
     let mut group = c.benchmark_group("search_substrates");
     group.bench_function("bks_adjacency_sort", |b| {
         b.iter(|| black_box(SortedAdjacency::build(&g, cores.as_slice())))
@@ -105,7 +105,7 @@ fn bench_search_substrates(c: &mut Criterion) {
                 .iter()
                 .map(|n| n.vertices.len() as u64)
                 .collect();
-            accumulate_bottom_up(&hcd, &mut vals, |a, x| *a += *x, &exec);
+            try_accumulate_bottom_up(&hcd, &mut vals, |a, x| *a += *x, &exec).unwrap();
             black_box(vals)
         })
     });

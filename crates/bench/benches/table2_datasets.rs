@@ -1,7 +1,7 @@
 //! Table II: statistics of the (stand-in) datasets — n, m, davg, kmax, |T|.
 
 use hcd_bench::{banner, datasets, scale};
-use hcd_core::phcd;
+use hcd_core::try_phcd;
 use hcd_decomp::core_decomposition;
 use hcd_par::Executor;
 
@@ -15,7 +15,7 @@ fn main() {
     for d in datasets(&[]) {
         let g = d.generate(scale());
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &exec);
+        let hcd = try_phcd(&g, &cores, &exec).unwrap();
         println!(
             "{:<14} {:>10} {:>12} {:>8.1} {:>7} {:>8}",
             d.abbrev,

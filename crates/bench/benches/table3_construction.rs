@@ -8,7 +8,7 @@
 
 use hcd_bench::{banner, datasets, executor, ratio, scale, secs, time_best, THREAD_SWEEP};
 use hcd_core::rc::rc_confirm_parents;
-use hcd_core::{lb::lb_union_all, lcps, phcd};
+use hcd_core::{lb::try_lb_union_all, lcps, try_phcd};
 use hcd_decomp::core_decomposition;
 
 fn main() {
@@ -24,8 +24,8 @@ fn main() {
 
         // Serial column.
         let seq = executor(1);
-        let (hcd, phcd1) = time_best(&seq, |e| phcd(&g, &cores, e));
-        let (_, lb1) = time_best(&seq, |e| lb_union_all(&g, e));
+        let (hcd, phcd1) = time_best(&seq, |e| try_phcd(&g, &cores, e).unwrap());
+        let (_, lb1) = time_best(&seq, |e| try_lb_union_all(&g, e).unwrap());
         let (hcd_lcps, lcps1) = time_best(&seq, |_| lcps(&g, &cores));
         assert_eq!(
             hcd.canonicalize(),
@@ -36,9 +36,9 @@ fn main() {
 
         // Parallel column at the paper's max thread count.
         let par = executor(p_max);
-        let (_, phcd_p) = time_best(&par, |e| phcd(&g, &cores, e));
-        let (_, lb_p) = time_best(&par, |e| lb_union_all(&g, e));
-        let (_, rc_p) = time_best(&par, |e| rc_confirm_parents(&g, &cores, &hcd, e));
+        let (_, phcd_p) = time_best(&par, |e| try_phcd(&g, &cores, e).unwrap());
+        let (_, lb_p) = time_best(&par, |e| try_lb_union_all(&g, e).unwrap());
+        let (_, rc_p) = time_best(&par, |e| rc_confirm_parents(&g, &cores, &hcd, e).unwrap());
 
         println!(
             "{:<8} | {:>10} {:>7.2}x {:>7.2}x | {:>10} {:>7.2}x {:>7.2}x",

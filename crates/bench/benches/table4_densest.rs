@@ -5,10 +5,10 @@
 //! contained in PBKS-D's output S*; and |S*|/n.
 
 use hcd_bench::{banner, datasets, executor, scale, secs, time_best, THREAD_SWEEP};
-use hcd_core::phcd;
+use hcd_core::try_phcd;
 use hcd_decomp::core_decomposition;
 use hcd_search::clique::{contained_in, max_clique};
-use hcd_search::densest::{coreapp, opt_d, pbks_d};
+use hcd_search::densest::{coreapp, opt_d, try_pbks_d};
 use hcd_search::SearchContext;
 
 fn main() {
@@ -21,8 +21,8 @@ fn main() {
     for d in datasets(&[]) {
         let g = d.generate(scale());
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &executor(p_max));
-        let ctx = SearchContext::with_executor(&g, &cores, &hcd, &executor(p_max));
+        let hcd = try_phcd(&g, &cores, &executor(p_max)).unwrap();
+        let ctx = SearchContext::try_with_executor(&g, &cores, &hcd, &executor(p_max)).unwrap();
 
         let (capp, capp_t) = time_best(&executor(1), |_| coreapp(&g, &cores));
         let capp_davg = capp.map(|(_, d)| d).unwrap_or(f64::NAN);
@@ -31,7 +31,7 @@ fn main() {
         let od = od.expect("non-empty graph");
 
         let par = executor(p_max);
-        let (pd, pd_t) = time_best(&par, |e| pbks_d(&ctx, e));
+        let (pd, pd_t) = time_best(&par, |e| try_pbks_d(&ctx, e).unwrap());
         let pd = pd.expect("non-empty graph");
         assert_eq!(od.score, pd.score, "Opt-D and PBKS-D must agree");
         assert!(

@@ -2,11 +2,11 @@
 //! speedup over serial BKS, for a type-A and a type-B metric.
 
 use hcd_bench::{banner, datasets, executor, ratio, scale, secs, time_best, THREAD_SWEEP};
-use hcd_core::phcd;
+use hcd_core::try_phcd;
 use hcd_decomp::core_decomposition;
 use hcd_par::Executor;
 use hcd_search::bks::{bks_scores_with, SortedAdjacency};
-use hcd_search::pbks::pbks_scores;
+use hcd_search::pbks::try_pbks_scores;
 use hcd_search::{Metric, SearchContext};
 
 fn main() {
@@ -21,17 +21,17 @@ fn main() {
     for d in datasets(&[]) {
         let g = d.generate(scale());
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &executor(p_max));
-        let ctx = SearchContext::with_executor(&g, &cores, &hcd, &executor(p_max));
+        let hcd = try_phcd(&g, &cores, &executor(p_max)).unwrap();
+        let ctx = SearchContext::try_with_executor(&g, &cores, &hcd, &executor(p_max)).unwrap();
         let sorted = SortedAdjacency::build(&g, cores.as_slice());
         let par: Executor = executor(p_max);
 
-        let (sa, a_t) = time_best(&par, |e| pbks_scores(&ctx, &type_a, e));
+        let (sa, a_t) = time_best(&par, |e| try_pbks_scores(&ctx, &type_a, e).unwrap());
         let (sa_serial, a_bks) =
             time_best(&executor(1), |_| bks_scores_with(&ctx, &sorted, &type_a));
         assert_eq!(sa.1, sa_serial.1, "type-A results diverge on {}", d.abbrev);
 
-        let (sb, b_t) = time_best(&par, |e| pbks_scores(&ctx, &type_b, e));
+        let (sb, b_t) = time_best(&par, |e| try_pbks_scores(&ctx, &type_b, e).unwrap());
         let (sb_serial, b_bks) =
             time_best(&executor(1), |_| bks_scores_with(&ctx, &sorted, &type_b));
         assert_eq!(sb.1, sb_serial.1, "type-B results diverge on {}", d.abbrev);

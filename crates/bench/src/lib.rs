@@ -237,9 +237,12 @@ mod tests {
         let exec = Executor::simulated(4);
         let (sum, d) = time_once(&exec, |e| {
             let acc = std::sync::atomic::AtomicU64::new(0);
-            e.region("test").for_each_index(10_000, |i| {
-                acc.fetch_add(i as u64, std::sync::atomic::Ordering::Relaxed);
-            });
+            e.region("test")
+                .try_for_each_index(10_000, |i| {
+                    acc.fetch_add(i as u64, std::sync::atomic::Ordering::Relaxed);
+                    Ok(())
+                })
+                .unwrap();
             acc.into_inner()
         });
         assert_eq!(sum, 10_000u64 * 9_999 / 2);
@@ -257,13 +260,16 @@ mod tests {
     #[test]
     fn dump_metrics_returns_snapshot_without_env() {
         let exec = Executor::sequential().with_metrics();
-        exec.region("bench.test").for_each_chunk(
-            8,
-            || (),
-            |_, _, range| {
-                std::hint::black_box(range.len());
-            },
-        );
+        exec.region("bench.test")
+            .try_for_each_chunk(
+                8,
+                || (),
+                |_, _, range| {
+                    std::hint::black_box(range.len());
+                    Ok(())
+                },
+            )
+            .unwrap();
         let m = dump_metrics(&exec, "unit");
         assert!(m.get("bench.test").is_some());
         // Drained: a second dump is empty.
@@ -273,13 +279,16 @@ mod tests {
     #[test]
     fn dump_trace_returns_events_without_env() {
         let exec = Executor::sequential().with_trace();
-        exec.region("bench.trace").for_each_chunk(
-            8,
-            || (),
-            |_, _, range| {
-                std::hint::black_box(range.len());
-            },
-        );
+        exec.region("bench.trace")
+            .try_for_each_chunk(
+                8,
+                || (),
+                |_, _, range| {
+                    std::hint::black_box(range.len());
+                    Ok(())
+                },
+            )
+            .unwrap();
         let t = dump_trace(&exec, "unit");
         assert!(
             t.events

@@ -29,7 +29,7 @@ impl TreeNode {
 /// The hierarchical core decomposition of a graph: a forest of k-core
 /// tree nodes plus the `tid` map from vertices to their node.
 ///
-/// Construct with [`phcd()`](crate::phcd::phcd) (parallel), [`lcps()`](crate::lcps::lcps) (serial
+/// Construct with [`try_phcd()`](crate::phcd::try_phcd) (parallel), [`lcps()`](crate::lcps::lcps) (serial
 /// baseline), or [`crate::naive_hcd`] (brute-force oracle).
 #[derive(Debug, Clone)]
 pub struct Hcd {

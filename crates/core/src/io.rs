@@ -108,7 +108,7 @@ fn read_u32<R: Read>(r: &mut R) -> Result<u32, GraphError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phcd::phcd;
+    use crate::phcd::try_phcd;
     use crate::testutil::figure1_graph;
     use hcd_decomp::core_decomposition;
     use hcd_par::Executor;
@@ -117,7 +117,7 @@ mod tests {
     fn roundtrip_preserves_index() {
         let g = figure1_graph();
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         let mut buf = Vec::new();
         write_hcd(&hcd, &mut buf).unwrap();
         let back = read_hcd(&buf[..]).unwrap();
@@ -136,7 +136,7 @@ mod tests {
     fn rejects_truncation() {
         let g = figure1_graph();
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         let mut buf = Vec::new();
         write_hcd(&hcd, &mut buf).unwrap();
         for cut in [9, buf.len() / 2, buf.len() - 2] {
@@ -148,7 +148,7 @@ mod tests {
     fn rejects_corrupted_tid() {
         let g = figure1_graph();
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         let mut buf = Vec::new();
         write_hcd(&hcd, &mut buf).unwrap();
         // Corrupt the final tid entry to a huge value.

@@ -10,17 +10,10 @@ use hcd_unionfind::{ConcurrentPivotUnionFind, UnionFindPivot};
 ///
 /// Returns the populated union-find so callers can verify the result (and
 /// so the work is not optimized away).
-pub fn lb_union_all(g: &CsrGraph, exec: &Executor) -> ConcurrentPivotUnionFind {
-    match try_lb_union_all(g, exec) {
-        Ok(uf) => uf,
-        Err(e) => e.raise(),
-    }
-}
-
-/// Fallible version of [`lb_union_all`]: the adjacency scan polls the
-/// executor's cancellation checkpoint at a coarse edge stride, so
-/// deadlines and cancel tokens abort it promptly (see `hcd_par` failure
-/// model).
+///
+/// The adjacency scan polls the executor's cancellation checkpoint at a
+/// coarse edge stride, so deadlines and cancel tokens abort it promptly
+/// (see `hcd_par` failure model).
 pub fn try_lb_union_all(
     g: &CsrGraph,
     exec: &Executor,
@@ -67,7 +60,7 @@ mod tests {
             .build();
         let (labels, count) = connected_components(&g);
         for exec in [Executor::sequential(), Executor::assist(4)] {
-            let uf = lb_union_all(&g, &exec);
+            let uf = try_lb_union_all(&g, &exec).unwrap();
             assert_eq!(uf.num_components(), count);
             for u in g.vertices() {
                 for v in g.vertices() {
@@ -80,7 +73,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = GraphBuilder::new().build();
-        let uf = lb_union_all(&g, &Executor::sequential());
+        let uf = try_lb_union_all(&g, &Executor::sequential()).unwrap();
         assert_eq!(uf.num_components(), 0);
     }
 

@@ -12,7 +12,7 @@
 //!   DOT export ([`index`], [`query`]).
 //! * [`rank`] — Algorithm 1: parallel vertex-rank computation and shell
 //!   bucketing.
-//! * [`phcd()`](phcd::phcd) — **Algorithm 2 (PHCD)**: the paper's parallel construction
+//! * [`try_phcd()`](phcd::try_phcd) — **Algorithm 2 (PHCD)**: the paper's parallel construction
 //!   via union-find with pivot, correct under sequential, real-thread,
 //!   and simulated execution.
 //! * [`forest`] — the hierarchy kernel PHCD runs on, shared with the
@@ -48,7 +48,7 @@ pub mod stats;
 pub use index::{CanonicalHcd, Hcd, TreeNode, NO_NODE};
 pub use lcps::lcps;
 pub use oracle::naive_hcd;
-pub use phcd::{phcd, try_phcd};
+pub use phcd::try_phcd;
 pub use rank::VertexRanks;
 
 #[cfg(test)]

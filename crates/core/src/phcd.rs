@@ -34,17 +34,10 @@ use crate::rank::VertexRanks;
 /// adjacency as the links; the truss hierarchy shares that kernel.
 /// Output is deterministic across modes: node ids are assigned per level
 /// in pivot-rank order and vertex lists are sorted at the end.
-pub fn phcd(g: &CsrGraph, cores: &CoreDecomposition, exec: &Executor) -> Hcd {
-    match try_phcd(g, cores, exec) {
-        Ok(hcd) => hcd,
-        Err(e) => e.raise(),
-    }
-}
-
-/// Fallible version of [`phcd`]: returns `Err` if any region panics, is
-/// cancelled, or exceeds the executor's deadline. On `Err` no partial
-/// index escapes and the executor stays usable (see `hcd_par` failure
-/// model).
+///
+/// Returns `Err` if any region panics, is cancelled, or exceeds the
+/// executor's deadline. On `Err` no partial index escapes and the
+/// executor stays usable (see `hcd_par` failure model).
 pub fn try_phcd(g: &CsrGraph, cores: &CoreDecomposition, exec: &Executor) -> Result<Hcd, ParError> {
     let ranks = VertexRanks::try_compute(cores, exec)?;
     try_phcd_with_ranks(g, cores, &ranks, exec)
@@ -122,7 +115,7 @@ mod tests {
             Executor::assist(4),
             Executor::simulated(3),
         ] {
-            let hcd = phcd(g, &cores, &exec);
+            let hcd = try_phcd(g, &cores, &exec).unwrap();
             assert_eq!(
                 hcd.canonicalize(),
                 truth,
@@ -190,9 +183,9 @@ mod tests {
     fn deterministic_across_modes_and_runs() {
         let g = crate::testutil::figure1_graph();
         let cores = core_decomposition(&g);
-        let a = phcd(&g, &cores, &Executor::sequential());
+        let a = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         for _ in 0..5 {
-            let b = phcd(&g, &cores, &Executor::assist(4));
+            let b = try_phcd(&g, &cores, &Executor::assist(4)).unwrap();
             // Not just canonically equal: byte-for-byte identical index.
             assert_eq!(a.nodes(), b.nodes());
             assert_eq!(a.tids(), b.tids());
@@ -203,7 +196,7 @@ mod tests {
     fn validates_against_full_checker() {
         let g = crate::testutil::figure1_graph();
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::assist(3));
+        let hcd = try_phcd(&g, &cores, &Executor::assist(3)).unwrap();
         hcd.validate(&g, &cores).unwrap();
     }
 
@@ -211,7 +204,7 @@ mod tests {
     fn empty_graph() {
         let g = GraphBuilder::new().build();
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         assert_eq!(hcd.num_nodes(), 0);
     }
 }

@@ -9,7 +9,7 @@ use hcd_par::Executor;
 
 use crate::lcps::lcps;
 use crate::oracle::naive_hcd;
-use crate::phcd::phcd;
+use crate::phcd::try_phcd;
 use crate::query::{core_containing, core_node_at, hierarchy_position, scan_beats_sort};
 use crate::rc::rc_confirm_parents;
 
@@ -31,7 +31,7 @@ proptest! {
         let cores = core_decomposition(&g);
         let truth = naive_hcd(&g, &cores).canonicalize();
         for exec in [Executor::sequential(), Executor::assist(4), Executor::simulated(3)] {
-            let got = phcd(&g, &cores, &exec);
+            let got = try_phcd(&g, &cores, &exec).unwrap();
             prop_assert_eq!(got.canonicalize(), truth.clone(), "mode {}", exec.mode_name());
         }
     }
@@ -51,7 +51,7 @@ proptest! {
         let g = build_from_edges(edges, 0);
         let cores = core_decomposition(&g);
         let truth = naive_hcd(&g, &cores).canonicalize();
-        prop_assert_eq!(phcd(&g, &cores, &Executor::assist(4)).canonicalize(), truth.clone());
+        prop_assert_eq!(try_phcd(&g, &cores, &Executor::assist(4)).unwrap().canonicalize(), truth.clone());
         prop_assert_eq!(lcps(&g, &cores).canonicalize(), truth);
     }
 
@@ -59,8 +59,8 @@ proptest! {
     fn rc_confirms_phcd_parents(edges in arb_dense_edges()) {
         let g = build_from_edges(edges, 0);
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
-        let confirmed = rc_confirm_parents(&g, &cores, &hcd, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
+        let confirmed = rc_confirm_parents(&g, &cores, &hcd, &Executor::sequential()).unwrap();
         prop_assert_eq!(confirmed, hcd.num_nodes() - hcd.roots().len());
     }
 
@@ -71,7 +71,7 @@ proptest! {
             return Ok(());
         }
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         for v in g.vertices().step_by(3) {
             let k = cores.coreness(v);
             let got = core_containing(&hcd, &cores, v, k).unwrap();
@@ -102,7 +102,7 @@ proptest! {
         let mut branches = [0usize; 2];
         for g in [&ba, &rmat] {
             let cores = core_decomposition(g);
-            let hcd = phcd(g, &cores, &Executor::sequential());
+            let hcd = try_phcd(g, &cores, &Executor::sequential()).unwrap();
             let n = hcd.tids().len();
             for v in g.vertices().step_by(7) {
                 let (_, size) = hierarchy_position(&hcd, v);

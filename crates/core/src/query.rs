@@ -132,7 +132,7 @@ pub fn cores_per_level(hcd: &Hcd, kmax: u32) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phcd::phcd;
+    use crate::phcd::try_phcd;
     use crate::testutil::figure1_graph;
     use hcd_decomp::core_decomposition;
     use hcd_par::Executor;
@@ -140,7 +140,7 @@ mod tests {
     fn setup() -> (hcd_graph::CsrGraph, CoreDecomposition, Hcd) {
         let g = figure1_graph();
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         (g, cores, hcd)
     }
 

@@ -23,16 +23,9 @@ impl VertexRanks {
     /// parallel scatter. Because worker chunks are ascending id ranges
     /// and the prefix walks workers in order within each `k`, the result
     /// is exactly the stable `(coreness, id)` order, in `O(n)` work.
-    pub fn compute(cores: &CoreDecomposition, exec: &Executor) -> Self {
-        match Self::try_compute(cores, exec) {
-            Ok(ranks) => ranks,
-            Err(e) => e.raise(),
-        }
-    }
-
-    /// Fallible version of [`VertexRanks::compute`]: returns `Err` if a
-    /// region panics, is cancelled, or exceeds the executor's deadline
-    /// (see `hcd_par` failure model).
+    ///
+    /// Returns `Err` if a region panics, is cancelled, or exceeds the
+    /// executor's deadline (see `hcd_par` failure model).
     pub fn try_compute(cores: &CoreDecomposition, exec: &Executor) -> Result<Self, ParError> {
         let n = cores.len();
         let kmax = cores.kmax();
@@ -182,7 +175,7 @@ mod tests {
             Executor::assist(3),
             Executor::simulated(4),
         ] {
-            let vr = VertexRanks::compute(&cores, &exec);
+            let vr = VertexRanks::try_compute(&cores, &exec).unwrap();
             assert_eq!(vr.vsort(), &[4, 3, 0, 1, 2], "mode {}", exec.mode_name());
         }
     }
@@ -190,7 +183,7 @@ mod tests {
     #[test]
     fn rank_is_inverse_of_vsort() {
         let cores = sample_cores();
-        let vr = VertexRanks::compute(&cores, &Executor::assist(2));
+        let vr = VertexRanks::try_compute(&cores, &Executor::assist(2)).unwrap();
         for (i, &v) in vr.vsort().iter().enumerate() {
             assert_eq!(vr.rank(v) as usize, i);
         }
@@ -199,7 +192,7 @@ mod tests {
     #[test]
     fn shells_match_decomposition() {
         let cores = sample_cores();
-        let vr = VertexRanks::compute(&cores, &Executor::sequential());
+        let vr = VertexRanks::try_compute(&cores, &Executor::sequential()).unwrap();
         assert_eq!(vr.shell(0), &[4]);
         assert_eq!(vr.shell(1), &[3]);
         assert_eq!(vr.shell(2), &[0, 1, 2]);
@@ -209,7 +202,7 @@ mod tests {
     #[test]
     fn rank_respects_definition_4() {
         let cores = sample_cores();
-        let vr = VertexRanks::compute(&cores, &Executor::simulated(2));
+        let vr = VertexRanks::try_compute(&cores, &Executor::simulated(2)).unwrap();
         let n = cores.len() as u32;
         for u in 0..n {
             for v in 0..n {
@@ -226,7 +219,7 @@ mod tests {
     #[test]
     fn empty_input() {
         let cores = CoreDecomposition::from_coreness(Vec::new());
-        let vr = VertexRanks::compute(&cores, &Executor::sequential());
+        let vr = VertexRanks::try_compute(&cores, &Executor::sequential()).unwrap();
         assert!(vr.vsort().is_empty());
         assert_eq!(vr.shell(0).len(), 0);
     }

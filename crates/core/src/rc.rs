@@ -11,7 +11,7 @@
 use hcd_decomp::CoreDecomposition;
 use hcd_graph::traversal::bfs_filtered;
 use hcd_graph::{CsrGraph, VertexId};
-use hcd_par::Executor;
+use hcd_par::{Executor, ParError};
 
 use crate::index::{Hcd, NO_NODE};
 
@@ -33,7 +33,9 @@ pub fn local_core_search(
 /// For each non-root node `Ti` at level `k` with parent at level `k_p`,
 /// a local `k_p`-core search from `Ti`'s first vertex must reach a vertex
 /// of coreness exactly `k_p`; the node of the first such vertex is the
-/// parent. Returns the number of relations confirmed.
+/// parent. Returns the number of relations confirmed, or `Err` if a
+/// region panics, is cancelled, or exceeds the executor's deadline (see
+/// `hcd_par` failure model).
 ///
 /// # Panics
 ///
@@ -44,10 +46,10 @@ pub fn rc_confirm_parents(
     cores: &CoreDecomposition,
     hcd: &Hcd,
     exec: &Executor,
-) -> usize {
+) -> Result<usize, ParError> {
     let parts = exec
         .region("rc.confirm")
-        .map_chunks(hcd.num_nodes(), |_, range| {
+        .try_map_chunks(hcd.num_nodes(), |_, range| {
             let mut confirmed = 0usize;
             for i in range {
                 let node = hcd.node(i as u32);
@@ -68,15 +70,15 @@ pub fn rc_confirm_parents(
                 );
                 confirmed += 1;
             }
-            confirmed
-        });
-    parts.into_iter().sum()
+            Ok(confirmed)
+        })?;
+    Ok(parts.into_iter().sum())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phcd::phcd;
+    use crate::phcd::try_phcd;
     use crate::testutil::figure1_graph;
     use hcd_decomp::core_decomposition;
     use hcd_graph::GraphBuilder;
@@ -106,8 +108,8 @@ mod tests {
     fn rc_confirms_all_relations() {
         let g = figure1_graph();
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
-        let confirmed = rc_confirm_parents(&g, &cores, &hcd, &Executor::assist(2));
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
+        let confirmed = rc_confirm_parents(&g, &cores, &hcd, &Executor::assist(2)).unwrap();
         assert_eq!(confirmed, hcd.num_nodes() - hcd.roots().len());
     }
 
@@ -115,9 +117,9 @@ mod tests {
     fn rc_on_forest_with_no_edges() {
         let g = GraphBuilder::new().min_vertices(4).build();
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         assert_eq!(
-            rc_confirm_parents(&g, &cores, &hcd, &Executor::sequential()),
+            rc_confirm_parents(&g, &cores, &hcd, &Executor::sequential()).unwrap(),
             0
         );
     }

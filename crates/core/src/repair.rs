@@ -299,7 +299,7 @@ mod tests {
     use hcd_graph::{CsrGraph, GraphBuilder, VertexId};
     use hcd_par::Executor;
 
-    use crate::{naive_hcd, phcd};
+    use crate::{naive_hcd, try_phcd};
 
     /// Repairs the old graph's oracle hierarchy into the new graph's and
     /// checks it against a from-scratch oracle build, and byte for byte
@@ -327,7 +327,7 @@ mod tests {
             .unwrap_or_else(|e| panic!("repair produced an invalid hierarchy: {e}"));
         let fresh = naive_hcd(new, &new_cores);
         assert_eq!(repaired.canonicalize(), fresh.canonicalize());
-        let built = phcd(new, &new_cores, &Executor::sequential());
+        let built = try_phcd(new, &new_cores, &Executor::sequential()).unwrap();
         assert_eq!(repaired.nodes(), built.nodes());
         assert_eq!(repaired.tids(), built.tids());
         assert_eq!(repaired.roots(), built.roots());

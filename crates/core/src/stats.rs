@@ -72,7 +72,7 @@ impl HcdStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phcd::phcd;
+    use crate::phcd::try_phcd;
     use crate::testutil::figure1_graph;
     use hcd_decomp::core_decomposition;
     use hcd_par::Executor;
@@ -81,7 +81,7 @@ mod tests {
     fn figure1_statistics() {
         let g = figure1_graph();
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         let s = HcdStats::compute(&hcd);
         // Forest: T2 -> {T3.1 -> T4, T3.2}.
         assert_eq!(s.num_nodes, 4);
@@ -108,7 +108,7 @@ mod tests {
             .edges([(0, 1), (2, 3)])
             .build();
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         let s = HcdStats::compute(&hcd);
         assert_eq!(s.max_depth, 0);
         assert_eq!(s.num_roots, s.num_nodes);

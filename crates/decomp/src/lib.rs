@@ -11,7 +11,7 @@
 //!
 //! * [`bz::core_decomposition`] — the serial Batagelj–Zaversnik bin-sort
 //!   peeling algorithm, `O(n + m)` \[19\].
-//! * [`pkc::pkc_core_decomposition`] — parallel level-synchronous peeling
+//! * [`pkc::try_pkc_core_decomposition`] — parallel level-synchronous peeling
 //!   in the style of ParK/PKC \[20\], \[24\]: frontier expansion via
 //!   atomic degree decrements, with vertices filed in degree buckets so
 //!   that the scan work is `O(n + m)` as well (one bucket entry per
@@ -29,7 +29,7 @@ pub mod bz;
 pub mod pkc;
 
 pub use bz::core_decomposition;
-pub use pkc::{pkc_core_decomposition, try_pkc_core_decomposition};
+pub use pkc::try_pkc_core_decomposition;
 
 use hcd_graph::{CsrGraph, VertexId};
 use hcd_par::{Executor, ParError};

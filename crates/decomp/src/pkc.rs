@@ -37,17 +37,10 @@ use crate::CoreDecomposition;
 /// exactly one decrement regardless of interleaving. Wave membership,
 /// wave counts, coreness output, and all `pkc.*` counters are therefore
 /// identical across executor modes.
-pub fn pkc_core_decomposition(g: &CsrGraph, exec: &Executor) -> CoreDecomposition {
-    match try_pkc_core_decomposition(g, exec) {
-        Ok(cores) => cores,
-        Err(e) => e.raise(),
-    }
-}
-
-/// Fallible version of [`pkc_core_decomposition`]: returns `Err` if any
-/// region panics, is cancelled, or exceeds the executor's deadline. On
-/// `Err` all intermediate peeling state is discarded and the executor
-/// stays usable (see `hcd_par` failure model).
+///
+/// Returns `Err` if any region panics, is cancelled, or exceeds the
+/// executor's deadline. On `Err` all intermediate peeling state is
+/// discarded and the executor stays usable (see `hcd_par` failure model).
 pub fn try_pkc_core_decomposition(
     g: &CsrGraph,
     exec: &Executor,
@@ -196,7 +189,7 @@ mod tests {
             Executor::assist(4),
             Executor::simulated(3),
         ] {
-            let got = pkc_core_decomposition(g, &exec);
+            let got = try_pkc_core_decomposition(g, &exec).unwrap();
             assert_eq!(got, expected, "mode {}", exec.mode_name());
         }
     }
@@ -234,7 +227,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = GraphBuilder::new().build();
-        let cd = pkc_core_decomposition(&g, &Executor::sequential());
+        let cd = try_pkc_core_decomposition(&g, &Executor::sequential()).unwrap();
         assert!(cd.is_empty());
     }
 
@@ -266,7 +259,7 @@ mod tests {
             Executor::assist(4).with_metrics(),
             Executor::simulated(3).with_metrics(),
         ] {
-            let cd = pkc_core_decomposition(&g, &exec);
+            let cd = try_pkc_core_decomposition(&g, &exec).unwrap();
             assert_eq!(cd.kmax(), 4);
             let m = exec.take_metrics();
             let by_name = |name: &str| {

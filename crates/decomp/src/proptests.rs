@@ -19,7 +19,7 @@ proptest! {
     fn bz_pkc_agree(edges in arb_edges(60, 400)) {
         let g = build_from_edges(edges, 0);
         let a = bz::core_decomposition(&g);
-        let b = pkc::pkc_core_decomposition(&g, &Executor::assist(4));
+        let b = pkc::try_pkc_core_decomposition(&g, &Executor::assist(4)).unwrap();
         prop_assert_eq!(a.as_slice(), b.as_slice());
         // The fallible path on one worker: the same kernel in its region.
         let c = try_core_decomposition(&g, &Executor::sequential()).unwrap();

@@ -22,9 +22,9 @@
 //!   `dynamic.affected_vertices` / `dynamic.traversal_edges` report the
 //!   n and 2m the recompute examined;
 //! * the merged CSR is shared ([`DynamicGraph::csr`]), so the serving
-//!   layer runs PHCD on it and publishes it without a copy;
-//!   [`DynamicCore::hcd`] rebuilds the hierarchy on demand for other
-//!   callers.
+//!   layer runs PHCD on it and publishes it without a copy; any other
+//!   caller builds the hierarchy on demand with
+//!   `hcd_core::try_phcd(dc.graph().csr(), &dc.decomposition(), exec)`.
 //!
 //! A full recompute beats an incremental traversal on graphs with one
 //! giant core (DESIGN.md, "Write path: rebuild on publish"). Every

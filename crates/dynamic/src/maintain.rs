@@ -2,7 +2,6 @@
 
 use std::sync::Arc;
 
-use hcd_core::Hcd;
 use hcd_decomp::{core_decomposition, try_core_decomposition, CoreDecomposition};
 use hcd_graph::{CsrGraph, VertexId};
 use hcd_par::{Executor, ParError};
@@ -39,7 +38,7 @@ pub struct BatchReport {
     pub changed: Vec<VertexId>,
     /// Endpoints of the applied (edge-set-changing) updates, deduplicated
     /// and ascending. Together with `changed` this is the dirty seed set
-    /// of a surgical hierarchy repair ([`Hcd::repair`]): connectivity can
+    /// of a surgical hierarchy repair ([`hcd_core::Hcd::repair`]): connectivity can
     /// only change across these edges even when no coreness moves.
     pub touched: Vec<VertexId>,
 }
@@ -79,9 +78,6 @@ impl BatchReport {
 pub struct DynamicCore {
     g: DynamicGraph,
     cores: CoreDecomposition,
-    /// The hierarchy of the current graph, once [`DynamicCore::hcd`]
-    /// built it; cleared by every edge-changing batch.
-    cache: Option<Hcd>,
     /// Batches applied so far; stamps [`BatchReport::seq`].
     seq: u64,
 }
@@ -107,7 +103,6 @@ impl DynamicCore {
         DynamicCore {
             g: DynamicGraph::from_shared(g),
             cores,
-            cache: None,
             seq: 0,
         }
     }
@@ -228,7 +223,6 @@ impl DynamicCore {
         if report.applied == 0 {
             return Ok(report);
         }
-        self.cache = None;
 
         let csr = self.g.csr();
         let cores = match try_core_decomposition(csr, exec) {
@@ -249,16 +243,6 @@ impl DynamicCore {
             .collect();
         self.cores = cores;
         Ok(report)
-    }
-
-    /// The current graph and its HCD, rebuilt with PHCD only when
-    /// updates occurred since the last call.
-    pub fn hcd(&mut self, exec: &Executor) -> (&CsrGraph, &Hcd) {
-        let csr = self.g.csr();
-        let hcd = self
-            .cache
-            .get_or_insert_with(|| hcd_core::phcd(csr, &self.cores, exec));
-        (csr, hcd)
     }
 }
 
@@ -365,20 +349,19 @@ mod tests {
     }
 
     #[test]
-    fn hcd_cache_refreshes_after_updates() {
+    fn hcd_of_maintained_csr_follows_updates() {
         let mut dc = DynamicCore::new(0);
         dc.insert_edge(0, 1);
         dc.insert_edge(1, 2);
         dc.insert_edge(2, 0);
         let exec = Executor::sequential();
-        {
-            let (_, hcd) = dc.hcd(&exec);
-            assert_eq!(hcd.num_nodes(), 1);
-            assert_eq!(hcd.node(0).k, 2);
-        }
+        let hcd = hcd_core::try_phcd(dc.graph().csr(), &dc.decomposition(), &exec).unwrap();
+        assert_eq!(hcd.num_nodes(), 1);
+        assert_eq!(hcd.node(0).k, 2);
         dc.insert_edge(2, 3);
         let cores = dc.decomposition();
-        let (snapshot, hcd) = dc.hcd(&exec);
+        let snapshot = dc.graph().csr();
+        let hcd = hcd_core::try_phcd(snapshot, &cores, &exec).unwrap();
         assert_eq!(snapshot.num_edges(), 4);
         assert_eq!(hcd.num_nodes(), 2);
         // The refreshed hierarchy matches a from-scratch construction.

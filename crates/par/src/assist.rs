@@ -476,9 +476,12 @@ mod tests {
     fn assist_visits_every_index_exactly_once() {
         let exec = Executor::assist(4);
         let visits: Vec<AtomicU8> = (0..N).map(|_| AtomicU8::new(0)).collect();
-        exec.region("test").for_each_index(N, |i| {
-            visits[i].fetch_add(1, Ordering::Relaxed);
-        });
+        exec.region("test")
+            .try_for_each_index(N, |i| {
+                visits[i].fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            })
+            .unwrap();
         assert!(visits.iter().all(|v| v.load(Ordering::Relaxed) == 1));
     }
 
@@ -539,14 +542,20 @@ mod tests {
         let b = AtomicUsize::new(0);
         std::thread::scope(|s| {
             s.spawn(|| {
-                exec.region("test").for_each_index(N, |_| {
-                    a.fetch_add(1, Ordering::Relaxed);
-                });
+                exec.region("test")
+                    .try_for_each_index(N, |_| {
+                        a.fetch_add(1, Ordering::Relaxed);
+                        Ok(())
+                    })
+                    .unwrap();
             });
             s.spawn(|| {
-                exec.region("test").for_each_index(N, |_| {
-                    b.fetch_add(1, Ordering::Relaxed);
-                });
+                exec.region("test")
+                    .try_for_each_index(N, |_| {
+                        b.fetch_add(1, Ordering::Relaxed);
+                        Ok(())
+                    })
+                    .unwrap();
             });
         });
         assert_eq!(a.into_inner(), N);
@@ -556,9 +565,12 @@ mod tests {
     #[test]
     fn assist_records_spans_counters_and_gauge() {
         let exec = Executor::assist(4).with_metrics();
-        exec.region("assist.demo").for_each_index(N, |i| {
-            std::hint::black_box(i);
-        });
+        exec.region("assist.demo")
+            .try_for_each_index(N, |i| {
+                std::hint::black_box(i);
+                Ok(())
+            })
+            .unwrap();
         let m = exec.take_metrics();
         let r = m.get("assist.demo").unwrap();
         // Chunk stats are per-worker participation spans: at least the
@@ -624,13 +636,16 @@ mod tests {
     fn assist_chunk_table_matches_static_modes() {
         let record = |exec: &Executor| {
             let r = std::sync::Mutex::new(Vec::new());
-            exec.region("test").for_each_chunk(
-                17,
-                || (),
-                |w, _, range| {
-                    r.lock().unwrap().push((w, range.start, range.end));
-                },
-            );
+            exec.region("test")
+                .try_for_each_chunk(
+                    17,
+                    || (),
+                    |w, _, range| {
+                        r.lock().unwrap().push((w, range.start, range.end));
+                        Ok(())
+                    },
+                )
+                .unwrap();
             let mut v = r.into_inner().unwrap();
             v.sort_unstable();
             v

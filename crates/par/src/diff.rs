@@ -825,7 +825,7 @@ mod tests {
         let exec = crate::Executor::sequential()
             .with_metrics()
             .with_histograms();
-        exec.region("r").for_each_index(4, |_| {});
+        exec.region("r").try_for_each_index(4, |_| Ok(())).unwrap();
         exec.add_counter("c", 3);
         let doc = exec.take_metrics().to_json();
         Snapshot::parse(&doc).expect("the pristine document parses");

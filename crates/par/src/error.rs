@@ -21,19 +21,6 @@ pub enum ParError {
     DeadlineExceeded,
 }
 
-impl ParError {
-    /// Re-raises the error as a panic, for infallible wrappers around
-    /// fallible entry points. `Panicked` re-panics with the original
-    /// payload so `#[should_panic(expected = ...)]` substrings keep
-    /// matching.
-    pub fn raise(self) -> ! {
-        match self {
-            ParError::Panicked { payload, .. } => std::panic::panic_any(payload),
-            other => panic!("{other}"),
-        }
-    }
-}
-
 impl fmt::Display for ParError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -102,21 +89,5 @@ mod tests {
         assert!(BuildError::Pool("no threads".into())
             .to_string()
             .contains("failed to build thread pool"));
-    }
-
-    #[test]
-    #[should_panic(expected = "boom")]
-    fn raise_preserves_panic_payload() {
-        ParError::Panicked {
-            worker: 0,
-            payload: "boom".into(),
-        }
-        .raise();
-    }
-
-    #[test]
-    #[should_panic(expected = "cancelled")]
-    fn raise_reports_cancellation() {
-        ParError::Cancelled.raise();
     }
 }

@@ -30,10 +30,13 @@ impl CancelToken {
 
     /// Requests cancellation. Idempotent; safe from any thread.
     pub fn cancel(&self) {
+        // Release/Acquire: whatever the canceller wrote before cancelling
+        // is visible to a region that observes the flag.
         self.flag.store(true, Ordering::Release);
     }
 
     pub fn is_cancelled(&self) -> bool {
+        // Acquire: pairs with the Release in `cancel`.
         self.flag.load(Ordering::Acquire)
     }
 }

@@ -37,9 +37,10 @@
 //! ```
 //! # use hcd_par::Executor;
 //! let exec = Executor::sequential().with_metrics();
-//! exec.region("demo.sum").for_each_index(100, |_| {});
+//! exec.region("demo.sum").try_for_each_index(100, |_| Ok(()))?;
 //! let metrics = exec.take_metrics();
 //! assert_eq!(metrics.regions[0].name, "demo.sum");
+//! # Ok::<(), hcd_par::ParError>(())
 //! ```
 //!
 //! With metrics enabled, each region execution records wall time,
@@ -53,9 +54,11 @@
 //!
 //! # Failure model
 //!
-//! Every [`Region`] entry point also exists in a fallible form
-//! (`try_for_each_chunk`, `try_map_chunks`, and weighted variants) whose
-//! chunk bodies return `Result<_, ParError>` and run under `catch_unwind`:
+//! Every [`Region`] entry point is fallible (`try_for_each_chunk`,
+//! `try_for_each_index`, `try_map_chunks`, and the weighted variants):
+//! chunk bodies return `Result<_, ParError>` and run under
+//! `catch_unwind`, and so does every algorithm built on them, down to
+//! its one `try_*` entry point.
 //!
 //! * a **panic** in any chunk is caught at the chunk boundary and
 //!   surfaces as [`ParError::Panicked`] — the pool survives and the
@@ -70,8 +73,9 @@
 //!
 //! The first failure wins; remaining chunks of the region are skipped as
 //! soon as they observe it (chunks already running finish normally —
-//! cancellation is cooperative). The infallible entry points are thin
-//! wrappers that re-raise the failure as a panic.
+//! cancellation is cooperative). No entry point turns a `ParError` back
+//! into a panic: a caller that wants one writes `.unwrap()` or
+//! `.expect(..)` itself.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -458,6 +462,8 @@ impl Executor {
     /// count at zero, so plan sites address the next run.
     pub fn set_fault_plan(&self, plan: FaultPlan) {
         *self.ctrl.plan.lock() = Some(plan);
+        // Relaxed (both stores): plans are installed between runs, so no
+        // region races the reset, and neither counter publishes other data.
         self.ctrl.region.store(0, Ordering::Relaxed);
         self.ctrl.crash_polls.lock().clear();
         self.ctrl.crashes_fired.store(0, Ordering::Relaxed);
@@ -491,6 +497,7 @@ impl Executor {
         let fire = plan.crash_at(point, *occurrence);
         *occurrence += 1;
         if fire {
+            // Relaxed: a standalone tally, bumped under the plan mutex.
             self.ctrl.crashes_fired.fetch_add(1, Ordering::Relaxed);
             self.add_counter("fault.crashes", 1);
         }
@@ -500,6 +507,8 @@ impl Executor {
     /// Number of simulated crashes that fired since the current fault
     /// plan was installed.
     pub fn crashes_fired(&self) -> u64 {
+        // Relaxed: the harness reads the tally after the crashing call
+        // returned on its own thread; it guards no other data.
         self.ctrl.crashes_fired.load(Ordering::Relaxed)
     }
 
@@ -550,6 +559,8 @@ impl Executor {
         MkS: Fn() -> S + Sync,
         F: Fn(usize, &mut S, Range<usize>) -> Result<(), ParError> + Sync,
     {
+        // Relaxed: the RMW alone makes region numbers unique; they only
+        // address fault-plan sites.
         let region = self.ctrl.region.fetch_add(1, Ordering::Relaxed);
         // Snapshot the control plane once per region so chunk execution
         // never takes the ctrl locks.
@@ -576,6 +587,9 @@ impl Executor {
             if slot.is_none() {
                 *slot = Some(e);
             }
+            // Release/Acquire: the flag is only a skip hint; the error
+            // itself travels under the `first_err` mutex, read after the
+            // region joins.
             tripped.store(true, Ordering::Release);
         };
 
@@ -758,23 +772,7 @@ impl<'a> Region<'a> {
     ///
     /// `body(worker, scratch, range)` is invoked once per non-empty chunk;
     /// `worker` is the chunk index in `0..p`. Chunk boundaries are
-    /// identical in every mode.
-    pub fn for_each_chunk<S, MkS, F>(&self, n: usize, make_scratch: MkS, body: F)
-    where
-        S: Send,
-        MkS: Fn() -> S + Sync,
-        F: Fn(usize, &mut S, Range<usize>) + Sync,
-    {
-        if let Err(e) = self.try_for_each_chunk(n, make_scratch, |w, s, r| {
-            body(w, s, r);
-            Ok(())
-        }) {
-            e.raise();
-        }
-    }
-
-    /// Fallible version of [`Region::for_each_chunk`]: the body returns
-    /// `Result<(), ParError>`, panics are contained at chunk boundaries,
+    /// identical in every mode. Panics are contained at chunk boundaries
     /// and the first failure aborts the region (see crate docs, failure
     /// model).
     pub fn try_for_each_chunk<S, MkS, F>(
@@ -816,22 +814,6 @@ impl<'a> Region<'a> {
     }
 
     /// A parallel region over `0..n` without scratch.
-    pub fn for_each_index<F>(&self, n: usize, body: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.for_each_chunk(
-            n,
-            || (),
-            |_, _, range| {
-                for i in range {
-                    body(i);
-                }
-            },
-        );
-    }
-
-    /// Fallible version of [`Region::for_each_index`].
     pub fn try_for_each_index<F>(&self, n: usize, body: F) -> Result<(), ParError>
     where
         F: Fn(usize) -> Result<(), ParError> + Sync,
@@ -850,20 +832,8 @@ impl<'a> Region<'a> {
 
     /// A parallel region producing one value per chunk, returned in chunk
     /// order (empty chunks yield no value, so the result has at most `p`
-    /// elements).
-    pub fn map_chunks<T, F>(&self, n: usize, body: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, Range<usize>) -> T + Sync,
-    {
-        match self.try_map_chunks(n, |w, range| Ok(body(w, range))) {
-            Ok(v) => v,
-            Err(e) => e.raise(),
-        }
-    }
-
-    /// Fallible version of [`Region::map_chunks`]. On failure the
-    /// already-computed chunk values are dropped.
+    /// elements). On failure the already-computed chunk values are
+    /// dropped.
     pub fn try_map_chunks<T, F>(&self, n: usize, body: F) -> Result<Vec<T>, ParError>
     where
         T: Send,
@@ -931,9 +901,12 @@ mod tests {
 
     fn sum_with(exec: &Executor, n: usize) -> usize {
         let acc = AtomicUsize::new(0);
-        exec.region("test").for_each_index(n, |i| {
-            acc.fetch_add(i, Ordering::Relaxed);
-        });
+        exec.region("test")
+            .try_for_each_index(n, |i| {
+                acc.fetch_add(i, Ordering::Relaxed);
+                Ok(())
+            })
+            .unwrap();
         acc.into_inner()
     }
 
@@ -970,7 +943,10 @@ mod tests {
     #[test]
     fn map_chunks_returns_in_chunk_order() {
         let exec = Executor::simulated(4);
-        let starts = exec.region("test").map_chunks(10, |_, range| range.start);
+        let starts = exec
+            .region("test")
+            .try_map_chunks(10, |_, range| Ok(range.start))
+            .unwrap();
         assert_eq!(starts.len(), 4);
         let mut sorted = starts.clone();
         sorted.sort_unstable();
@@ -980,7 +956,10 @@ mod tests {
     #[test]
     fn map_chunks_skips_empty_chunks() {
         let exec = Executor::assist(8);
-        let vals = exec.region("test").map_chunks(3, |_, range| range.len());
+        let vals = exec
+            .region("test")
+            .try_map_chunks(3, |_, range| Ok(range.len()))
+            .unwrap();
         assert_eq!(vals.iter().sum::<usize>(), 3);
         assert!(vals.len() <= 3);
     }
@@ -989,16 +968,19 @@ mod tests {
     fn scratch_is_per_chunk() {
         let exec = Executor::assist(4);
         let totals = Mutex::new(Vec::new());
-        exec.region("test").for_each_chunk(
-            100,
-            || 0usize,
-            |_, scratch, range| {
-                for _ in range {
-                    *scratch += 1;
-                }
-                totals.lock().push(*scratch);
-            },
-        );
+        exec.region("test")
+            .try_for_each_chunk(
+                100,
+                || 0usize,
+                |_, scratch, range| {
+                    for _ in range {
+                        *scratch += 1;
+                    }
+                    totals.lock().push(*scratch);
+                    Ok(())
+                },
+            )
+            .unwrap();
         let totals = totals.into_inner();
         assert_eq!(totals.iter().sum::<usize>(), 100);
         assert_eq!(totals.len(), 4);
@@ -1007,9 +989,12 @@ mod tests {
     #[test]
     fn sim_stats_accumulate_and_reset() {
         let exec = Executor::simulated(4);
-        exec.region("test").for_each_index(100, |_| {
-            std::hint::black_box(0);
-        });
+        exec.region("test")
+            .try_for_each_index(100, |_| {
+                std::hint::black_box(0);
+                Ok(())
+            })
+            .unwrap();
         let st = exec.take_sim_stats();
         assert_eq!(st.regions, 1);
         assert!(st.measured >= st.charged);
@@ -1314,24 +1299,6 @@ mod fault_tests {
             assert_eq!(lens.iter().sum::<usize>(), 100);
         }
     }
-
-    #[test]
-    fn infallible_wrapper_re_raises_contained_panic() {
-        let exec = Executor::assist(2);
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            exec.region("test").for_each_index(10, |i| {
-                if i == 3 {
-                    panic!("original message");
-                }
-            });
-        }));
-        let payload = caught.unwrap_err();
-        let text = error::payload_to_string(&*payload);
-        assert!(text.contains("original message"), "{text}");
-        // Executor is still usable after the re-raise.
-        let sums = exec.region("test").map_chunks(10, |_, r| r.len());
-        assert_eq!(sums.iter().sum::<usize>(), 10);
-    }
 }
 
 #[cfg(test)]
@@ -1351,7 +1318,9 @@ mod metrics_tests {
     fn disabled_by_default_and_empty() {
         for exec in executors() {
             assert!(!exec.metrics_enabled());
-            exec.region("x").for_each_index(100, |_| {});
+            exec.region("x")
+                .try_for_each_index(100, |_| Ok(()))
+                .unwrap();
             assert!(exec.take_metrics().is_empty(), "{}", exec.mode_name());
         }
     }
@@ -1360,9 +1329,15 @@ mod metrics_tests {
     fn named_regions_are_recorded_in_execution_order() {
         for exec in executors() {
             exec.set_metrics_enabled(true);
-            exec.region("a.first").for_each_index(50, |_| {});
-            exec.region("b.second").for_each_index(50, |_| {});
-            exec.region("a.first").for_each_index(50, |_| {});
+            exec.region("a.first")
+                .try_for_each_index(50, |_| Ok(()))
+                .unwrap();
+            exec.region("b.second")
+                .try_for_each_index(50, |_| Ok(()))
+                .unwrap();
+            exec.region("a.first")
+                .try_for_each_index(50, |_| Ok(()))
+                .unwrap();
             let m = exec.take_metrics();
             let names: Vec<_> = m.regions.iter().map(|r| r.name).collect();
             assert_eq!(names, vec!["a.first", "b.second"], "{}", exec.mode_name());
@@ -1384,9 +1359,12 @@ mod metrics_tests {
     fn simulated_charged_equals_metrics_chunk_max() {
         let exec = Executor::simulated(4).with_metrics();
         for round in 0..3 {
-            exec.region("work.round").for_each_index(5_000, |i| {
-                std::hint::black_box(i * round);
-            });
+            exec.region("work.round")
+                .try_for_each_index(5_000, |i| {
+                    std::hint::black_box(i * round);
+                    Ok(())
+                })
+                .unwrap();
         }
         let sim = exec.take_sim_stats();
         let m = exec.take_metrics();
@@ -1420,7 +1398,9 @@ mod metrics_tests {
                 },
             )
             .unwrap();
-        exec.region("silent").for_each_index(10, |_| {});
+        exec.region("silent")
+            .try_for_each_index(10, |_| Ok(()))
+            .unwrap();
         let m = exec.take_metrics();
         assert_eq!(m.get("polling").unwrap().checkpoints, 10);
         assert_eq!(m.get("silent").unwrap().checkpoints, 0);
@@ -1460,15 +1440,18 @@ mod metrics_tests {
         // 4 chunks, one of which sleeps: the imbalance ratio must rise
         // well above 1.
         let exec = Executor::simulated(4).with_metrics();
-        exec.region("skewed").for_each_chunk(
-            4,
-            || (),
-            |w, _, _range| {
-                if w == 0 {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            },
-        );
+        exec.region("skewed")
+            .try_for_each_chunk(
+                4,
+                || (),
+                |w, _, _range| {
+                    if w == 0 {
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                    Ok(())
+                },
+            )
+            .unwrap();
         let m = exec.take_metrics();
         let r = m.get("skewed").unwrap();
         assert_eq!(r.chunks, 4);
@@ -1480,9 +1463,12 @@ mod metrics_tests {
         // Sanity: metrics disabled, named regions still execute correctly.
         let exec = Executor::assist(4);
         let acc = AtomicUsize::new(0);
-        exec.region("quiet").for_each_index(1000, |i| {
-            acc.fetch_add(i, Ordering::Relaxed);
-        });
+        exec.region("quiet")
+            .try_for_each_index(1000, |i| {
+                acc.fetch_add(i, Ordering::Relaxed);
+                Ok(())
+            })
+            .unwrap();
         assert_eq!(acc.into_inner(), 1000 * 999 / 2);
         assert!(exec.take_metrics().is_empty());
     }
@@ -1516,7 +1502,9 @@ mod metrics_tests {
             exec.set_metrics_enabled(true);
             exec.arm_histograms();
             for _ in 0..3 {
-                exec.region("sampled").for_each_index(100, |_| {});
+                exec.region("sampled")
+                    .try_for_each_index(100, |_| Ok(()))
+                    .unwrap();
             }
             let token = CancelToken::new();
             exec.set_cancel(token.clone());
@@ -1538,8 +1526,12 @@ mod metrics_tests {
         for exec in executors() {
             let mode = exec.mode_name();
             exec.arm_histograms();
-            exec.region("hist.only").for_each_index(100, |_| {});
-            exec.region("hist.only").for_each_index(100, |_| {});
+            exec.region("hist.only")
+                .try_for_each_index(100, |_| Ok(()))
+                .unwrap();
+            exec.region("hist.only")
+                .try_for_each_index(100, |_| Ok(()))
+                .unwrap();
             let m = exec.take_metrics();
             assert!(m.regions.is_empty() && m.counters.is_empty(), "{mode}");
             assert_eq!(m.get_histogram("hist.only").unwrap().count, 2, "{mode}");
@@ -1551,8 +1543,8 @@ mod metrics_tests {
         let exec = Executor::sequential().with_metrics();
         let region = exec.region("copy.me");
         let other = region; // Copy
-        region.for_each_index(5, |_| {});
-        other.for_each_index(5, |_| {});
+        region.try_for_each_index(5, |_| Ok(())).unwrap();
+        other.try_for_each_index(5, |_| Ok(())).unwrap();
         assert_eq!(region.name(), "copy.me");
         assert_eq!(region.executor().num_workers(), 1);
         let m = exec.take_metrics();
@@ -1577,7 +1569,9 @@ mod trace_tests {
     fn disarmed_by_default_and_empty() {
         for exec in executors() {
             assert!(!exec.trace_armed());
-            exec.region("quiet").for_each_index(100, |_| {});
+            exec.region("quiet")
+                .try_for_each_index(100, |_| Ok(()))
+                .unwrap();
             assert!(exec.take_trace().is_empty(), "{}", exec.mode_name());
         }
     }
@@ -1586,7 +1580,9 @@ mod trace_tests {
     fn armed_trace_records_region_and_chunk_spans() {
         for exec in executors() {
             exec.arm_trace();
-            exec.region("traced.region").for_each_index(1000, |_| {});
+            exec.region("traced.region")
+                .try_for_each_index(1000, |_| Ok(()))
+                .unwrap();
             exec.gauge("demo.gauge", 42);
             let trace = exec.take_trace();
             let mode = exec.mode_name();
@@ -1621,7 +1617,9 @@ mod trace_tests {
     fn chunk_spans_nest_inside_region_spans_per_mode() {
         for exec in executors() {
             exec.arm_trace();
-            exec.region("nested").for_each_index(100, |_| {});
+            exec.region("nested")
+                .try_for_each_index(100, |_| Ok(()))
+                .unwrap();
             let trace = exec.take_trace();
             let enter = trace.of_kind(EventKind::RegionEnter).next().unwrap().ts_ns;
             let exit = trace.of_kind(EventKind::RegionExit).next().unwrap().ts_ns;
@@ -1685,9 +1683,12 @@ mod trace_tests {
         let exec = Executor::simulated(4).with_metrics();
         assert!(!exec.trace_armed());
         for _ in 0..5 {
-            exec.region("hot.loop").for_each_index(10_000, |i| {
-                std::hint::black_box(i);
-            });
+            exec.region("hot.loop")
+                .try_for_each_index(10_000, |i| {
+                    std::hint::black_box(i);
+                    Ok(())
+                })
+                .unwrap();
         }
         let sim = exec.take_sim_stats();
         let m = exec.take_metrics();
@@ -1704,9 +1705,12 @@ mod trace_tests {
         // accountings share those clocks, so they must still agree.
         let exec = Executor::simulated(4).with_metrics();
         exec.arm_trace();
-        exec.region("traced.hot").for_each_index(10_000, |i| {
-            std::hint::black_box(i);
-        });
+        exec.region("traced.hot")
+            .try_for_each_index(10_000, |i| {
+                std::hint::black_box(i);
+                Ok(())
+            })
+            .unwrap();
         let sim = exec.take_sim_stats();
         let m = exec.take_metrics();
         assert_eq!(m.total_charged(), sim.charged);
@@ -1718,7 +1722,9 @@ mod trace_tests {
         let exec = Executor::sequential();
         exec.arm_trace_with_capacity(16);
         for _ in 0..100 {
-            exec.region("wrap").for_each_index(1, |_| {});
+            exec.region("wrap")
+                .try_for_each_index(1, |_| Ok(()))
+                .unwrap();
         }
         let trace = exec.take_trace();
         // 100 regions x 4 events (enter, chunk begin/end, exit) = 400.
@@ -1731,9 +1737,12 @@ mod trace_tests {
         let exec = Executor::assist(3);
         exec.arm_trace();
         let acc = AtomicUsize::new(0);
-        exec.region("export.me").for_each_index(300, |_| {
-            acc.fetch_add(1, Ordering::Relaxed);
-        });
+        exec.region("export.me")
+            .try_for_each_index(300, |_| {
+                acc.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            })
+            .unwrap();
         exec.gauge("export.gauge", 7);
         let json = exec.take_trace().to_chrome_json();
         assert!(json.contains("\"schema\": \"hcd-trace-v1\""));

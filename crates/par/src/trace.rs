@@ -125,15 +125,19 @@ impl ThreadBuf {
 
     /// Appends one event; overwrites the oldest slot when full.
     fn push(&self, ev: TraceEvent) {
+        // Relaxed: only this thread writes `head`, so it reads its own
+        // last store.
         let head = self.head.load(Ordering::Relaxed);
         // SAFETY: single writer (the owning thread); see `unsafe impl`.
         unsafe { *self.slots[head % self.slots.len()].get() = ev };
+        // Release: publishes the slot write to `collect`'s Acquire load.
         self.head.store(head + 1, Ordering::Release);
     }
 
     /// Drains the retained events (oldest first) and the dropped count.
     /// Must only be called at quiescence.
     fn collect(&self) -> (Vec<TraceEvent>, u64) {
+        // Acquire: pairs with `push`'s Release.
         let head = self.head.load(Ordering::Acquire);
         let cap = self.slots.len();
         let kept = head.min(cap);
@@ -169,6 +173,7 @@ static SESSION_IDS: AtomicU64 = AtomicU64::new(1);
 impl TraceShared {
     fn new(capacity: usize) -> TraceShared {
         TraceShared {
+            // Relaxed: the id only has to be unique.
             id: SESSION_IDS.fetch_add(1, Ordering::Relaxed),
             epoch: Instant::now(),
             capacity: capacity.max(16),
@@ -231,6 +236,8 @@ pub(crate) struct TraceCtl {
 
 impl TraceCtl {
     pub(crate) fn armed(&self) -> bool {
+        // Relaxed: the flag only gates taking the `shared` mutex, which
+        // publishes the session; a stale read traces one region more or less.
         self.armed.load(Ordering::Relaxed)
     }
 
@@ -245,10 +252,12 @@ impl TraceCtl {
 
     pub(crate) fn arm(&self, capacity: usize) {
         *self.shared.lock() = Some(Arc::new(TraceShared::new(capacity)));
+        // Relaxed: the session is published by the mutex above.
         self.armed.store(true, Ordering::Relaxed);
     }
 
     pub(crate) fn take(&self) -> Trace {
+        // Relaxed: `take` runs at quiescence, so no region races it.
         self.armed.store(false, Ordering::Relaxed);
         let shared = self.shared.lock().take();
         match shared {

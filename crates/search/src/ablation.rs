@@ -18,23 +18,9 @@ use crate::metrics::{GraphTotals, Metric, PrimaryValues};
 use crate::pbks::Contrib;
 
 /// Type-A scores without preprocessing: neighbor coreness classes are
-/// recounted from the adjacency lists inside the scoring pass.
-pub fn type_a_scores_inline(
-    g: &CsrGraph,
-    cores: &CoreDecomposition,
-    hcd: &Hcd,
-    metric: &Metric,
-    exec: &Executor,
-) -> Vec<f64> {
-    match try_type_a_scores_inline(g, cores, hcd, metric, exec) {
-        Ok(scores) => scores,
-        Err(e) => e.raise(),
-    }
-}
-
-/// Fallible version of [`type_a_scores_inline`]: the adjacency rescan
-/// polls the executor's cancellation checkpoint at a coarse edge stride
-/// (see `hcd_par` failure model).
+/// recounted from the adjacency lists inside the scoring pass. The
+/// adjacency rescan polls the executor's cancellation checkpoint at a
+/// coarse edge stride (see `hcd_par` failure model).
 pub fn try_type_a_scores_inline(
     g: &CsrGraph,
     cores: &CoreDecomposition,
@@ -107,7 +93,7 @@ pub fn try_type_a_scores_inline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pbks::pbks_scores;
+    use crate::pbks::try_pbks_scores;
     use crate::preprocess::SearchContext;
     use crate::testutil::search_fixture;
 
@@ -121,8 +107,8 @@ mod tests {
             Metric::Conductance,
             Metric::Modularity,
         ] {
-            let inline = type_a_scores_inline(&g, &cores, &hcd, &metric, &exec);
-            let (pre, _) = pbks_scores(&ctx, &metric, &exec);
+            let inline = try_type_a_scores_inline(&g, &cores, &hcd, &metric, &exec).unwrap();
+            let (pre, _) = try_pbks_scores(&ctx, &metric, &exec).unwrap();
             assert_eq!(inline, pre, "{}", metric.name());
         }
     }

@@ -12,19 +12,9 @@ use hcd_par::{Executor, ParError};
 /// Level-synchronous and pull-based: nodes of equal `k` are independent,
 /// and children always have strictly larger `k`, so processing levels in
 /// descending `k` lets every node gather its children without atomics.
-pub fn accumulate_bottom_up<T, F>(hcd: &Hcd, values: &mut [T], merge: F, exec: &Executor)
-where
-    T: Send + Sync,
-    F: Fn(&mut T, &T) + Sync,
-{
-    if let Err(e) = try_accumulate_bottom_up(hcd, values, merge, exec) {
-        e.raise();
-    }
-}
-
-/// Fallible version of [`accumulate_bottom_up`]. On `Err`, `values` may
-/// hold a partially accumulated state and should be discarded (the
-/// executor itself stays usable).
+///
+/// On `Err`, `values` may hold a partially accumulated state and should
+/// be discarded (the executor itself stays usable).
 ///
 /// # Panics
 ///
@@ -90,7 +80,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcd_core::phcd;
+    use hcd_core::try_phcd;
     use hcd_decomp::core_decomposition;
     use hcd_graph::GraphBuilder;
 
@@ -103,14 +93,14 @@ mod tests {
             .edges([(6, 7), (7, 8)])
             .build();
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         for exec in [
             Executor::sequential(),
             Executor::assist(4),
             Executor::simulated(2),
         ] {
             let mut counts: Vec<usize> = hcd.nodes().iter().map(|n| n.vertices.len()).collect();
-            accumulate_bottom_up(&hcd, &mut counts, |a, b| *a += *b, &exec);
+            try_accumulate_bottom_up(&hcd, &mut counts, |a, b| *a += *b, &exec).unwrap();
             for i in 0..hcd.num_nodes() as u32 {
                 assert_eq!(
                     counts[i as usize],
@@ -126,9 +116,9 @@ mod tests {
     fn empty_forest_is_fine() {
         let g = GraphBuilder::new().build();
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         let mut values: Vec<u64> = Vec::new();
-        accumulate_bottom_up(&hcd, &mut values, |a, b| *a += *b, &Executor::assist(2));
+        try_accumulate_bottom_up(&hcd, &mut values, |a, b| *a += *b, &Executor::assist(2)).unwrap();
         assert!(values.is_empty());
     }
 
@@ -137,8 +127,9 @@ mod tests {
     fn length_mismatch_panics() {
         let g = GraphBuilder::new().edges([(0, 1)]).build();
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         let mut values = vec![0u64; hcd.num_nodes() + 1];
-        accumulate_bottom_up(&hcd, &mut values, |a, b| *a += *b, &Executor::sequential());
+        try_accumulate_bottom_up(&hcd, &mut values, |a, b| *a += *b, &Executor::sequential())
+            .unwrap();
     }
 }

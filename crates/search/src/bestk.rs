@@ -1,6 +1,6 @@
 //! Finding the best `k` (paper §VI): score entire k-core *sets*.
 //!
-//! Where [`pbks()`](crate::pbks::pbks) scores each individual (connected) k-core, this
+//! Where [`try_pbks`](crate::pbks::try_pbks) scores each individual (connected) k-core, this
 //! extension scores the k-core **set** `K_k` — the union of all k-cores —
 //! for every `k`, and returns the `k` with the highest score. Following
 //! the §VI recipe: (i) compute each vertex's contribution in parallel,
@@ -29,23 +29,13 @@ pub struct LevelScore {
 }
 
 /// Scores every k-core set `K_0 ⊇ K_1 ⊇ … ⊇ K_kmax`.
-pub fn core_set_scores(
-    ctx: &SearchContext<'_>,
-    metric: &Metric,
-    exec: &Executor,
-) -> Vec<LevelScore> {
-    match try_core_set_scores(ctx, metric, exec) {
-        Ok(scores) => scores,
-        Err(e) => e.raise(),
-    }
-}
-
-/// Fallible version of [`core_set_scores`]: returns `Err` if a region
-/// panics, is cancelled, or exceeds the executor's deadline. Type-B
-/// metrics run the `O(m^1.5)` triangle kernel shared with PBKS, bucketed
-/// by coreness; it polls the cancellation checkpoint every
-/// `CHECKPOINT_STRIDE` probes, so a deadline takes effect mid-pass
-/// rather than after it (see `hcd_par` failure model).
+///
+/// Returns `Err` if a region panics, is cancelled, or exceeds the
+/// executor's deadline. Type-B metrics run the `O(m^1.5)` triangle
+/// kernel shared with PBKS, bucketed by coreness; it polls the
+/// cancellation checkpoint every `CHECKPOINT_STRIDE` probes, so a
+/// deadline takes effect mid-pass rather than after it (see `hcd_par`
+/// failure model).
 pub fn try_core_set_scores(
     ctx: &SearchContext<'_>,
     metric: &Metric,
@@ -106,14 +96,6 @@ const BESTK_MOTIFS: MotifNames = MotifNames {
 
 /// The best `k` for the metric: `argmax_k score(K_k)` (ties toward the
 /// larger, more selective `k`).
-pub fn best_k(ctx: &SearchContext<'_>, metric: &Metric, exec: &Executor) -> Option<LevelScore> {
-    match try_best_k(ctx, metric, exec) {
-        Ok(best) => best,
-        Err(e) => e.raise(),
-    }
-}
-
-/// Fallible version of [`best_k`].
 pub fn try_best_k(
     ctx: &SearchContext<'_>,
     metric: &Metric,
@@ -134,7 +116,7 @@ mod tests {
         let (g, cores, hcd) = search_fixture();
         let ctx = SearchContext::new(&g, &cores, &hcd);
         for exec in [Executor::sequential(), Executor::assist(3)] {
-            let scores = core_set_scores(&ctx, &Metric::ClusteringCoefficient, &exec);
+            let scores = try_core_set_scores(&ctx, &Metric::ClusteringCoefficient, &exec).unwrap();
             for ls in &scores {
                 let members = cores.core_set(ls.k);
                 let want = primaries_by_definition(&g, &members);
@@ -147,7 +129,8 @@ mod tests {
     fn k0_covers_whole_graph() {
         let (g, cores, hcd) = search_fixture();
         let ctx = SearchContext::new(&g, &cores, &hcd);
-        let scores = core_set_scores(&ctx, &Metric::AverageDegree, &Executor::sequential());
+        let scores =
+            try_core_set_scores(&ctx, &Metric::AverageDegree, &Executor::sequential()).unwrap();
         assert_eq!(scores[0].primaries.n, g.num_vertices() as u64);
         assert_eq!(scores[0].primaries.m2, 2 * g.num_edges() as u64);
         assert_eq!(scores[0].primaries.b, 0);
@@ -157,7 +140,9 @@ mod tests {
     fn best_k_for_density_is_deep() {
         let (g, cores, hcd) = search_fixture();
         let ctx = SearchContext::new(&g, &cores, &hcd);
-        let best = best_k(&ctx, &Metric::InternalDensity, &Executor::sequential()).unwrap();
+        let best = try_best_k(&ctx, &Metric::InternalDensity, &Executor::sequential())
+            .unwrap()
+            .unwrap();
         // The 4-core set (the near-clique S4) is the densest level.
         assert_eq!(best.k, 4);
     }
@@ -166,11 +151,12 @@ mod tests {
     fn best_k_matches_across_modes_and_survives_fault_rerun() {
         let (g, cores, hcd) = search_fixture();
         let ctx = SearchContext::new(&g, &cores, &hcd);
-        let want = best_k(
+        let want = try_best_k(
             &ctx,
             &Metric::ClusteringCoefficient,
             &Executor::sequential(),
         )
+        .unwrap()
         .unwrap();
         for exec in [Executor::assist(4), Executor::simulated(3)] {
             // An injected panic fails cleanly...
@@ -179,7 +165,9 @@ mod tests {
             assert!(matches!(err, hcd_par::ParError::Panicked { .. }));
             exec.clear_fault_plan();
             // ...and the rerun on the same executor is correct.
-            let got = best_k(&ctx, &Metric::ClusteringCoefficient, &exec).unwrap();
+            let got = try_best_k(&ctx, &Metric::ClusteringCoefficient, &exec)
+                .unwrap()
+                .unwrap();
             assert_eq!(got, want, "mode {}", exec.mode_name());
         }
     }
@@ -219,7 +207,7 @@ mod tests {
         }
         let g = b.build();
         let cores = hcd_decomp::core_decomposition(&g);
-        let hcd = hcd_core::phcd(&g, &cores, &Executor::sequential());
+        let hcd = hcd_core::try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         let ctx = SearchContext::new(&g, &cores, &hcd);
         let exec = Executor::sequential().with_metrics();
         // Regions: 0 = bestk.contrib, 1 = bestk.orient, 2 = bestk.triangles.

@@ -80,7 +80,7 @@ impl SortedAdjacency {
 
 /// Scores every k-core serially in the BKS style, building the vertex
 /// ordering on the fly. Returns `(scores, primaries)` indexed by tree
-/// node id — identical values to [`crate::pbks::pbks_scores`], by
+/// node id — identical values to [`crate::pbks::try_pbks_scores`], by
 /// construction.
 pub fn bks_scores(ctx: &SearchContext<'_>, metric: &Metric) -> (Vec<f64>, Vec<PrimaryValues>) {
     let sorted = SortedAdjacency::build(ctx.g, ctx.cores.as_slice());
@@ -215,7 +215,7 @@ pub fn bks(ctx: &SearchContext<'_>, metric: &Metric) -> Option<BestCore> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pbks::pbks_scores;
+    use crate::pbks::try_pbks_scores;
     use crate::testutil::search_fixture;
     use hcd_par::Executor;
 
@@ -244,7 +244,7 @@ mod tests {
         let exec = Executor::sequential();
         for metric in Metric::ALL {
             let (s_bks, p_bks) = bks_scores(&ctx, &metric);
-            let (s_pbks, p_pbks) = pbks_scores(&ctx, &metric, &exec);
+            let (s_pbks, p_pbks) = try_pbks_scores(&ctx, &metric, &exec).unwrap();
             assert_eq!(p_bks, p_pbks, "{}", metric.name());
             assert_eq!(s_bks, s_pbks, "{}", metric.name());
         }
@@ -256,7 +256,9 @@ mod tests {
         let ctx = SearchContext::new(&g, &cores, &hcd);
         for metric in Metric::ALL {
             let a = bks(&ctx, &metric).unwrap();
-            let b = crate::pbks::pbks(&ctx, &metric, &Executor::assist(2)).unwrap();
+            let b = crate::pbks::try_pbks(&ctx, &metric, &Executor::assist(2))
+                .unwrap()
+                .unwrap();
             assert_eq!(a, b, "{}", metric.name());
         }
     }

@@ -1,23 +1,24 @@
 //! Approximate densest subgraph search (paper §V-C, Table IV).
 
 use hcd_graph::{CsrGraph, VertexId};
-use hcd_par::Executor;
+use hcd_par::{Executor, ParError};
 
 use crate::metrics::Metric;
-use crate::pbks::{pbks, BestCore};
+use crate::pbks::{try_pbks, BestCore};
 use crate::preprocess::SearchContext;
 
 /// PBKS-D: the k-core with the highest average degree, found in parallel.
 ///
 /// A 0.5-approximation of the densest subgraph: the `kmax`-core is
 /// already 0.5-approximate \[37\], and PBKS-D's answer is at least as dense
-/// because the `kmax`-core is among its candidates.
-pub fn pbks_d(ctx: &SearchContext<'_>, exec: &Executor) -> Option<BestCore> {
-    pbks(ctx, &Metric::AverageDegree, exec)
+/// because the `kmax`-core is among its candidates. Returns `Err` if the
+/// search failed (panic, cancellation, or deadline), as [`try_pbks`] does.
+pub fn try_pbks_d(ctx: &SearchContext<'_>, exec: &Executor) -> Result<Option<BestCore>, ParError> {
+    try_pbks(ctx, &Metric::AverageDegree, exec)
 }
 
 /// Opt-D: the serial state of the art — BKS specialized to average
-/// degree. Returns the same subgraph as [`pbks_d`] (Table IV's davg
+/// degree. Returns the same subgraph as [`try_pbks_d`] (Table IV's davg
 /// columns for Opt-D and PBKS-D coincide).
 pub fn opt_d(ctx: &SearchContext<'_>) -> Option<BestCore> {
     crate::bks::bks(ctx, &Metric::AverageDegree)
@@ -82,7 +83,7 @@ mod tests {
     fn pbks_d_and_opt_d_agree() {
         let (g, cores, hcd) = search_fixture();
         let ctx = SearchContext::new(&g, &cores, &hcd);
-        let a = pbks_d(&ctx, &Executor::assist(2)).unwrap();
+        let a = try_pbks_d(&ctx, &Executor::assist(2)).unwrap().unwrap();
         let b = opt_d(&ctx).unwrap();
         assert_eq!(a, b);
     }
@@ -91,7 +92,7 @@ mod tests {
     fn pbks_d_beats_or_matches_coreapp() {
         let (g, cores, hcd) = search_fixture();
         let ctx = SearchContext::new(&g, &cores, &hcd);
-        let best = pbks_d(&ctx, &Executor::sequential()).unwrap();
+        let best = try_pbks_d(&ctx, &Executor::sequential()).unwrap().unwrap();
         let (_, coreapp_davg) = coreapp(&g, &cores).unwrap();
         assert!(best.score >= coreapp_davg - 1e-9);
     }

@@ -7,7 +7,7 @@
 //! — metrics needing only the first three are **type-A**, the rest
 //! **type-B**.
 //!
-//! * [`pbks()`](pbks::pbks) — **the paper's parallel algorithm** (Algorithms 3–5):
+//! * [`try_pbks()`](pbks::try_pbks) — **the paper's parallel algorithm** (Algorithms 3–5):
 //!   vertex-centric contribution counting, a triangle pass over
 //!   κ-oriented edges that finds each triangle once at its κ-minimum
 //!   corner, and parallel bottom-up tree accumulation.
@@ -34,12 +34,12 @@ mod motifs;
 pub mod pbks;
 pub mod preprocess;
 
-pub use accumulate::{accumulate_bottom_up, try_accumulate_bottom_up};
-pub use bestk::{best_k, core_set_scores, try_best_k, try_core_set_scores};
+pub use accumulate::try_accumulate_bottom_up;
+pub use bestk::{try_best_k, try_core_set_scores};
 pub use bks::bks;
 pub use clique::max_clique;
 pub use metrics::{score_cmp, Metric, MetricKind, PrimaryValues};
-pub use pbks::{pbks, pbks_scores, try_pbks, try_pbks_on, try_pbks_scores, BestCore};
+pub use pbks::{try_pbks, try_pbks_on, try_pbks_scores, BestCore};
 pub use preprocess::SearchContext;
 
 #[cfg(test)]

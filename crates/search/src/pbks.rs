@@ -129,21 +129,10 @@ const PBKS_MOTIFS: MotifNames = MotifNames {
 /// Scores every k-core (tree node) under `metric`: contributions →
 /// bottom-up accumulation → `get_metric` (Algorithm 3). Returns
 /// `(scores, primaries)` indexed by node id.
-pub fn pbks_scores(
-    ctx: &SearchContext<'_>,
-    metric: &Metric,
-    exec: &Executor,
-) -> (Vec<f64>, Vec<PrimaryValues>) {
-    match try_pbks_scores(ctx, metric, exec) {
-        Ok(out) => out,
-        Err(e) => e.raise(),
-    }
-}
-
-/// Fallible version of [`pbks_scores`]: returns `Err` if any region
-/// panics, is cancelled, or exceeds the executor's deadline. On `Err` all
-/// intermediate state is discarded and the executor stays usable (see
-/// `hcd_par` failure model).
+///
+/// Returns `Err` if any region panics, is cancelled, or exceeds the
+/// executor's deadline. On `Err` all intermediate state is discarded and
+/// the executor stays usable (see `hcd_par` failure model).
 pub fn try_pbks_scores(
     ctx: &SearchContext<'_>,
     metric: &Metric,
@@ -178,18 +167,6 @@ pub fn try_pbks_scores(
     Ok((scores, primaries))
 }
 
-/// PBKS: the k-core with the highest score under `metric`.
-///
-/// Ties are broken toward the smallest node id, which (given PHCD's
-/// deterministic id assignment) makes the result reproducible. Returns
-/// `None` only for an empty graph.
-pub fn pbks(ctx: &SearchContext<'_>, metric: &Metric, exec: &Executor) -> Option<BestCore> {
-    match try_pbks(ctx, metric, exec) {
-        Ok(best) => best,
-        Err(e) => e.raise(),
-    }
-}
-
 /// PBKS against a *shared snapshot*: builds the [`SearchContext`] from
 /// borrowed index parts and runs the search in one call.
 ///
@@ -213,8 +190,12 @@ pub fn try_pbks_on(
     try_pbks(&ctx, metric, exec)
 }
 
-/// Fallible version of [`pbks`]: `Ok(None)` only for an empty graph,
-/// `Err` if the search failed (panic, cancellation, or deadline).
+/// PBKS: the k-core with the highest score under `metric`.
+///
+/// Ties are broken toward the smallest node id, which (given PHCD's
+/// deterministic id assignment) makes the result reproducible. Returns
+/// `Ok(None)` only for an empty graph, and `Err` if the search failed
+/// (panic, cancellation, or deadline).
 pub fn try_pbks(
     ctx: &SearchContext<'_>,
     metric: &Metric,
@@ -246,7 +227,8 @@ mod tests {
             Executor::assist(4),
             Executor::simulated(3),
         ] {
-            let (_, primaries) = pbks_scores(&ctx, &Metric::ClusteringCoefficient, &exec);
+            let (_, primaries) =
+                try_pbks_scores(&ctx, &Metric::ClusteringCoefficient, &exec).unwrap();
             for i in 0..hcd.num_nodes() as u32 {
                 let members = hcd.subtree_vertices(i);
                 let want = primaries_by_definition(&g, &members);
@@ -265,7 +247,9 @@ mod tests {
     fn figure1_best_average_degree_is_the_4core() {
         let (g, cores, hcd) = search_fixture();
         let ctx = SearchContext::new(&g, &cores, &hcd);
-        let best = pbks(&ctx, &Metric::AverageDegree, &Executor::sequential()).unwrap();
+        let best = try_pbks(&ctx, &Metric::AverageDegree, &Executor::sequential())
+            .unwrap()
+            .unwrap();
         // S4 is a 6-vertex near-clique: average degree 14*2/6 ≈ 4.67,
         // denser than S3.1 (9 vertices, 20 edges, 4.44) and the rest.
         assert_eq!(best.k, 4);
@@ -277,7 +261,9 @@ mod tests {
         let (g, cores, hcd) = search_fixture();
         let ctx = SearchContext::new(&g, &cores, &hcd);
         for metric in Metric::ALL {
-            let best = pbks(&ctx, &metric, &Executor::assist(2)).unwrap();
+            let best = try_pbks(&ctx, &metric, &Executor::assist(2))
+                .unwrap()
+                .unwrap();
             assert!(best.score.is_finite(), "{}", metric.name());
             assert!((best.node as usize) < hcd.num_nodes());
         }
@@ -287,8 +273,12 @@ mod tests {
     fn empty_graph_returns_none() {
         let g = hcd_graph::GraphBuilder::new().build();
         let cores = hcd_decomp::core_decomposition(&g);
-        let hcd = hcd_core::phcd(&g, &cores, &Executor::sequential());
+        let hcd = hcd_core::try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         let ctx = SearchContext::new(&g, &cores, &hcd);
-        assert!(pbks(&ctx, &Metric::AverageDegree, &Executor::sequential()).is_none());
+        assert!(
+            try_pbks(&ctx, &Metric::AverageDegree, &Executor::sequential())
+                .unwrap()
+                .is_none()
+        );
     }
 }

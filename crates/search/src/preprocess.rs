@@ -30,28 +30,20 @@ pub struct SearchContext<'a> {
 
 impl<'a> SearchContext<'a> {
     /// Builds the context with a sequential pass (see
-    /// [`SearchContext::with_executor`]).
+    /// [`SearchContext::try_with_executor`]) on a private executor, which
+    /// has no failure modes: no deadline, no cancellation token, no fault
+    /// plan.
     pub fn new(g: &'a CsrGraph, cores: &'a CoreDecomposition, hcd: &'a Hcd) -> Self {
-        Self::with_executor(g, cores, hcd, &Executor::sequential())
-    }
-
-    /// Builds the context, running the `O(m)` neighbor-coreness counting
-    /// and the rank computation under `exec`.
-    pub fn with_executor(
-        g: &'a CsrGraph,
-        cores: &'a CoreDecomposition,
-        hcd: &'a Hcd,
-        exec: &Executor,
-    ) -> Self {
-        match Self::try_with_executor(g, cores, hcd, exec) {
+        match Self::try_with_executor(g, cores, hcd, &Executor::sequential()) {
             Ok(ctx) => ctx,
-            Err(e) => e.raise(),
+            Err(e) => unreachable!("sequential search preprocessing failed: {e}"),
         }
     }
 
-    /// Fallible version of [`SearchContext::with_executor`]: returns
-    /// `Err` if the preprocessing panics, is cancelled, or exceeds the
-    /// executor's deadline (see `hcd_par` failure model).
+    /// Builds the context, running the `O(m)` neighbor-coreness counting
+    /// and the rank computation under `exec`. Returns `Err` if the
+    /// preprocessing panics, is cancelled, or exceeds the executor's
+    /// deadline (see `hcd_par` failure model).
     pub fn try_with_executor(
         g: &'a CsrGraph,
         cores: &'a CoreDecomposition,
@@ -135,7 +127,7 @@ impl<'a> SearchContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcd_core::phcd;
+    use hcd_core::try_phcd;
     use hcd_decomp::core_decomposition;
     use hcd_graph::GraphBuilder;
 
@@ -146,9 +138,9 @@ mod tests {
             .edges([(0, 1), (1, 2), (2, 0), (2, 3)])
             .build();
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         for exec in [Executor::sequential(), Executor::assist(3)] {
-            let ctx = SearchContext::with_executor(&g, &cores, &hcd, &exec);
+            let ctx = SearchContext::try_with_executor(&g, &cores, &hcd, &exec).unwrap();
             assert_eq!((ctx.gt(0), ctx.eq(0), ctx.lt(0)), (0, 2, 0));
             assert_eq!((ctx.gt(2), ctx.eq(2), ctx.lt(2)), (0, 2, 1));
             assert_eq!((ctx.gt(3), ctx.eq(3), ctx.lt(3)), (1, 0, 0));
@@ -159,7 +151,7 @@ mod tests {
     fn totals_match_graph() {
         let g = GraphBuilder::new().edges([(0, 1), (1, 2)]).build();
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         let ctx = SearchContext::new(&g, &cores, &hcd);
         assert_eq!(ctx.totals().n, 3);
         assert_eq!(ctx.totals().m, 2);

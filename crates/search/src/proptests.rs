@@ -5,15 +5,15 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use hcd_core::phcd;
+use hcd_core::try_phcd;
 use hcd_decomp::core_decomposition;
 use hcd_graph::builder::build_from_edges;
 use hcd_par::Executor;
 
-use crate::bestk::core_set_scores;
+use crate::bestk::try_core_set_scores;
 use crate::bks::bks_scores;
 use crate::metrics::Metric;
-use crate::pbks::pbks_scores;
+use crate::pbks::try_pbks_scores;
 use crate::preprocess::SearchContext;
 use crate::testutil::primaries_by_definition;
 
@@ -80,18 +80,18 @@ proptest! {
         // would move a triangle between nodes and show up here.
         let g = build_from_edges(planted_edges(cliques, size, seed), 0);
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         let ctx = SearchContext::new(&g, &cores, &hcd);
         let mut probes = Vec::new();
         for exec in [Executor::sequential(), Executor::simulated(4), Executor::assist(4)] {
             let exec = exec.with_metrics();
-            let (_, primaries) = pbks_scores(&ctx, &Metric::ClusteringCoefficient, &exec);
+            let (_, primaries) = try_pbks_scores(&ctx, &Metric::ClusteringCoefficient, &exec).unwrap();
             probes.push(triangle_probes(&exec));
             for i in 0..hcd.num_nodes() as u32 {
                 let want = primaries_by_definition(&g, &hcd.subtree_vertices(i));
                 prop_assert_eq!(primaries[i as usize], want, "node {} mode {}", i, exec.mode_name());
             }
-            for ls in core_set_scores(&ctx, &Metric::ClusteringCoefficient, &exec) {
+            for ls in try_core_set_scores(&ctx, &Metric::ClusteringCoefficient, &exec).unwrap() {
                 let want = primaries_by_definition(&g, &cores.core_set(ls.k));
                 prop_assert_eq!(ls.primaries, want, "k={} mode {}", ls.k, exec.mode_name());
             }
@@ -104,10 +104,10 @@ proptest! {
     fn pbks_primaries_match_oracle(edges in arb_edges(30, 160)) {
         let g = build_from_edges(edges, 0);
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         let ctx = SearchContext::new(&g, &cores, &hcd);
         for exec in [Executor::sequential(), Executor::assist(4), Executor::simulated(2)] {
-            let (_, primaries) = pbks_scores(&ctx, &Metric::ClusteringCoefficient, &exec);
+            let (_, primaries) = try_pbks_scores(&ctx, &Metric::ClusteringCoefficient, &exec).unwrap();
             for i in 0..hcd.num_nodes() as u32 {
                 let want = primaries_by_definition(&g, &hcd.subtree_vertices(i));
                 prop_assert_eq!(primaries[i as usize], want, "node {} mode {}", i, exec.mode_name());
@@ -119,12 +119,12 @@ proptest! {
     fn bks_equals_pbks_everywhere(edges in arb_edges(30, 160)) {
         let g = build_from_edges(edges, 0);
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         let ctx = SearchContext::new(&g, &cores, &hcd);
         let exec = Executor::assist(3);
         for metric in Metric::ALL {
             let (sb, pb) = bks_scores(&ctx, &metric);
-            let (sp, pp) = pbks_scores(&ctx, &metric, &exec);
+            let (sp, pp) = try_pbks_scores(&ctx, &metric, &exec).unwrap();
             prop_assert_eq!(pb, pp, "{}", metric.name());
             prop_assert_eq!(sb, sp, "{}", metric.name());
         }
@@ -134,9 +134,9 @@ proptest! {
     fn core_set_scores_match_oracle(edges in arb_edges(24, 120)) {
         let g = build_from_edges(edges, 0);
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         let ctx = SearchContext::new(&g, &cores, &hcd);
-        let levels = core_set_scores(&ctx, &Metric::ClusteringCoefficient, &Executor::assist(2));
+        let levels = try_core_set_scores(&ctx, &Metric::ClusteringCoefficient, &Executor::assist(2)).unwrap();
         for ls in levels {
             let want = primaries_by_definition(&g, &cores.core_set(ls.k));
             prop_assert_eq!(ls.primaries, want, "k={}", ls.k);
@@ -148,9 +148,9 @@ proptest! {
         // PBKS-D's output is at least as dense as the kmax-core.
         let g = build_from_edges(edges, 0);
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         let ctx = SearchContext::new(&g, &cores, &hcd);
-        if let Some(best) = crate::densest::pbks_d(&ctx, &Executor::sequential()) {
+        if let Some(best) = crate::densest::try_pbks_d(&ctx, &Executor::sequential()).unwrap() {
             if let Some((_, coreapp_davg)) = crate::densest::coreapp(&g, &cores) {
                 prop_assert!(best.score >= coreapp_davg - 1e-9);
             }

@@ -1,6 +1,6 @@
 //! Test fixtures and brute-force primary-value computation.
 
-use hcd_core::{phcd, Hcd};
+use hcd_core::{try_phcd, Hcd};
 use hcd_decomp::{core_decomposition, CoreDecomposition};
 use hcd_graph::{CsrGraph, GraphBuilder, VertexId};
 use hcd_par::Executor;
@@ -32,7 +32,7 @@ pub fn search_fixture() -> (CsrGraph, CoreDecomposition, Hcd) {
         .edges([(13, 9), (13, 5), (14, 10), (14, 6), (15, 13), (15, 14)])
         .build();
     let cores = core_decomposition(&g);
-    let hcd = phcd(&g, &cores, &Executor::sequential());
+    let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
     (g, cores, hcd)
 }
 

@@ -31,7 +31,7 @@ struct Pending {
     deadline: Option<Deadline>,
 }
 
-/// Counter names the queue ticks; swapped wholesale per tenant.
+/// Counter names the queue ticks, all under one prefix.
 #[derive(Debug, Clone, Copy)]
 struct IngressNames {
     enqueued: &'static str,
@@ -41,19 +41,15 @@ struct IngressNames {
 }
 
 impl IngressNames {
-    const GLOBAL: IngressNames = IngressNames {
-        enqueued: "serve.ingress.enqueued",
-        shed_overloaded: "serve.shed.overloaded",
-        shed_deadline: "serve.shed.deadline",
-        depth: "serve.ingress.depth",
-    };
-
-    fn for_tenant(tenant: &str) -> IngressNames {
+    /// Every name under `prefix` (`"serve"` or `"serve.<tenant>"`),
+    /// interned.
+    fn new(prefix: &str) -> IngressNames {
+        let n = |suffix: &str| intern(&format!("{prefix}.{suffix}"));
         IngressNames {
-            enqueued: intern(&format!("serve.{tenant}.ingress.enqueued")),
-            shed_overloaded: intern(&format!("serve.{tenant}.shed.overloaded")),
-            shed_deadline: intern(&format!("serve.{tenant}.shed.deadline")),
-            depth: intern(&format!("serve.{tenant}.ingress.depth")),
+            enqueued: n("ingress.enqueued"),
+            shed_overloaded: n("shed.overloaded"),
+            shed_deadline: n("shed.deadline"),
+            depth: n("ingress.depth"),
         }
     }
 }
@@ -86,21 +82,23 @@ pub struct IngressQueue {
 impl IngressQueue {
     /// A queue using the global (single-tenant) counter names.
     pub fn new(cfg: AdmissionConfig) -> Self {
+        Self::with_prefix(cfg, "serve")
+    }
+
+    /// A queue ticking `serve.<tenant>.shed.*` / `.ingress.*` counters.
+    pub fn for_tenant(cfg: AdmissionConfig, tenant: &str) -> Self {
+        Self::with_prefix(cfg, &format!("serve.{tenant}"))
+    }
+
+    fn with_prefix(cfg: AdmissionConfig, prefix: &str) -> Self {
         IngressQueue {
             state: Mutex::new(QueueState {
                 pending: VecDeque::new(),
                 next_ticket: 0,
             }),
             cfg,
-            names: IngressNames::GLOBAL,
+            names: IngressNames::new(prefix),
         }
-    }
-
-    /// A queue ticking `serve.<tenant>.shed.*` / `.ingress.*` counters.
-    pub fn for_tenant(cfg: AdmissionConfig, tenant: &str) -> Self {
-        let mut q = Self::new(cfg);
-        q.names = IngressNames::for_tenant(tenant);
-        q
     }
 
     /// The configured admission knobs.
@@ -219,7 +217,7 @@ mod tests {
         let g = GraphBuilder::new()
             .edges([(0, 1), (1, 2), (2, 0), (2, 3)])
             .build();
-        HcdService::new(&g, exec)
+        HcdService::try_new(&g, exec).unwrap()
     }
 
     #[test]

@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn underload_answers_everything() {
         let exec = Executor::sequential();
-        let svc = HcdService::new(&seed_graph(), &exec);
+        let svc = HcdService::try_new(&seed_graph(), &exec).unwrap();
         let cfg = OpenLoopConfig {
             offered_qps: 8_000, // 8 arrivals/tick << 32 drained/tick
             ticks: 100,
@@ -236,7 +236,7 @@ mod tests {
         let mut runs = Vec::new();
         for _ in 0..2 {
             let exec = Executor::sequential();
-            let svc = HcdService::new(&seed_graph(), &exec);
+            let svc = HcdService::try_new(&seed_graph(), &exec).unwrap();
             runs.push(run_open_loop(&svc, &ingress(cfg.watermark), &cfg, &exec).unwrap());
         }
         assert_eq!(runs[0], runs[1], "open loop must be deterministic");
@@ -251,7 +251,7 @@ mod tests {
     #[test]
     fn zero_deadline_sheds_everything() {
         let exec = Executor::sequential();
-        let svc = HcdService::new(&seed_graph(), &exec);
+        let svc = HcdService::try_new(&seed_graph(), &exec).unwrap();
         let cfg = OpenLoopConfig {
             offered_qps: 5_000,
             ticks: 20,
@@ -271,7 +271,7 @@ mod tests {
     #[test]
     fn updates_publish_under_load() {
         let exec = Executor::sequential();
-        let svc = HcdService::new(&seed_graph(), &exec);
+        let svc = HcdService::try_new(&seed_graph(), &exec).unwrap();
         let cfg = OpenLoopConfig {
             offered_qps: 4_000,
             ticks: 100,

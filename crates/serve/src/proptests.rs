@@ -191,7 +191,7 @@ mod admission_props {
             let mut outcomes = Vec::new();
             for _ in 0..2 {
                 let exec = Executor::sequential().with_metrics();
-                let svc = HcdService::new(&seed_graph(), &exec);
+                let svc = HcdService::try_new(&seed_graph(), &exec).unwrap();
                 let ingress = IngressQueue::new(AdmissionConfig {
                     watermark,
                     default_deadline: None,

@@ -10,9 +10,15 @@
 //!    corruption (a complete frame failing its checksum) is a hard
 //!    error: that is damage, not a crash artifact, and guessing would
 //!    risk serving wrong answers;
-//! 3. replay every record with `seq` greater than the checkpoint's
-//!    through [`DynamicCore::apply_batch`], checking the sequence
-//!    numbers form the contiguous suffix the ack protocol guarantees;
+//! 3. check that the records with `seq` greater than the checkpoint's
+//!    form the contiguous suffix the ack protocol guarantees, and replay
+//!    them as one batch, their updates concatenated in log order,
+//!    through [`DynamicCore::try_apply_batch`] on the caller's executor
+//!    (so its deadline, cancel token, fault plan and metrics govern
+//!    replay). This is exact: a batch replays each pair's updates in
+//!    order from the pair's presence before the batch, so every update
+//!    is applied or skipped as it was record by record, and the vertex
+//!    set grows the same way;
 //! 4. rebuild the snapshot (PHCD) and publish it at generation
 //!    `final_seq`, with the WAL reopened for appending where the
 //!    pre-crash log left off.
@@ -91,7 +97,8 @@ pub enum RecoverError {
     },
     /// A real IO error while reading the directory.
     Io(std::io::Error),
-    /// Rebuilding the snapshot from the recovered state failed.
+    /// Replaying the log or rebuilding the snapshot from the recovered
+    /// state failed.
     Par(ParError),
 }
 
@@ -109,7 +116,7 @@ impl std::fmt::Display for RecoverError {
                 "WAL sequence gap: expected batch {expected}, found {found}"
             ),
             RecoverError::Io(e) => write!(f, "recovery io error: {e}"),
-            RecoverError::Par(e) => write!(f, "recovery rebuild failed: {e}"),
+            RecoverError::Par(e) => write!(f, "recovery replay or rebuild failed: {e}"),
         }
     }
 }
@@ -153,24 +160,28 @@ impl HcdService {
             }
         };
 
-        let mut writer = DynamicCore::from_csr(&graph);
-        writer.set_seq(checkpoint_seq);
+        let mut final_seq = checkpoint_seq;
+        let mut suffix = Vec::new();
         let mut replayed = 0usize;
         for record in &scan.records {
             if record.seq <= checkpoint_seq {
                 continue;
             }
-            if record.seq != writer.seq() + 1 {
+            if record.seq != final_seq + 1 {
                 return Err(RecoverError::SequenceGap {
-                    expected: writer.seq() + 1,
+                    expected: final_seq + 1,
                     found: record.seq,
                 });
             }
-            let report = writer.apply_batch(&record.updates);
-            debug_assert_eq!(report.seq, record.seq);
+            suffix.extend_from_slice(&record.updates);
+            final_seq = record.seq;
             replayed += 1;
         }
-        let final_seq = writer.seq();
+        let mut writer = DynamicCore::from_csr(&graph);
+        if replayed > 0 {
+            writer.try_apply_batch(&suffix, exec)?;
+        }
+        writer.set_seq(final_seq);
 
         let csr = std::sync::Arc::clone(writer.graph().csr());
         let cores = writer.decomposition();
@@ -283,6 +294,36 @@ mod tests {
             .unwrap();
         assert_eq!(resp.generation, live_gen + 1);
         assert_eq!(resp.value.seq, 6);
+    }
+
+    #[test]
+    fn replay_is_one_batch_on_the_callers_executor() {
+        let dir = tempdir();
+        let exec = Executor::sequential();
+        let lazy = DurabilityConfig {
+            checkpoint_every: 100,
+            ..cfg()
+        };
+        let svc = HcdService::try_new_durable(&seed(), &dir, lazy, &exec).unwrap();
+        // Record 2 removes what record 1 inserted, record 3 re-inserts
+        // it and grows the vertex set: the concatenated replay must skip
+        // and apply exactly as the records did one by one.
+        for batch in [
+            vec![EdgeUpdate::Insert(0, 3), EdgeUpdate::Insert(1, 4)],
+            vec![EdgeUpdate::Remove(0, 3), EdgeUpdate::Insert(1, 4)],
+            vec![EdgeUpdate::Insert(0, 3), EdgeUpdate::Insert(3, 8)],
+        ] {
+            svc.try_apply_batch(&batch, &exec).unwrap();
+        }
+        let live_fp = svc.snapshot().fingerprint();
+        drop(svc);
+
+        let metered = Executor::sequential().with_metrics();
+        let (rec, report) = HcdService::recover(&dir, lazy, &metered).unwrap();
+        assert_eq!(report.replayed, 3);
+        assert_eq!(rec.snapshot().fingerprint(), live_fp);
+        let m = metered.take_metrics();
+        assert_eq!(m.get("bz.peel").map(|r| r.invocations), Some(1));
     }
 
     #[test]

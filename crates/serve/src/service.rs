@@ -187,10 +187,9 @@ fn answer(snap: &Snapshot, q: &Query) -> QueryAnswer {
 }
 
 /// The full set of counter and region names one service instance
-/// ticks. Single-tenant services use the historical global literals
-/// (so every existing test, baseline, and dashboard is untouched);
-/// tenant services swap in interned `serve.<tenant>.*` names wholesale,
-/// which is what isolates one tenant's metrics from another's.
+/// ticks. Single-tenant services use the global `serve.*` names;
+/// tenant services use `serve.<tenant>.*` names wholesale, which is
+/// what isolates one tenant's metrics from another's.
 ///
 /// Regions time themselves, so each region name here is also the name
 /// of its latency histogram: a tenant's query and rebuild latencies
@@ -223,31 +222,11 @@ pub(crate) struct ServeNames {
 }
 
 impl ServeNames {
-    pub(crate) const GLOBAL: ServeNames = ServeNames {
-        queries: "serve.queries",
-        stale_reads: "serve.stale_reads",
-        noop_batches: "serve.noop_batches",
-        wal_appends: "serve.wal_appends",
-        wal_bytes: "serve.wal_bytes",
-        wal_errors: "serve.wal_errors",
-        batches: "serve.batches",
-        swaps: "serve.swaps",
-        checkpoints: "serve.checkpoints",
-        ckpt_errors: "serve.ckpt_errors",
-        cache_hits: "serve.cache.hits",
-        cache_misses: "serve.cache.misses",
-        cache_evictions: "serve.cache.evictions",
-        cache_bytes: "serve.cache.bytes",
-        region_query_core: "serve.query.core",
-        region_query_position: "serve.query.position",
-        region_query_member: "serve.query.member",
-        region_query_same: "serve.query.same",
-        region_query_batch: "serve.query.batch",
-        region_rebuild: "serve.rebuild",
-    };
-
-    pub(crate) fn for_tenant(tenant: &str) -> ServeNames {
-        let n = |suffix: &str| intern(&format!("serve.{tenant}.{suffix}"));
+    /// Every name under `prefix`: `"serve"` for a single-tenant
+    /// service, `"serve.<tenant>"` for a tenant's. Each name is interned,
+    /// so a prefix's names are the same `&'static str` in every service.
+    pub(crate) fn new(prefix: &str) -> ServeNames {
+        let n = |suffix: &str| intern(&format!("{prefix}.{suffix}"));
         ServeNames {
             queries: n("queries"),
             stale_reads: n("stale_reads"),
@@ -359,7 +338,7 @@ impl HcdService {
                 dirty: false,
             }),
             stale_reads: std::sync::atomic::AtomicU64::new(0),
-            names: ServeNames::GLOBAL,
+            names: ServeNames::new("serve"),
             tenant: None,
             cache: None,
         }
@@ -372,7 +351,7 @@ impl HcdService {
     /// the service is shared;
     /// [`crate::ServiceRegistry`] does this for every tenant it hosts.
     pub fn with_tenant(mut self, tenant: &str) -> Self {
-        self.names = ServeNames::for_tenant(tenant);
+        self.names = ServeNames::new(&format!("serve.{tenant}"));
         self.tenant = Some(intern(tenant));
         self
     }
@@ -469,15 +448,6 @@ impl HcdService {
     /// Waits for an in-flight write.
     pub fn attach_event_log(&self, log: EventLog) {
         self.writer.lock().events = Some(log);
-    }
-
-    /// Infallible [`HcdService::try_new`] (panics on construction
-    /// failure).
-    pub fn new(g: &CsrGraph, exec: &Executor) -> Self {
-        match Self::try_new(g, exec) {
-            Ok(s) => s,
-            Err(e) => e.raise(),
-        }
     }
 
     /// The currently served snapshot. The returned `Arc` stays valid and
@@ -996,7 +966,7 @@ mod tests {
     #[test]
     fn initial_snapshot_serves_generation_zero() {
         let exec = Executor::sequential();
-        let svc = HcdService::new(&triangle_plus_tail(), &exec);
+        let svc = HcdService::try_new(&triangle_plus_tail(), &exec).unwrap();
         assert_eq!(svc.generation(), 0);
         let r = svc.try_in_k_core(0, 2, &exec).unwrap();
         assert_eq!(r.generation, 0);
@@ -1010,7 +980,7 @@ mod tests {
     #[test]
     fn publication_advances_generation_and_answers() {
         let exec = Executor::sequential();
-        let svc = HcdService::new(&triangle_plus_tail(), &exec);
+        let svc = HcdService::try_new(&triangle_plus_tail(), &exec).unwrap();
         let before = svc.snapshot();
         let resp = svc
             .try_apply_batch(&[EdgeUpdate::Insert(1, 3), EdgeUpdate::Insert(0, 3)], &exec)
@@ -1030,7 +1000,7 @@ mod tests {
     #[test]
     fn out_of_range_vertices_answer_negatively() {
         let exec = Executor::sequential();
-        let svc = HcdService::new(&triangle_plus_tail(), &exec);
+        let svc = HcdService::try_new(&triangle_plus_tail(), &exec).unwrap();
         assert_eq!(svc.try_core_containing(99, 1, &exec).unwrap().value, None);
         assert_eq!(svc.try_hierarchy_position(99, &exec).unwrap().value, None);
         assert!(!svc.try_in_k_core(99, 0, &exec).unwrap().value);
@@ -1047,7 +1017,7 @@ mod tests {
             Executor::assist(4),
             Executor::simulated(4),
         ] {
-            let svc = HcdService::new(&triangle_plus_tail(), &exec);
+            let svc = HcdService::try_new(&triangle_plus_tail(), &exec).unwrap();
             let queries = vec![
                 Query::InKCore(0, 2),
                 Query::InKCore(4, 2),
@@ -1078,7 +1048,7 @@ mod tests {
     #[test]
     fn best_community_runs_on_the_snapshot() {
         let exec = Executor::sequential();
-        let svc = HcdService::new(&triangle_plus_tail(), &exec);
+        let svc = HcdService::try_new(&triangle_plus_tail(), &exec).unwrap();
         let r = svc
             .try_best_community(&Metric::AverageDegree, &exec)
             .unwrap();
@@ -1090,7 +1060,7 @@ mod tests {
     fn failed_rebuild_keeps_serving_the_old_snapshot() {
         use hcd_par::{Fault, FaultPlan};
         let exec = Executor::sequential();
-        let svc = HcdService::new(&triangle_plus_tail(), &exec);
+        let svc = HcdService::try_new(&triangle_plus_tail(), &exec).unwrap();
         // Panic in the first region of the next batch: the one-worker
         // recompute's single `bz.peel` region.
         exec.set_fault_plan(FaultPlan::new().inject(0, 0, Fault::Panic));
@@ -1127,7 +1097,7 @@ mod tests {
     #[test]
     fn counters_tick_when_metrics_enabled() {
         let exec = Executor::sequential().with_metrics();
-        let svc = HcdService::new(&triangle_plus_tail(), &exec);
+        let svc = HcdService::try_new(&triangle_plus_tail(), &exec).unwrap();
         svc.try_in_k_core(0, 1, &exec).unwrap();
         svc.try_query_batch(&[Query::InKCore(1, 1), Query::InKCore(2, 1)], &exec)
             .unwrap();

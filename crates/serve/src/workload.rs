@@ -245,7 +245,7 @@ mod tests {
             Executor::assist(4),
             Executor::simulated(4),
         ] {
-            let svc = HcdService::new(&seed_graph(), &exec);
+            let svc = HcdService::try_new(&seed_graph(), &exec).unwrap();
             summaries.push((exec.mode_name(), run_workload(&svc, &cfg, &exec).unwrap()));
         }
         let (_, first) = summaries[0];
@@ -267,7 +267,7 @@ mod tests {
     #[test]
     fn read_only_workload_never_publishes() {
         let exec = Executor::sequential();
-        let svc = HcdService::new(&seed_graph(), &exec);
+        let svc = HcdService::try_new(&seed_graph(), &exec).unwrap();
         let cfg = WorkloadConfig {
             read_ratio: 1.0,
             ops: 10,
@@ -288,7 +288,7 @@ mod tests {
     #[test]
     fn progress_hook_fires_on_schedule_without_changing_the_stream() {
         let exec = Executor::sequential();
-        let svc = HcdService::new(&seed_graph(), &exec);
+        let svc = HcdService::try_new(&seed_graph(), &exec).unwrap();
         let cfg = WorkloadConfig {
             ops: 10,
             batch_size: 4,
@@ -296,7 +296,7 @@ mod tests {
             ..WorkloadConfig::default()
         };
         let baseline = run_workload(&svc, &cfg, &exec).unwrap();
-        let svc2 = HcdService::new(&seed_graph(), &exec);
+        let svc2 = HcdService::try_new(&seed_graph(), &exec).unwrap();
         let mut ticks = Vec::new();
         let observed = run_workload_with(&svc2, &cfg, &exec, 3, |done, s| {
             ticks.push((done, s.queries));

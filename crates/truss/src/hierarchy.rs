@@ -122,18 +122,11 @@ fn triangles<F: FnMut(u32, u32)>(g: &CsrGraph, idx: &EdgeIndex, e: u32, mut f: F
 /// `(trussness, id)` edge, and PHCD's four steps group shell edges into
 /// new tree nodes and resolve parents exactly as they do for vertices
 /// (regions `truss.kpc` / `union` / `pivots` / `assign` / `parents`).
-pub fn phtd(g: &CsrGraph, idx: &EdgeIndex, truss: &TrussDecomposition, exec: &Executor) -> Htd {
-    match try_phtd(g, idx, truss, exec) {
-        Ok(htd) => htd,
-        Err(e) => e.raise(),
-    }
-}
-
-/// Fallible version of [`phtd`]: the triangle-enumerating union pass
-/// polls the executor's cancellation checkpoint at a coarse
-/// adjacency-work stride, and every region checks it per chunk, so
-/// cancel tokens and deadlines abort the construction promptly (see the
-/// `hcd_par` failure model).
+///
+/// The triangle-enumerating union pass polls the executor's cancellation
+/// checkpoint at a coarse adjacency-work stride, and every region checks
+/// it per chunk, so cancel tokens and deadlines abort the construction
+/// promptly (see the `hcd_par` failure model).
 pub fn try_phtd(
     g: &CsrGraph,
     idx: &EdgeIndex,
@@ -285,7 +278,7 @@ mod tests {
             Executor::assist(4),
             Executor::simulated(3),
         ] {
-            let got = phtd(g, &idx, &td, &exec);
+            let got = try_phtd(g, &idx, &td, &exec).unwrap();
             assert_eq!(got.canonicalize(), truth, "mode {}", exec.mode_name());
         }
     }
@@ -317,7 +310,7 @@ mod tests {
             .build();
         check(&g);
         let (idx, td) = truss_decomposition(&g);
-        let h = phtd(&g, &idx, &td, &Executor::sequential());
+        let h = try_phtd(&g, &idx, &td, &Executor::sequential()).unwrap();
         // Levels present: 5 (K5), 3 (fringe triangle), and two singleton
         // level-2 nodes (the tail edges are not triangle-connected).
         let mut ks: Vec<u32> = h.nodes().iter().map(|n| n.k).collect();
@@ -345,7 +338,7 @@ mod tests {
             .edges([(0, 1), (1, 2), (2, 3), (3, 4)])
             .build();
         let (idx, td) = truss_decomposition(&g);
-        let h = phtd(&g, &idx, &td, &Executor::sequential());
+        let h = try_phtd(&g, &idx, &td, &Executor::sequential()).unwrap();
         // All edges trussness 2; triangle connectivity leaves each edge
         // isolated -> one node per edge.
         assert_eq!(h.num_nodes(), idx.len());
@@ -369,7 +362,9 @@ mod tests {
             let g = b.build();
             let (idx, td) = truss_decomposition(&g);
             let truth = naive_htd(&g, &idx, &td).canonicalize();
-            let got = phtd(&g, &idx, &td, &Executor::assist(4)).canonicalize();
+            let got = try_phtd(&g, &idx, &td, &Executor::assist(4))
+                .unwrap()
+                .canonicalize();
             assert_eq!(got, truth, "case {case}");
         }
     }
@@ -404,7 +399,7 @@ mod tests {
             .edges([(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (4, 0)])
             .build();
         let (idx, td) = truss_decomposition(&g);
-        let h = phtd(&g, &idx, &td, &Executor::sequential());
+        let h = try_phtd(&g, &idx, &td, &Executor::sequential()).unwrap();
         let total: usize = h.nodes().iter().map(|n| n.edges.len()).sum();
         assert_eq!(total, idx.len());
         for e in 0..idx.len() as u32 {

@@ -15,7 +15,7 @@
 //! * [`edges::EdgeIndex`] — dense edge ids and O(log d) arc→edge lookup;
 //! * [`decompose::truss_decomposition`] — serial support-peeling
 //!   (Wang–Cheng style), `O(m^1.5)`;
-//! * [`hierarchy::phtd`] — **parallel HTD construction**: the PHCD
+//! * [`hierarchy::try_phtd`] — **parallel HTD construction**: the PHCD
 //!   kernel (`hcd_core::forest`) with triangle links, with edges in
 //!   place of vertices and triangle connectivity in place of adjacency;
 //! * [`hierarchy::naive_htd`] — the brute-force oracle used in tests.
@@ -26,7 +26,7 @@ pub mod hierarchy;
 
 pub use decompose::{truss_decomposition, TrussDecomposition};
 pub use edges::EdgeIndex;
-pub use hierarchy::{naive_htd, phtd, try_phtd, Htd, TrussNode};
+pub use hierarchy::{naive_htd, try_phtd, Htd, TrussNode};
 
 #[cfg(test)]
 mod proptests;

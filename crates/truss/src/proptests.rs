@@ -7,7 +7,7 @@ use hcd_graph::builder::build_from_edges;
 use hcd_par::Executor;
 
 use crate::decompose::truss_decomposition;
-use crate::hierarchy::{naive_htd, phtd};
+use crate::hierarchy::{naive_htd, try_phtd};
 
 fn arb_edges(max_n: u32, max_m: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
     prop::collection::vec((0..max_n, 0..max_n), 0..max_m)
@@ -22,7 +22,7 @@ proptest! {
         let (idx, td) = truss_decomposition(&g);
         let truth = naive_htd(&g, &idx, &td).canonicalize();
         for exec in [Executor::sequential(), Executor::assist(4), Executor::simulated(3)] {
-            let got = phtd(&g, &idx, &td, &exec);
+            let got = try_phtd(&g, &idx, &td, &exec).unwrap();
             prop_assert_eq!(got.canonicalize(), truth.clone(), "mode {}", exec.mode_name());
         }
     }
@@ -50,7 +50,7 @@ proptest! {
     fn htd_partitions_edges(edges in arb_edges(16, 70)) {
         let g = build_from_edges(edges, 0);
         let (idx, td) = truss_decomposition(&g);
-        let h = phtd(&g, &idx, &td, &Executor::sequential());
+        let h = try_phtd(&g, &idx, &td, &Executor::sequential()).unwrap();
         let total: usize = h.nodes().iter().map(|n| n.edges.len()).sum();
         prop_assert_eq!(total, idx.len());
         for (i, node) in h.nodes().iter().enumerate() {

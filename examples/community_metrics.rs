@@ -7,16 +7,16 @@
 
 use hcd::prelude::*;
 
-fn main() {
+fn main() -> Result<(), ParError> {
     // A web-style stand-in: power-law backbone plus clique overlays gives
     // a rich hierarchy where different metrics pick different cores.
     let g = Dataset::by_abbrev("SK")
         .expect("registry")
         .generate(Scale::Tiny);
     let exec = Executor::assist(std::thread::available_parallelism().map_or(2, |p| p.get()));
-    let cores = pkc_core_decomposition(&g, &exec);
-    let hcd = phcd(&g, &cores, &exec);
-    let ctx = SearchContext::with_executor(&g, &cores, &hcd, &exec);
+    let cores = try_pkc_core_decomposition(&g, &exec)?;
+    let hcd = try_phcd(&g, &cores, &exec)?;
+    let ctx = SearchContext::try_with_executor(&g, &cores, &hcd, &exec)?;
 
     println!(
         "graph: n={} m={} kmax={} |T|={}",
@@ -31,7 +31,7 @@ fn main() {
         "metric", "k", "score", "|S|", "m(S)"
     );
     for metric in Metric::ALL {
-        let best = pbks(&ctx, &metric, &exec).expect("non-empty graph");
+        let best = try_pbks(&ctx, &metric, &exec)?.expect("non-empty graph");
         let serial = bks(&ctx, &metric).expect("non-empty graph");
         assert_eq!(best, serial, "PBKS and BKS disagree on {}", metric.name());
         println!(
@@ -50,7 +50,7 @@ fn main() {
         Metric::InternalDensity,
         Metric::ClusteringCoefficient,
     ] {
-        let best = best_k(&ctx, &metric, &exec).expect("non-empty graph");
+        let best = try_best_k(&ctx, &metric, &exec)?.expect("non-empty graph");
         println!(
             "  {:<24} best k = {:<3} score {:.4}",
             metric.name(),
@@ -58,4 +58,5 @@ fn main() {
             best.score
         );
     }
+    Ok(())
 }

@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use hcd::prelude::*;
 
-fn main() {
+fn main() -> Result<(), ParError> {
     // A web-crawl-style graph: power-law backbone plus link-farm cliques.
     let g = Dataset::by_abbrev("A")
         .expect("registry")
@@ -24,9 +24,9 @@ fn main() {
     );
 
     let exec = Executor::assist(std::thread::available_parallelism().map_or(2, |p| p.get()));
-    let cores = pkc_core_decomposition(&g, &exec);
-    let hcd = phcd(&g, &cores, &exec);
-    let ctx = SearchContext::with_executor(&g, &cores, &hcd, &exec);
+    let cores = try_pkc_core_decomposition(&g, &exec)?;
+    let hcd = try_phcd(&g, &cores, &exec)?;
+    let ctx = SearchContext::try_with_executor(&g, &cores, &hcd, &exec)?;
 
     // CoreApp-style baseline: the kmax-core.
     let t = Instant::now();
@@ -50,7 +50,7 @@ fn main() {
 
     // PBKS-D: the paper's parallel search.
     let t = Instant::now();
-    let pd = pbks_d(&ctx, &exec).expect("non-empty");
+    let pd = try_pbks_d(&ctx, &exec)?.expect("non-empty");
     println!(
         "PBKS-D  : davg {:>8.3}  |S| {:>5}  ({:?})",
         pd.score,
@@ -91,4 +91,5 @@ fn main() {
         "|S*|/n = {:.4}%",
         100.0 * s_star.len() as f64 / g.num_vertices() as f64
     );
+    Ok(())
 }

@@ -15,7 +15,7 @@ use std::time::Instant;
 use hcd::prelude::*;
 use rand::{Rng, SeedableRng};
 
-fn main() {
+fn main() -> Result<(), ParError> {
     let g = rmat(13, 8, None, 3);
     let mut dc = DynamicCore::from_csr(&g);
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
@@ -63,12 +63,14 @@ fn main() {
         "maintenance must agree"
     );
 
-    // The hierarchy refreshes lazily after updates.
+    // The hierarchy of the maintained graph, built on demand.
     let exec = Executor::sequential();
-    let (snap, hcd) = dc.hcd(&exec);
+    let snap = dc.graph().csr();
+    let hcd = try_phcd(snap, &dc.decomposition(), &exec)?;
     println!(
         "refreshed HCD: {} tree nodes over {} vertices",
         hcd.num_nodes(),
         snap.num_vertices()
     );
+    Ok(())
 }

@@ -14,11 +14,11 @@
 use hcd::prelude::*;
 use rand::{Rng, SeedableRng};
 
-fn main() {
+fn main() -> Result<(), ParError> {
     let g = rmat(13, 10, None, 7);
     let exec = Executor::assist(std::thread::available_parallelism().map_or(2, |p| p.get()));
-    let cores = pkc_core_decomposition(&g, &exec);
-    let hcd = phcd(&g, &cores, &exec);
+    let cores = try_pkc_core_decomposition(&g, &exec)?;
+    let hcd = try_phcd(&g, &cores, &exec)?;
 
     // Synthetic engagement: proportional to coreness with heavy noise
     // (mimicking check-in counts).
@@ -70,4 +70,5 @@ fn main() {
     for (depth, (s, c)) in by_depth {
         println!("  depth {depth:>2}: avg {:>7.2} ({c} users)", s / c as f64);
     }
+    Ok(())
 }

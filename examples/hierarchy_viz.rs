@@ -9,11 +9,11 @@
 
 use hcd::prelude::*;
 
-fn main() {
+fn main() -> Result<(), ParError> {
     let g = core_tree(3, 4, 14, 5);
     let exec = Executor::sequential();
     let cores = core_decomposition(&g);
-    let hcd = phcd(&g, &cores, &exec);
+    let hcd = try_phcd(&g, &cores, &exec)?;
 
     eprintln!(
         "graph: n={} m={} kmax={} | HCD: {} nodes, {} roots",
@@ -44,4 +44,5 @@ fn main() {
 
     // DOT on stdout.
     println!("{}", hcd.to_dot());
+    Ok(())
 }

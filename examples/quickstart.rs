@@ -6,7 +6,7 @@
 
 use hcd::prelude::*;
 
-fn main() {
+fn main() -> Result<(), ParError> {
     // A small social-style graph: power-law R-MAT (varied coreness).
     let g = rmat(12, 8, None, 42);
     println!(
@@ -18,11 +18,11 @@ fn main() {
 
     // 1. Core decomposition (parallel PKC-style peeling).
     let exec = Executor::assist(std::thread::available_parallelism().map_or(2, |p| p.get()));
-    let cores = pkc_core_decomposition(&g, &exec);
+    let cores = try_pkc_core_decomposition(&g, &exec)?;
     println!("kmax = {}", cores.kmax());
 
     // 2. Hierarchical core decomposition with PHCD.
-    let hcd = phcd(&g, &cores, &exec);
+    let hcd = try_phcd(&g, &cores, &exec)?;
     println!(
         "HCD: {} tree nodes, {} roots",
         hcd.num_nodes(),
@@ -36,9 +36,9 @@ fn main() {
     }
 
     // 3. Search for the best k-core under two metrics.
-    let ctx = SearchContext::with_executor(&g, &cores, &hcd, &exec);
+    let ctx = SearchContext::try_with_executor(&g, &cores, &hcd, &exec)?;
     for metric in [Metric::AverageDegree, Metric::Conductance] {
-        let best = pbks(&ctx, &metric, &exec).expect("non-empty graph");
+        let best = try_pbks(&ctx, &metric, &exec)?.expect("non-empty graph");
         println!(
             "best {}: k={} with score {:.4} ({} vertices)",
             metric.name(),
@@ -56,4 +56,5 @@ fn main() {
             core.len()
         );
     }
+    Ok(())
 }

@@ -7,7 +7,7 @@
 
 use hcd::prelude::*;
 
-fn main() {
+fn main() -> Result<(), ParError> {
     let g = Dataset::by_abbrev("H")
         .expect("registry")
         .generate(Scale::Tiny);
@@ -24,7 +24,7 @@ fn main() {
     // 2. Parallel hierarchy construction (PHTD), verified against the
     //    brute-force oracle.
     let exec = Executor::assist(std::thread::available_parallelism().map_or(2, |p| p.get()));
-    let htd = phtd(&g, &idx, &truss, &exec);
+    let htd = try_phtd(&g, &idx, &truss, &exec)?;
     assert_eq!(
         htd.canonicalize(),
         naive_htd(&g, &idx, &truss).canonicalize(),
@@ -53,4 +53,5 @@ fn main() {
         members.len(),
         htd.subtree_edges(deepest).len()
     );
+    Ok(())
 }

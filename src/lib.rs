@@ -43,12 +43,13 @@
 //!
 //! // 2. Hierarchical core decomposition (parallel construction).
 //! let exec = Executor::sequential();
-//! let hcd = phcd(&g, &cores, &exec);
+//! let hcd = try_phcd(&g, &cores, &exec)?;
 //!
 //! // 3. Search the k-core with the best average degree (PBKS-D).
 //! let pre = SearchContext::new(&g, &cores, &hcd);
-//! let best = pbks(&pre, &Metric::AverageDegree, &exec).expect("non-empty graph");
+//! let best = try_pbks(&pre, &Metric::AverageDegree, &exec)?.expect("non-empty graph");
 //! assert!(best.score > 0.0);
+//! # Ok::<(), ParError>(())
 //! ```
 
 pub use hcd_core as core;

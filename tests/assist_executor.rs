@@ -51,14 +51,14 @@ fn assist_counters_are_deterministic_across_runs() {
     let g = rmat(10, 10, None, 55);
     let cores = core_decomposition(&g);
     let reference = metered(&Executor::sequential(), |e| {
-        pkc_core_decomposition(&g, e);
-        phcd(&g, &cores, e);
+        try_pkc_core_decomposition(&g, e).unwrap();
+        try_phcd(&g, &cores, e).unwrap();
     });
     let exec = Executor::assist(4);
     for run in 0..3 {
         let m = metered(&exec, |e| {
-            pkc_core_decomposition(&g, e);
-            phcd(&g, &cores, e);
+            try_pkc_core_decomposition(&g, e).unwrap();
+            try_phcd(&g, &cores, e).unwrap();
         });
         for name in DETERMINISTIC {
             assert_eq!(
@@ -96,12 +96,12 @@ fn assist_matches_simulated_mode_counter_for_counter() {
     let g = rmat(10, 10, None, 56);
     let cores = core_decomposition(&g);
     let sim = metered(&Executor::simulated(4), |e| {
-        pkc_core_decomposition(&g, e);
-        phcd(&g, &cores, e);
+        try_pkc_core_decomposition(&g, e).unwrap();
+        try_phcd(&g, &cores, e).unwrap();
     });
     let m = metered(&Executor::assist(4), |e| {
-        pkc_core_decomposition(&g, e);
-        phcd(&g, &cores, e);
+        try_pkc_core_decomposition(&g, e).unwrap();
+        try_phcd(&g, &cores, e).unwrap();
     });
     for name in DETERMINISTIC {
         assert_eq!(counter(&m, name), counter(&sim, name), "{name} diverged");
@@ -116,7 +116,9 @@ fn assist_matches_simulated_mode_counter_for_counter() {
 fn assist_panic_matrix_first_middle_last() {
     let g = rmat(10, 8, None, 77);
     let cores = core_decomposition(&g);
-    let reference = phcd(&g, &cores, &Executor::sequential()).canonicalize();
+    let reference = try_phcd(&g, &cores, &Executor::sequential())
+        .unwrap()
+        .canonicalize();
     let exec = Executor::assist(4);
     for chunk in chunk_positions(&exec) {
         exec.set_fault_plan(FaultPlan::new().inject(0, chunk, Fault::Panic));
@@ -142,7 +144,9 @@ fn assist_panic_matrix_first_middle_last() {
 fn assist_cancel_matrix_first_middle_last() {
     let g = rmat(10, 8, None, 78);
     let cores = core_decomposition(&g);
-    let reference = phcd(&g, &cores, &Executor::sequential()).canonicalize();
+    let reference = try_phcd(&g, &cores, &Executor::sequential())
+        .unwrap()
+        .canonicalize();
     let exec = Executor::assist(4);
     for chunk in chunk_positions(&exec) {
         exec.set_fault_plan(FaultPlan::new().inject(0, chunk, Fault::Cancel));
@@ -172,7 +176,9 @@ fn assist_deadline_and_delay_behave_like_static_modes() {
 
     // A delayed first chunk forces the owner to straggle while workers
     // assist with the rest; the result must still be byte-identical.
-    let reference = phcd(&g, &cores, &Executor::sequential()).canonicalize();
+    let reference = try_phcd(&g, &cores, &Executor::sequential())
+        .unwrap()
+        .canonicalize();
     exec.set_fault_plan(FaultPlan::new().inject(0, 0, Fault::Delay(2_000)));
     let h = try_phcd(&g, &cores, &exec).expect("delay is not a failure");
     assert_eq!(h.canonicalize(), reference);

@@ -11,6 +11,7 @@
 
 use std::time::Duration;
 
+use hcd::core::rc::rc_confirm_parents;
 use hcd::prelude::*;
 use hcd::search::PrimaryValues;
 
@@ -54,7 +55,7 @@ fn repeated_parallel_phcd_runs_on_adversarial_graph() {
             exec.set_fault_plan(hold_chunk_zero());
         }
         let m = metered(&exec, |e| {
-            let h = phcd(&g, &cores, e);
+            let h = try_phcd(&g, &cores, e).unwrap();
             assert_eq!(h.canonicalize(), truth, "round {round}");
         });
         steals += counter(&m, "par.assist.steals");
@@ -71,7 +72,7 @@ fn pkc_under_heavy_thread_oversubscription() {
         let exec = Executor::assist(threads);
         for _ in 0..3 {
             let m = metered(&exec, |e| {
-                assert_eq!(pkc_core_decomposition(&g, e), expected);
+                assert_eq!(try_pkc_core_decomposition(&g, e).unwrap(), expected);
             });
             steals += counter(&m, "par.assist.steals");
         }
@@ -79,7 +80,7 @@ fn pkc_under_heavy_thread_oversubscription() {
     let exec = Executor::assist(2);
     exec.set_fault_plan(hold_chunk_zero());
     let m = metered(&exec, |e| {
-        assert_eq!(pkc_core_decomposition(&g, e), expected);
+        assert_eq!(try_pkc_core_decomposition(&g, e).unwrap(), expected);
     });
     steals += counter(&m, "par.assist.steals");
     assert!(steals > 0, "no chunk ran off the owner thread");
@@ -89,13 +90,14 @@ fn pkc_under_heavy_thread_oversubscription() {
 fn concurrent_search_is_stable_under_oversubscription() {
     let g = rmat(10, 12, None, 5);
     let cores = core_decomposition(&g);
-    let hcd = phcd(&g, &cores, &Executor::sequential());
+    let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
     let ctx = SearchContext::new(&g, &cores, &hcd);
-    let reference = pbks_scores(
+    let reference = try_pbks_scores(
         &ctx,
         &Metric::ClusteringCoefficient,
         &Executor::sequential(),
-    );
+    )
+    .unwrap();
     let mut steals = 0;
     for round in 0..6 {
         let exec = Executor::assist(16);
@@ -103,7 +105,7 @@ fn concurrent_search_is_stable_under_oversubscription() {
             exec.set_fault_plan(hold_chunk_zero());
         }
         let m = metered(&exec, |e| {
-            let got = pbks_scores(&ctx, &Metric::ClusteringCoefficient, e);
+            let got = try_pbks_scores(&ctx, &Metric::ClusteringCoefficient, e).unwrap();
             assert_eq!(got.1, reference.1);
         });
         steals += counter(&m, "par.assist.steals");
@@ -143,7 +145,9 @@ fn chunk_positions(exec: &Executor) -> Vec<usize> {
 fn injected_panic_matrix_phcd() {
     let g = rmat(11, 10, None, 77);
     let cores = core_decomposition(&g);
-    let reference = phcd(&g, &cores, &Executor::sequential()).canonicalize();
+    let reference = try_phcd(&g, &cores, &Executor::sequential())
+        .unwrap()
+        .canonicalize();
     for (mode, exec) in fault_modes() {
         for chunk in chunk_positions(&exec) {
             exec.set_fault_plan(FaultPlan::new().inject(0, chunk, Fault::Panic));
@@ -363,7 +367,7 @@ fn pbks_bits(
 fn injected_fault_matrix_pbks() {
     let g = rmat(9, 10, None, 5);
     let cores = core_decomposition(&g);
-    let hcd = phcd(&g, &cores, &Executor::sequential());
+    let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
     let ctx = SearchContext::new(&g, &cores, &hcd);
     let metric = Metric::ClusteringCoefficient; // type-B: orient + triangle pass
     let clean = pbks_bits(&ctx, &metric, &Executor::sequential()).unwrap();
@@ -382,7 +386,7 @@ fn injected_fault_matrix_pbks() {
 fn injected_fault_matrix_bestk() {
     let g = rmat(10, 12, None, 5);
     let cores = core_decomposition(&g);
-    let hcd = phcd(&g, &cores, &Executor::sequential());
+    let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
     let ctx = SearchContext::new(&g, &cores, &hcd);
     let metric = Metric::ClusteringCoefficient; // type-B: orient + triangle pass
     let clean = try_best_k(&ctx, &metric, &Executor::sequential()).unwrap();
@@ -397,11 +401,11 @@ fn triangle_pass_polls_on_a_hub_heavy_graph() {
     // forward pass must still poll the checkpoint every stride.
     let g = rmat(14, 16, None, 3);
     let cores = core_decomposition(&g);
-    let hcd = phcd(&g, &cores, &Executor::sequential());
+    let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
     let ctx = SearchContext::new(&g, &cores, &hcd);
     for (mode, exec) in fault_modes() {
         let m = metered(&exec, |e| {
-            pbks_scores(&ctx, &Metric::ClusteringCoefficient, e);
+            try_pbks_scores(&ctx, &Metric::ClusteringCoefficient, e).unwrap();
         });
         for name in ["pbks.orient", "pbks.triangles"] {
             let r = m.get(name).unwrap_or_else(|| panic!("{mode}: no {name}"));
@@ -418,10 +422,10 @@ fn deadline_fires_in_the_orient_scan() {
     // pass starts, and the same executor must then finish a clean run.
     let g = rmat(10, 12, None, 5);
     let cores = core_decomposition(&g);
-    let hcd = phcd(&g, &cores, &Executor::sequential());
+    let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
     let ctx = SearchContext::new(&g, &cores, &hcd);
     let metric = Metric::ClusteringCoefficient;
-    let clean = pbks_scores(&ctx, &metric, &Executor::sequential());
+    let clean = try_pbks_scores(&ctx, &metric, &Executor::sequential()).unwrap();
     for (mode, exec) in fault_modes() {
         exec.set_metrics_enabled(true);
         // Regions: 0 = pbks.type_a, 1 = pbks.orient.
@@ -447,7 +451,9 @@ fn deadline_fires_in_the_orient_scan() {
 fn injected_fault_matrix_phtd() {
     let g = rmat(9, 10, None, 31);
     let (idx, td) = truss_decomposition(&g);
-    let reference = phtd(&g, &idx, &td, &Executor::sequential()).canonicalize();
+    let reference = try_phtd(&g, &idx, &td, &Executor::sequential())
+        .unwrap()
+        .canonicalize();
     for (mode, exec) in fault_modes() {
         for chunk in chunk_positions(&exec) {
             for (what, fault, is_expected) in abort_faults() {
@@ -472,7 +478,9 @@ fn panics_in_later_regions_are_contained_too() {
     // propagate failure.
     let g = rmat(10, 10, None, 9);
     let cores = core_decomposition(&g);
-    let reference = phcd(&g, &cores, &Executor::sequential()).canonicalize();
+    let reference = try_phcd(&g, &cores, &Executor::sequential())
+        .unwrap()
+        .canonicalize();
     let exec = Executor::assist(4);
     for region in 0..12 {
         exec.set_fault_plan(FaultPlan::new().inject(region, 1, Fault::Panic));
@@ -497,7 +505,9 @@ fn injected_delays_never_change_results() {
     // any output: determinism comes from chunk ownership, not timing.
     let g = rmat(10, 10, None, 13);
     let cores = core_decomposition(&g);
-    let reference = phcd(&g, &cores, &Executor::sequential()).canonicalize();
+    let reference = try_phcd(&g, &cores, &Executor::sequential())
+        .unwrap()
+        .canonicalize();
     let exec = Executor::assist(4);
     for seed in 0..4u64 {
         // Deterministic per-seed delay pattern over the first 16 regions:
@@ -548,8 +558,48 @@ fn cancellation_and_deadline_abort_cleanly_in_all_modes() {
             .unwrap_or_else(|e| panic!("{mode}: rerun after abort failed: {e}"));
         assert_eq!(
             h.num_nodes(),
-            phcd(&g, &cores, &Executor::sequential()).num_nodes()
+            try_phcd(&g, &cores, &Executor::sequential())
+                .unwrap()
+                .num_nodes()
         );
+    }
+}
+
+#[test]
+fn library_callers_of_the_executor_fail_with_typed_errors() {
+    // PBKS-D, RC and the hierarchy of a maintained graph each run their
+    // regions on the caller's executor, so an expired deadline is an
+    // `Err`, never a panic, and clearing it gives the clean result.
+    let g = rmat(9, 8, None, 5);
+    let cores = core_decomposition(&g);
+    let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
+    let ctx = SearchContext::new(&g, &cores, &hcd);
+    let mut dc = DynamicCore::from_csr(&g);
+    dc.apply_batch(&[EdgeUpdate::Insert(0, 3), EdgeUpdate::Remove(0, 1)]);
+    let seq = Executor::sequential();
+    let best = try_pbks_d(&ctx, &seq).unwrap();
+    let relations = rc_confirm_parents(&g, &cores, &hcd, &seq).unwrap();
+    let maintained = try_phcd(dc.graph().csr(), &dc.decomposition(), &seq)
+        .unwrap()
+        .canonicalize();
+    for exec in [
+        Executor::sequential(),
+        Executor::assist(2),
+        Executor::simulated(3),
+    ] {
+        let mode = exec.mode_name();
+        exec.set_deadline(Deadline::from_now(Duration::ZERO));
+        let late = Some(ParError::DeadlineExceeded);
+        assert_eq!(try_pbks_d(&ctx, &exec).err(), late, "{mode}: pbks_d");
+        let rc = rc_confirm_parents(&g, &cores, &hcd, &exec);
+        assert_eq!(rc.err(), late, "{mode}: rc");
+        let maintained_hcd = try_phcd(dc.graph().csr(), &dc.decomposition(), &exec);
+        assert_eq!(maintained_hcd.err(), late, "{mode}: maintained hierarchy");
+        exec.clear_deadline();
+        assert_eq!(try_pbks_d(&ctx, &exec), Ok(best.clone()), "{mode}");
+        assert_eq!(rc_confirm_parents(&g, &cores, &hcd, &exec), Ok(relations));
+        let rebuilt = try_phcd(dc.graph().csr(), &dc.decomposition(), &exec).unwrap();
+        assert_eq!(rebuilt.canonicalize(), maintained, "{mode}");
     }
 }
 
@@ -582,13 +632,13 @@ fn deterministic_counters_agree_across_modes() {
     let g = rmat(10, 10, None, 55);
     let cores = core_decomposition(&g);
     let reference = metered(&Executor::sequential(), |e| {
-        pkc_core_decomposition(&g, e);
-        phcd(&g, &cores, e);
+        try_pkc_core_decomposition(&g, e).unwrap();
+        try_phcd(&g, &cores, e).unwrap();
     });
     for exec in [Executor::simulated(4), Executor::assist(4)] {
         let m = metered(&exec, |e| {
-            pkc_core_decomposition(&g, e);
-            phcd(&g, &cores, e);
+            try_pkc_core_decomposition(&g, e).unwrap();
+            try_phcd(&g, &cores, e).unwrap();
         });
         // Structure-valued counters are mode-independent: peeling rounds
         // and wave count come from the degree sequence, the frontier
@@ -640,7 +690,7 @@ fn counters_under_fault_matrix_never_exceed_clean_run() {
     let g = rmat(10, 10, None, 56);
     let cores = core_decomposition(&g);
     let clean = metered(&Executor::sequential(), |e| {
-        phcd(&g, &cores, e);
+        try_phcd(&g, &cores, e).unwrap();
     });
     for (mode, exec) in fault_modes() {
         for chunk in chunk_positions(&exec) {

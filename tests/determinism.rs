@@ -6,14 +6,14 @@ use hcd::prelude::*;
 fn phcd_output_is_bitwise_identical_across_modes_and_runs() {
     let g = Dataset::by_abbrev("A").unwrap().generate(Scale::Tiny);
     let cores = core_decomposition(&g);
-    let reference = phcd(&g, &cores, &Executor::sequential());
+    let reference = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
     for _ in 0..3 {
         for exec in [
             Executor::simulated(5),
             Executor::assist(2),
             Executor::assist(4),
         ] {
-            let h = phcd(&g, &cores, &exec);
+            let h = try_phcd(&g, &cores, &exec).unwrap();
             assert_eq!(reference.nodes(), h.nodes());
             assert_eq!(reference.tids(), h.tids());
             assert_eq!(reference.roots(), h.roots());
@@ -38,12 +38,17 @@ fn generators_are_seed_stable() {
 fn search_results_are_mode_independent() {
     let g = Dataset::by_abbrev("H").unwrap().generate(Scale::Tiny);
     let cores = core_decomposition(&g);
-    let hcd = phcd(&g, &cores, &Executor::sequential());
+    let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
     let ctx = SearchContext::new(&g, &cores, &hcd);
     for metric in Metric::ALL {
-        let reference = pbks(&ctx, &metric, &Executor::sequential());
+        let reference = try_pbks(&ctx, &metric, &Executor::sequential()).unwrap();
         for exec in [Executor::assist(4), Executor::simulated(3)] {
-            assert_eq!(reference, pbks(&ctx, &metric, &exec), "{}", metric.name());
+            assert_eq!(
+                reference,
+                try_pbks(&ctx, &metric, &exec).unwrap(),
+                "{}",
+                metric.name()
+            );
         }
     }
 }
@@ -52,9 +57,9 @@ fn search_results_are_mode_independent() {
 fn vertex_ranks_identical_across_modes() {
     let g = Dataset::by_abbrev("LJ").unwrap().generate(Scale::Tiny);
     let cores = core_decomposition(&g);
-    let a = VertexRanks::compute(&cores, &Executor::sequential());
-    let b = VertexRanks::compute(&cores, &Executor::assist(4));
-    let c = VertexRanks::compute(&cores, &Executor::simulated(7));
+    let a = VertexRanks::try_compute(&cores, &Executor::sequential()).unwrap();
+    let b = VertexRanks::try_compute(&cores, &Executor::assist(4)).unwrap();
+    let c = VertexRanks::try_compute(&cores, &Executor::simulated(7)).unwrap();
     assert_eq!(a.vsort(), b.vsort());
     assert_eq!(b.vsort(), c.vsort());
     assert_eq!(a.ranks(), c.ranks());

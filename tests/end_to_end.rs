@@ -7,7 +7,7 @@ fn pipeline(g: &CsrGraph) {
     // Three core-decomposition algorithms agree.
     let exec = Executor::assist(4);
     let bz = core_decomposition(g);
-    let pkc = pkc_core_decomposition(g, &exec);
+    let pkc = try_pkc_core_decomposition(g, &exec).unwrap();
     assert_eq!(bz, pkc);
 
     // PHCD in all modes equals LCPS equals the brute-force oracle.
@@ -17,16 +17,16 @@ fn pipeline(g: &CsrGraph) {
         Executor::simulated(3),
         Executor::assist(4),
     ] {
-        assert_eq!(phcd(g, &bz, &e).canonicalize(), truth);
+        assert_eq!(try_phcd(g, &bz, &e).unwrap().canonicalize(), truth);
     }
     assert_eq!(lcps(g, &bz).canonicalize(), truth);
 
     // PBKS equals BKS on every metric; full index validation.
-    let hcd = phcd(g, &bz, &exec);
+    let hcd = try_phcd(g, &bz, &exec).unwrap();
     hcd.validate(g, &bz).expect("index validation");
-    let ctx = SearchContext::with_executor(g, &bz, &hcd, &exec);
+    let ctx = SearchContext::try_with_executor(g, &bz, &hcd, &exec).unwrap();
     for metric in Metric::ALL {
-        let a = pbks(&ctx, &metric, &exec);
+        let a = try_pbks(&ctx, &metric, &exec).unwrap();
         let b = bks(&ctx, &metric);
         assert_eq!(a, b, "{}", metric.name());
     }
@@ -55,9 +55,9 @@ fn densest_subgraph_guarantee_end_to_end() {
     for seed in [1u64, 2, 3] {
         let g = gnp(120, 0.08, seed);
         let cores = core_decomposition(&g);
-        let hcd = phcd(&g, &cores, &Executor::sequential());
+        let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
         let ctx = SearchContext::new(&g, &cores, &hcd);
-        let Some(best) = pbks_d(&ctx, &Executor::sequential()) else {
+        let Some(best) = try_pbks_d(&ctx, &Executor::sequential()).unwrap() else {
             continue;
         };
         let (_, exact_density) = densest_subgraph(&g).expect("non-empty");
@@ -75,7 +75,7 @@ fn densest_subgraph_guarantee_end_to_end() {
 fn local_queries_agree_with_reconstruction() {
     let g = Dataset::by_abbrev("SK").unwrap().generate(Scale::Tiny);
     let cores = core_decomposition(&g);
-    let hcd = phcd(&g, &cores, &Executor::sequential());
+    let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
     for v in g.vertices().step_by(37) {
         let k = cores.coreness(v);
         if k == 0 {
@@ -93,10 +93,10 @@ fn local_queries_agree_with_reconstruction() {
 fn best_k_scores_match_manual_suffix_computation() {
     let g = Dataset::by_abbrev("O").unwrap().generate(Scale::Tiny);
     let cores = core_decomposition(&g);
-    let hcd = phcd(&g, &cores, &Executor::sequential());
+    let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
     let ctx = SearchContext::new(&g, &cores, &hcd);
     let exec = Executor::assist(2);
-    let levels = core_set_scores(&ctx, &Metric::AverageDegree, &exec);
+    let levels = try_core_set_scores(&ctx, &Metric::AverageDegree, &exec).unwrap();
     // K_0 is the whole graph.
     assert_eq!(levels[0].primaries.n, g.num_vertices() as u64);
     // Scores of K_k must be derived from monotonically shrinking sets.

@@ -85,7 +85,7 @@ fn hierarchy_kernel_matches_oracles_on_every_graph_up_to_six_vertices() {
         let cores = core_decomposition(g);
         let truth = naive_hcd(g, &cores).canonicalize();
         assert_eq!(lcps(g, &cores).canonicalize(), truth, "LCPS on {g:?}");
-        let reference = phcd(g, &cores, &modes[0]);
+        let reference = try_phcd(g, &cores, &modes[0]).unwrap();
         assert_eq!(reference.canonicalize(), truth, "PHCD seq on {g:?}");
         for exec in modes[1..].iter().chain(&armed) {
             let h = try_phcd(g, &cores, exec).unwrap();
@@ -102,7 +102,7 @@ fn hierarchy_kernel_matches_oracles_on_every_graph_up_to_six_vertices() {
         let (idx, td) = truss_decomposition(g);
         let truth = naive_htd(g, &idx, &td).canonicalize();
         for (exec, metered) in modes.iter().zip(&armed) {
-            let h = phtd(g, &idx, &td, exec);
+            let h = try_phtd(g, &idx, &td, exec).unwrap();
             let mode = exec.mode_name();
             assert_eq!(h.canonicalize(), truth, "PHTD {mode} on {g:?}");
             let counted = try_phtd(g, &idx, &td, metered).unwrap();
@@ -129,7 +129,7 @@ fn core_queries_match_their_definitions_on_every_graph_up_to_six_vertices() {
     // so both branches run.
     let graphs = for_every_graph_up_to(6, |g| {
         let cores = core_decomposition(g);
-        let hcd = phcd(g, &cores, &Executor::sequential());
+        let hcd = try_phcd(g, &cores, &Executor::sequential()).unwrap();
         for v in g.vertices() {
             let t = hcd.tid(v);
             let (_, size) = hierarchy_position(&hcd, v);
@@ -174,7 +174,7 @@ fn pbks_matches_bks_on_every_graph_up_to_six_vertices() {
     let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
     let graphs = for_every_graph_up_to(6, |g| {
         let cores = core_decomposition(g);
-        let hcd = phcd(g, &cores, &modes[0]);
+        let hcd = try_phcd(g, &cores, &modes[0]).unwrap();
         let ctx = SearchContext::new(g, &cores, &hcd);
         let modes = if g.num_vertices() <= 5 {
             &modes[..]
@@ -186,10 +186,14 @@ fn pbks_matches_bks_on_every_graph_up_to_six_vertices() {
             let best = bks(&ctx, &metric);
             for exec in modes {
                 let what = format!("{} {} on {g:?}", metric.name(), exec.mode_name());
-                let (s, p) = pbks_scores(&ctx, &metric, exec);
+                let (s, p) = try_pbks_scores(&ctx, &metric, exec).unwrap();
                 assert_eq!(p, primaries, "primaries, {what}");
                 assert_eq!(bits(&s), bits(&scores), "scores, {what}");
-                assert_eq!(pbks(&ctx, &metric, exec), best, "best core, {what}");
+                assert_eq!(
+                    try_pbks(&ctx, &metric, exec).unwrap(),
+                    best,
+                    "best core, {what}"
+                );
             }
         }
     });
@@ -206,7 +210,7 @@ fn serve_snapshots_match_a_fresh_build_after_every_single_edge_flip() {
     for exec in [Executor::sequential(), Executor::assist(2)] {
         let mode = exec.mode_name();
         let graphs = for_every_graph_up_to(5, |g| {
-            let svc = HcdService::new(g, &exec);
+            let svc = HcdService::try_new(g, &exec).unwrap();
             let n = g.num_vertices() as VertexId;
             for u in 0..n {
                 for v in u + 1..n {

@@ -9,7 +9,7 @@ fn truss_hierarchy_on_dataset_standins() {
         let g = Dataset::by_abbrev(abbrev).unwrap().generate(Scale::Tiny);
         let (idx, truss) = truss_decomposition(&g);
         let exec = Executor::assist(4);
-        let htd = phtd(&g, &idx, &truss, &exec);
+        let htd = try_phtd(&g, &idx, &truss, &exec).unwrap();
         // Edges partition into nodes; trussness consistent.
         let total: usize = htd.nodes().iter().map(|n| n.edges.len()).sum();
         assert_eq!(total, idx.len(), "{abbrev}");
@@ -66,9 +66,10 @@ fn dynamic_maintenance_on_dataset_standin() {
             assert_eq!(dc.coreness_slice(), fresh.as_slice(), "step {step}");
         }
     }
-    // The refreshed hierarchy is the true hierarchy.
+    // The hierarchy of the maintained graph is the true hierarchy.
     let exec = Executor::sequential();
     let cores = dc.decomposition();
-    let (snapshot, hcd) = dc.hcd(&exec);
+    let snapshot = dc.graph().csr();
+    let hcd = try_phcd(snapshot, &cores, &exec).unwrap();
     hcd.validate(snapshot, &cores).unwrap();
 }

@@ -36,7 +36,7 @@ fn figure1() -> CsrGraph {
 fn example_1_hierarchy_structure() {
     let g = figure1();
     let cores = core_decomposition(&g);
-    let hcd = phcd(&g, &cores, &Executor::sequential());
+    let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
 
     // Four tree nodes: T2, T3.1, T3.2, T4.
     assert_eq!(hcd.num_nodes(), 4);
@@ -71,9 +71,10 @@ fn example_1_hierarchy_structure() {
 fn example_2_best_average_degree() {
     let g = figure1();
     let cores = core_decomposition(&g);
-    let hcd = phcd(&g, &cores, &Executor::sequential());
+    let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
     let ctx = SearchContext::new(&g, &cores, &hcd);
-    let (scores, primaries) = pbks_scores(&ctx, &Metric::AverageDegree, &Executor::sequential());
+    let (scores, primaries) =
+        try_pbks_scores(&ctx, &Metric::AverageDegree, &Executor::sequential()).unwrap();
 
     // S3.1 (9 vertices, 20 edges) has average degree 40/9 ≈ 4.44.
     let t31 = hcd.tid(6);
@@ -81,7 +82,9 @@ fn example_2_best_average_degree() {
     assert!((scores[t31 as usize] - 40.0 / 9.0).abs() < 1e-12);
 
     // PBKS returns the global maximum.
-    let best = pbks(&ctx, &Metric::AverageDegree, &Executor::sequential()).unwrap();
+    let best = try_pbks(&ctx, &Metric::AverageDegree, &Executor::sequential())
+        .unwrap()
+        .unwrap();
     let max = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     assert_eq!(best.score, max);
 }
@@ -91,7 +94,7 @@ fn example_2_best_average_degree() {
 fn example_3_index_fields() {
     let g = figure1();
     let cores = core_decomposition(&g);
-    let hcd = phcd(&g, &cores, &Executor::sequential());
+    let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
 
     let t2 = hcd.tid(13);
     let t31 = hcd.tid(6);
@@ -124,7 +127,7 @@ fn example_3_index_fields() {
 fn examples_4_5_pivot_semantics() {
     let g = figure1();
     let cores = core_decomposition(&g);
-    let ranks = VertexRanks::compute(&cores, &Executor::sequential());
+    let ranks = VertexRanks::try_compute(&cores, &Executor::sequential()).unwrap();
 
     // Vertex rank: coreness first, id second (Definition 4).
     assert!(ranks.rank(13) < ranks.rank(6)); // 2-shell before 3-shell
@@ -132,7 +135,7 @@ fn examples_4_5_pivot_semantics() {
     assert!(ranks.rank(9) < ranks.rank(0)); // 3-shell before 4-shell
 
     // The pivot of S3.1 (min rank over {0..8}) is vertex 6; of S3.2 is 9.
-    let hcd = phcd(&g, &cores, &Executor::sequential());
+    let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
     let t31 = hcd.tid(6);
     let min_rank_vertex = hcd
         .subtree_vertices(t31)
@@ -149,9 +152,10 @@ fn examples_4_5_pivot_semantics() {
 fn example_6_bottom_up_accumulation() {
     let g = figure1();
     let cores = core_decomposition(&g);
-    let hcd = phcd(&g, &cores, &Executor::sequential());
+    let hcd = try_phcd(&g, &cores, &Executor::sequential()).unwrap();
     let ctx = SearchContext::new(&g, &cores, &hcd);
-    let (_, primaries) = pbks_scores(&ctx, &Metric::AverageDegree, &Executor::sequential());
+    let (_, primaries) =
+        try_pbks_scores(&ctx, &Metric::AverageDegree, &Executor::sequential()).unwrap();
 
     let t4 = hcd.tid(0);
     let t31 = hcd.tid(6);
