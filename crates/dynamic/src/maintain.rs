@@ -172,16 +172,18 @@ impl DynamicCore {
     }
 
     /// Applies a whole batch of edge updates and reports the changed
-    /// region. Infallible form of [`DynamicCore::try_apply_batch`] on a
-    /// private sequential executor (which has no failure modes: no
-    /// deadline, no cancellation token, no fault plan).
+    /// region. Runs [`DynamicCore::try_apply_batch`] on a private
+    /// sequential executor. That executor has no deadline, cancellation
+    /// token or fault plan, so the one failure left is a panicking chunk
+    /// body.
+    ///
+    /// # Panics
+    ///
+    /// If the maintenance panics; the message carries the original
+    /// payload.
     pub fn apply_batch(&mut self, updates: &[EdgeUpdate]) -> BatchReport {
-        match self.try_apply_batch(updates, &Executor::sequential()) {
-            Ok(report) => report,
-            // A fresh sequential executor cannot cancel, time out, or
-            // inject faults, and the peel does not panic.
-            Err(e) => unreachable!("sequential batch maintenance failed: {e}"),
-        }
+        self.try_apply_batch(updates, &Executor::sequential())
+            .unwrap_or_else(|e| panic!("batch maintenance failed: {e}"))
     }
 
     /// Applies a whole batch of edge updates and reports the changed

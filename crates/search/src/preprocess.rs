@@ -30,14 +30,17 @@ pub struct SearchContext<'a> {
 
 impl<'a> SearchContext<'a> {
     /// Builds the context with a sequential pass (see
-    /// [`SearchContext::try_with_executor`]) on a private executor, which
-    /// has no failure modes: no deadline, no cancellation token, no fault
-    /// plan.
+    /// [`SearchContext::try_with_executor`]) on a private executor. That
+    /// executor has no deadline, cancellation token or fault plan, so the
+    /// one failure left is a panicking chunk body.
+    ///
+    /// # Panics
+    ///
+    /// If the preprocessing panics, for example because `cores` covers
+    /// fewer vertices than `g`; the message carries the original payload.
     pub fn new(g: &'a CsrGraph, cores: &'a CoreDecomposition, hcd: &'a Hcd) -> Self {
-        match Self::try_with_executor(g, cores, hcd, &Executor::sequential()) {
-            Ok(ctx) => ctx,
-            Err(e) => unreachable!("sequential search preprocessing failed: {e}"),
-        }
+        Self::try_with_executor(g, cores, hcd, &Executor::sequential())
+            .unwrap_or_else(|e| panic!("search preprocessing failed: {e}"))
     }
 
     /// Builds the context, running the `O(m)` neighbor-coreness counting
@@ -155,5 +158,17 @@ mod tests {
         let ctx = SearchContext::new(&g, &cores, &hcd);
         assert_eq!(ctx.totals().n, 3);
         assert_eq!(ctx.totals().m, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "search preprocessing failed: worker 0 panicked")]
+    fn new_re_panics_with_the_chunk_payload() {
+        // Coreness for a smaller graph: the preprocessing chunk indexes
+        // past its end, and `new` reports that panic, not an internal error.
+        let small = GraphBuilder::new().edges([(0, 1)]).build();
+        let g = GraphBuilder::new().edges([(0, 1), (1, 2), (2, 3)]).build();
+        let cores = core_decomposition(&small);
+        let hcd = try_phcd(&small, &cores, &Executor::sequential()).unwrap();
+        let _ = SearchContext::new(&g, &cores, &hcd);
     }
 }
