@@ -1,10 +1,14 @@
-//! Criterion microbenchmarks of the substrates: union-find throughput,
-//! the three core-decomposition algorithms, Algorithm 1 (vertex ranks),
-//! BKS's adjacency sort, and the tree accumulation.
+//! Microbenchmarks of the substrates: the two core-decomposition peels,
+//! HCD construction (Algorithm 1's vertex ranks, PHCD, LCPS), truss
+//! decomposition and PHTD, and two search substrates (BKS's adjacency
+//! sort and the tree accumulation), each on a fixed RMAT graph on the
+//! sequential executor. One line per measurement, best of
+//! `HCD_BENCH_REPS` runs. Union-find throughput is measured per dataset
+//! by `ablation_unionfind`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use hcd_bench::{banner, executor, time_best};
 use hcd_core::{try_phcd, VertexRanks};
 use hcd_datasets::rmat;
 use hcd_decomp::{core_decomposition, try_pkc_core_decomposition};
@@ -12,109 +16,61 @@ use hcd_par::Executor;
 use hcd_search::accumulate::try_accumulate_bottom_up;
 use hcd_search::bks::SortedAdjacency;
 use hcd_truss::truss_decomposition;
-use hcd_unionfind::{ConcurrentPivotUnionFind, PivotUnionFind, UnionFindPivot};
 
-fn bench_unionfind(c: &mut Criterion) {
-    let g = rmat(12, 8, None, 1);
-    let n = g.num_vertices();
-    let mut group = c.benchmark_group("unionfind");
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            let uf = PivotUnionFind::new_identity(n);
-            for v in g.vertices() {
-                for &u in g.neighbors(v) {
-                    if u > v {
-                        uf.union(v, u);
-                    }
-                }
-            }
-            black_box(uf.num_components())
-        })
-    });
-    group.bench_function("lockfree_1thread", |b| {
-        b.iter(|| {
-            let uf = ConcurrentPivotUnionFind::new_identity(n);
-            for v in g.vertices() {
-                for &u in g.neighbors(v) {
-                    if u > v {
-                        uf.union(v, u);
-                    }
-                }
-            }
-            black_box(uf.num_components())
-        })
-    });
-    group.finish();
+/// Times `f` and prints one `group/name` line in microseconds.
+fn measure<T>(group: &str, name: &str, exec: &Executor, f: impl FnMut(&Executor) -> T) {
+    let (out, best) = time_best(exec, f);
+    black_box(out);
+    let label = format!("{group}/{name}");
+    println!("{label:<42} {:>12.1} us", best.as_secs_f64() * 1e6);
 }
 
-fn bench_core_decomposition(c: &mut Criterion) {
+fn main() {
+    banner("Microbenchmarks: substrates (sequential executor)");
+    let exec = executor(1);
+
     let g = rmat(12, 8, None, 2);
-    let exec = Executor::sequential();
-    let mut group = c.benchmark_group("core_decomposition");
-    group.bench_function("bz_serial", |b| {
-        b.iter(|| black_box(core_decomposition(&g)))
+    let group = "core_decomposition";
+    measure(group, "bz_serial", &exec, |_| core_decomposition(&g));
+    measure(group, "pkc_1thread", &exec, |e| {
+        try_pkc_core_decomposition(&g, e).unwrap()
     });
-    group.bench_function("pkc_1thread", |b| {
-        b.iter(|| black_box(try_pkc_core_decomposition(&g, &exec).unwrap()))
-    });
-    group.finish();
-}
 
-fn bench_construction(c: &mut Criterion) {
     let g = rmat(12, 8, None, 3);
     let cores = core_decomposition(&g);
-    let exec = Executor::sequential();
-    let mut group = c.benchmark_group("hcd_construction");
-    group.bench_function("vertex_ranks", |b| {
-        b.iter(|| black_box(VertexRanks::try_compute(&cores, &exec).unwrap()))
+    let group = "hcd_construction";
+    measure(group, "vertex_ranks", &exec, |e| {
+        VertexRanks::try_compute(&cores, e).unwrap()
     });
-    group.bench_function("phcd_serial", |b| {
-        b.iter(|| black_box(try_phcd(&g, &cores, &exec).unwrap()))
+    measure(group, "phcd_serial", &exec, |e| {
+        try_phcd(&g, &cores, e).unwrap()
     });
-    group.bench_function("lcps", |b| b.iter(|| black_box(hcd_core::lcps(&g, &cores))));
-    group.finish();
-}
+    measure(group, "lcps", &exec, |_| hcd_core::lcps(&g, &cores));
 
-fn bench_truss(c: &mut Criterion) {
-    let g = rmat(10, 8, None, 6);
-    let mut group = c.benchmark_group("truss");
-    group.bench_function("truss_decomposition", |b| {
-        b.iter(|| black_box(truss_decomposition(&g)))
-    });
-    let (idx, td) = truss_decomposition(&g);
-    let exec = Executor::sequential();
-    group.bench_function("phtd_serial", |b| {
-        b.iter(|| black_box(hcd_truss::try_phtd(&g, &idx, &td, &exec).unwrap()))
-    });
-    group.finish();
-}
-
-fn bench_search_substrates(c: &mut Criterion) {
     let g = rmat(12, 8, None, 4);
     let cores = core_decomposition(&g);
-    let exec = Executor::sequential();
     let hcd = try_phcd(&g, &cores, &exec).unwrap();
-    let mut group = c.benchmark_group("search_substrates");
-    group.bench_function("bks_adjacency_sort", |b| {
-        b.iter(|| black_box(SortedAdjacency::build(&g, cores.as_slice())))
+    let group = "search_substrates";
+    measure(group, "bks_adjacency_sort", &exec, |_| {
+        SortedAdjacency::build(&g, cores.as_slice())
     });
-    group.bench_function("tree_accumulation", |b| {
-        b.iter(|| {
-            let mut vals: Vec<u64> = hcd
-                .nodes()
-                .iter()
-                .map(|n| n.vertices.len() as u64)
-                .collect();
-            try_accumulate_bottom_up(&hcd, &mut vals, |a, x| *a += *x, &exec).unwrap();
-            black_box(vals)
-        })
+    measure(group, "tree_accumulation", &exec, |e| {
+        let mut vals: Vec<u64> = hcd
+            .nodes()
+            .iter()
+            .map(|n| n.vertices.len() as u64)
+            .collect();
+        try_accumulate_bottom_up(&hcd, &mut vals, |a, x| *a += *x, e).unwrap();
+        vals
     });
-    group.finish();
-}
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_unionfind, bench_core_decomposition, bench_construction, bench_search_substrates, bench_truss
+    let g = rmat(10, 8, None, 6);
+    let group = "truss";
+    measure(group, "truss_decomposition", &exec, |_| {
+        truss_decomposition(&g)
+    });
+    let (idx, td) = truss_decomposition(&g);
+    measure(group, "phtd_serial", &exec, |e| {
+        hcd_truss::try_phtd(&g, &idx, &td, e).unwrap()
+    });
 }
-criterion_main!(benches);

@@ -13,7 +13,8 @@ use crate::maintain::{BatchReport, EdgeUpdate};
 /// ([`DynamicCore::try_apply_batch`](crate::DynamicCore::try_apply_batch))
 /// builds the next CSR in one merge pass: untouched row ranges are
 /// copied whole and only the rows of the batch's net arc changes are
-/// merged. Membership is a binary search in a sorted row. The single-edge
+/// merged; [`DynamicGraph::apply`] is that merge on its own. Membership
+/// is a binary search in a sorted row. The single-edge
 /// [`DynamicGraph::insert_edge`] / [`DynamicGraph::remove_edge`] are
 /// one-update merges, `O(n + m)` each.
 #[derive(Debug, Clone)]
@@ -83,9 +84,7 @@ impl DynamicGraph {
     }
 
     fn apply_one(&mut self, update: EdgeUpdate) -> bool {
-        let mut report = BatchReport::default();
-        self.apply(std::slice::from_ref(&update), &mut report);
-        report.applied == 1
+        self.apply(std::slice::from_ref(&update)).applied == 1
     }
 
     /// A copy of the current edge set as an owned CSR.
@@ -93,8 +92,10 @@ impl DynamicGraph {
         (*self.csr).clone()
     }
 
-    /// Applies `updates` in order and fills `report`'s `applied`,
-    /// `skipped` and `touched` (ascending, deduplicated).
+    /// Applies `updates` in order as one batch and reports its
+    /// `applied`, `skipped` and `touched` (ascending, deduplicated). The
+    /// report's `seq` stays 0 and `changed` empty: the graph keeps no
+    /// batch numbering and no coreness.
     ///
     /// Updates to different pairs commute, so a stable sort by pair keeps
     /// each pair's updates in batch order and replays every group from the
@@ -103,7 +104,8 @@ impl DynamicGraph {
     /// changes; cancelling updates still count as applied. An applied
     /// insert grows the vertex set to cover its endpoints, even when a
     /// later update of the batch removes the edge again.
-    pub(crate) fn apply(&mut self, updates: &[EdgeUpdate], report: &mut BatchReport) {
+    pub fn apply(&mut self, updates: &[EdgeUpdate]) -> BatchReport {
+        let mut report = BatchReport::default();
         let mut pairs: Vec<(VertexId, VertexId, bool)> = Vec::with_capacity(updates.len());
         for &update in updates {
             let (a, b, insert) = match update {
@@ -151,6 +153,7 @@ impl DynamicGraph {
             arcs.sort_unstable_by_key(|&(s, t, _)| (s, t));
             self.csr = Arc::new(merge(g, n, &arcs));
         }
+        report
     }
 }
 
@@ -292,11 +295,7 @@ mod tests {
     fn a_noop_batch_keeps_sharing_the_same_csr() {
         let mut g = DynamicGraph::from_csr(&GraphBuilder::new().edges([(0, 1)]).build());
         let before = Arc::clone(g.csr());
-        let mut report = BatchReport::default();
-        g.apply(
-            &[EdgeUpdate::Insert(1, 0), EdgeUpdate::Remove(0, 5)],
-            &mut report,
-        );
+        let report = g.apply(&[EdgeUpdate::Insert(1, 0), EdgeUpdate::Remove(0, 5)]);
         assert_eq!((report.applied, report.skipped), (0, 2));
         assert!(Arc::ptr_eq(&before, g.csr()));
     }

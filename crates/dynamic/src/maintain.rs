@@ -214,14 +214,11 @@ impl DynamicCore {
         exec: &Executor,
     ) -> Result<BatchReport, ParError> {
         self.seq += 1;
-        let mut report = BatchReport {
-            seq: self.seq,
-            ..BatchReport::default()
-        };
-        {
+        let mut report = {
             let _merge = exec.time("dynamic.merge");
-            self.g.apply(updates, &mut report);
-        }
+            self.g.apply(updates)
+        };
+        report.seq = self.seq;
         if report.applied == 0 {
             return Ok(report);
         }

@@ -21,44 +21,6 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-/// A monotonically increasing generation counter.
-///
-/// Generation 0 is "the initial state"; every successful publication
-/// advances the counter by one. The counter is updated with
-/// release semantics and read with acquire semantics, so a reader that
-/// observes generation `g` also observes every write that led to it.
-#[derive(Debug, Default)]
-pub struct EpochCounter(AtomicU64);
-
-impl EpochCounter {
-    /// A counter at generation 0.
-    pub fn new() -> Self {
-        EpochCounter(AtomicU64::new(0))
-    }
-
-    /// A counter resumed at an arbitrary generation (crash recovery
-    /// republishes state that was already past generation 0).
-    pub fn starting_at(generation: u64) -> Self {
-        EpochCounter(AtomicU64::new(generation))
-    }
-
-    /// The current generation.
-    pub fn current(&self) -> u64 {
-        // Acquire pairs with the Release half of `advance`: a thread
-        // that reads `g` sees the slot store of publication `g`, so its
-        // next `EpochCell::load` is at least that new.
-        self.0.load(Ordering::Acquire)
-    }
-
-    /// Advances to the next generation and returns it.
-    pub fn advance(&self) -> u64 {
-        // Release publishes the slot store made before it (see
-        // `current`); the Acquire half orders it after any earlier
-        // advance, so generations are handed out in publication order.
-        self.0.fetch_add(1, Ordering::AcqRel) + 1
-    }
-}
-
 /// A swap cell publishing immutable snapshots to concurrent readers.
 ///
 /// [`EpochCell::load`] hands out an `Arc` clone of the current value;
@@ -68,13 +30,18 @@ impl EpochCounter {
 /// read by construction, because a snapshot is never mutated after
 /// publication.
 ///
+/// Generation 0 is "the initial state"; every publication advances the
+/// generation by one. It is advanced with release semantics and read
+/// with acquire semantics, so a reader that observes generation `g`
+/// also observes every write that led to it.
+///
 /// The value type decides what a "snapshot" is; the cell only promises
 /// the swap discipline. Readers never block on a writer's *rebuild*
 /// (which happens before `publish`); the lock below is held only for
 /// the pointer clone/store itself.
 pub struct EpochCell<T> {
     slot: RwLock<Arc<T>>,
-    epoch: EpochCounter,
+    generation: AtomicU64,
 }
 
 impl<T> std::fmt::Debug for EpochCell<T> {
@@ -86,10 +53,7 @@ impl<T> std::fmt::Debug for EpochCell<T> {
 impl<T> EpochCell<T> {
     /// A cell holding `initial` at generation 0.
     pub fn new(initial: T) -> Self {
-        EpochCell {
-            slot: RwLock::new(Arc::new(initial)),
-            epoch: EpochCounter::new(),
-        }
+        Self::new_at(initial, 0)
     }
 
     /// A cell holding `initial` at an arbitrary starting generation, so
@@ -98,13 +62,16 @@ impl<T> EpochCell<T> {
     pub fn new_at(initial: T, generation: u64) -> Self {
         EpochCell {
             slot: RwLock::new(Arc::new(initial)),
-            epoch: EpochCounter::starting_at(generation),
+            generation: AtomicU64::new(generation),
         }
     }
 
     /// The current generation (number of publications so far).
     pub fn generation(&self) -> u64 {
-        self.epoch.current()
+        // Acquire pairs with the Release half of `publish`: a thread
+        // that reads `g` sees the slot store of publication `g`, so its
+        // next `EpochCell::load` is at least that new.
+        self.generation.load(Ordering::Acquire)
     }
 
     /// Loads the currently published snapshot. The returned `Arc` stays
@@ -121,7 +88,10 @@ impl<T> EpochCell<T> {
         *slot = next;
         // Advance inside the write lock so generation order equals
         // publication order even with (hypothetical) multiple writers.
-        self.epoch.advance()
+        // Release publishes the slot store made before it (see
+        // `generation`); the Acquire half orders it after any earlier
+        // advance, so generations are handed out in publication order.
+        self.generation.fetch_add(1, Ordering::AcqRel) + 1
     }
 }
 
@@ -132,11 +102,11 @@ mod tests {
 
     #[test]
     fn counter_is_monotone() {
-        let c = EpochCounter::new();
-        assert_eq!(c.current(), 0);
-        assert_eq!(c.advance(), 1);
-        assert_eq!(c.advance(), 2);
-        assert_eq!(c.current(), 2);
+        let cell = EpochCell::new(());
+        assert_eq!(cell.generation(), 0);
+        assert_eq!(cell.publish(Arc::new(())), 1);
+        assert_eq!(cell.publish(Arc::new(())), 2);
+        assert_eq!(cell.generation(), 2);
     }
 
     #[test]

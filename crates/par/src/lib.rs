@@ -98,7 +98,7 @@ pub mod trace;
 
 pub use chunks::{split_even, split_weighted};
 pub use diff::{diff_metrics, DiffEntry, DiffOptions, DiffReport, Snapshot, SnapshotHistogram};
-pub use epoch::{EpochCell, EpochCounter};
+pub use epoch::EpochCell;
 pub use error::{BuildError, ParError};
 pub use fault::{CancelToken, CrashPoint, Deadline, Fault, FaultPlan};
 pub use hist::{HistogramSnapshot, LatencyTimer};

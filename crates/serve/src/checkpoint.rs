@@ -151,20 +151,12 @@ pub fn load_newest_valid(dir: &Path) -> std::io::Result<Option<(u64, CsrGraph, u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::TempDir;
     use hcd_graph::GraphBuilder;
     use hcd_par::FaultPlan;
 
     fn g(edges: &[(u32, u32)]) -> CsrGraph {
         GraphBuilder::new().edges(edges.iter().copied()).build()
-    }
-
-    fn tempdir() -> PathBuf {
-        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        // Relaxed: the id only has to be unique.
-        let id = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("hcd-ckpt-test-{}-{id}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
     }
 
     #[test]
@@ -181,7 +173,7 @@ mod tests {
 
     #[test]
     fn write_then_load_newest() {
-        let dir = tempdir();
+        let dir = TempDir::new("ckpt-test");
         let exec = Executor::sequential();
         let g1 = g(&[(0, 1), (1, 2)]);
         let g2 = g(&[(0, 1), (1, 2), (2, 0)]);
@@ -205,7 +197,7 @@ mod tests {
 
     #[test]
     fn damaged_newest_falls_back_to_older() {
-        let dir = tempdir();
+        let dir = TempDir::new("ckpt-test");
         let exec = Executor::sequential();
         let g1 = g(&[(0, 1)]);
         let g2 = g(&[(0, 1), (1, 2)]);
@@ -223,7 +215,7 @@ mod tests {
 
     #[test]
     fn pre_rename_crash_leaves_only_the_temp_file() {
-        let dir = tempdir();
+        let dir = TempDir::new("ckpt-test");
         let exec = Executor::sequential();
         write_checkpoint(&dir, 1, &g(&[(0, 1)]), &exec).unwrap();
         exec.set_fault_plan(FaultPlan::new().crash(CrashPoint::CkptPreRename, 0));
@@ -243,7 +235,7 @@ mod tests {
 
     #[test]
     fn post_rename_crash_still_publishes_the_checkpoint() {
-        let dir = tempdir();
+        let dir = TempDir::new("ckpt-test");
         let exec = Executor::sequential();
         write_checkpoint(&dir, 1, &g(&[(0, 1)]), &exec).unwrap();
         exec.set_fault_plan(FaultPlan::new().crash(CrashPoint::CkptPostRename, 0));
@@ -260,7 +252,7 @@ mod tests {
 
     #[test]
     fn empty_dir_has_no_checkpoint() {
-        let dir = tempdir();
+        let dir = TempDir::new("ckpt-test");
         assert!(load_newest_valid(&dir).unwrap().is_none());
     }
 }

@@ -54,6 +54,8 @@ pub mod recover;
 pub mod registry;
 pub mod service;
 pub mod snapshot;
+#[cfg(test)]
+mod testutil;
 pub mod wal;
 pub mod workload;
 

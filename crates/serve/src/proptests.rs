@@ -221,12 +221,7 @@ mod admission_props {
             vsel in any::<u32>(),
         ) {
             let exec = Executor::sequential().with_metrics();
-            let dir = std::env::temp_dir().join(format!(
-                "hcd-admission-prop-{}-{}",
-                std::process::id(),
-                vsel
-            ));
-            std::fs::remove_dir_all(&dir).ok();
+            let dir = crate::testutil::TempDir::new("admission-prop");
             let svc = HcdService::try_new_durable(
                 &seed_graph(),
                 &dir,
@@ -262,7 +257,6 @@ mod admission_props {
             prop_assert!(!counters.contains_key("serve.wal_appends"));
             prop_assert_eq!(std::fs::metadata(&wal).unwrap().len(), wal_len);
             prop_assert_eq!(q.depth(), watermark);
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }

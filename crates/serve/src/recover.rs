@@ -11,16 +11,19 @@
 //!    error: that is damage, not a crash artifact, and guessing would
 //!    risk serving wrong answers;
 //! 3. check that the records with `seq` greater than the checkpoint's
-//!    form the contiguous suffix the ack protocol guarantees, and replay
-//!    them as one batch, their updates concatenated in log order,
-//!    through [`DynamicCore::try_apply_batch`] on the caller's executor
-//!    (so its deadline, cancel token, fault plan and metrics govern
-//!    replay). This is exact: a batch replays each pair's updates in
-//!    order from the pair's presence before the batch, so every update
-//!    is applied or skipped as it was record by record, and the vertex
-//!    set grows the same way;
-//! 4. rebuild the snapshot (PHCD) and publish it at generation
-//!    `final_seq`, with the WAL reopened for appending where the
+//!    form the contiguous suffix the ack protocol guarantees, and merge
+//!    them into the checkpoint graph as one batch, their updates
+//!    concatenated in log order ([`DynamicGraph::apply`]). This is
+//!    exact: a batch replays each pair's updates in order from the
+//!    pair's presence before the batch, so every update is applied or
+//!    skipped as it was record by record, and the vertex set grows the
+//!    same way;
+//! 4. build the snapshot of the merged graph at generation `final_seq`
+//!    the way [`HcdService::try_new`] builds a fresh one
+//!    ([`Snapshot::try_build`]: one peel and one PHCD on the caller's
+//!    executor, so its deadline, cancel token, fault plan and metrics
+//!    govern them), hand its graph and coreness to the writer, and
+//!    publish it with the WAL reopened for appending where the
 //!    pre-crash log left off.
 //!
 //! Because a batch is acknowledged only after its WAL record is fsynced
@@ -31,8 +34,9 @@
 //! [`Snapshot::fingerprint`](crate::Snapshot::fingerprint).
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use hcd_dynamic::DynamicCore;
+use hcd_dynamic::{DynamicCore, DynamicGraph};
 use hcd_par::{Executor, ParError};
 
 use crate::checkpoint::load_newest_valid;
@@ -97,8 +101,8 @@ pub enum RecoverError {
     },
     /// A real IO error while reading the directory.
     Io(std::io::Error),
-    /// Replaying the log or rebuilding the snapshot from the recovered
-    /// state failed.
+    /// Building the snapshot of the recovered graph (its peel or PHCD)
+    /// failed.
     Par(ParError),
 }
 
@@ -116,7 +120,7 @@ impl std::fmt::Display for RecoverError {
                 "WAL sequence gap: expected batch {expected}, found {found}"
             ),
             RecoverError::Io(e) => write!(f, "recovery io error: {e}"),
-            RecoverError::Par(e) => write!(f, "recovery replay or rebuild failed: {e}"),
+            RecoverError::Par(e) => write!(f, "recovery rebuild failed: {e}"),
         }
     }
 }
@@ -177,16 +181,12 @@ impl HcdService {
             final_seq = record.seq;
             replayed += 1;
         }
-        let mut writer = DynamicCore::from_csr(&graph);
-        if replayed > 0 {
-            writer.try_apply_batch(&suffix, exec)?;
-        }
+        let mut merged = DynamicGraph::from_csr(&graph);
+        merged.apply(&suffix);
+        let snapshot = Snapshot::try_build(merged.csr(), final_seq, exec)?;
+        let mut writer =
+            DynamicCore::from_parts(Arc::clone(&snapshot.graph), snapshot.cores.clone());
         writer.set_seq(final_seq);
-
-        let csr = std::sync::Arc::clone(writer.graph().csr());
-        let cores = writer.decomposition();
-        let hcd = hcd_core::try_phcd(&csr, &cores, exec)?;
-        let snapshot = Snapshot::from_parts(csr, cores, hcd, final_seq);
 
         // Reopen the log for appending; open_at also performs the
         // truncate-at-last-valid-record repair for a torn tail.
@@ -233,6 +233,7 @@ impl HcdService {
 mod tests {
     use super::*;
     use crate::service::ServeError;
+    use crate::testutil::TempDir;
     use crate::wal::{encode_record, FsyncPolicy, WalError};
     use hcd_dynamic::EdgeUpdate;
     use hcd_graph::GraphBuilder;
@@ -244,16 +245,6 @@ mod tests {
             .build()
     }
 
-    fn tempdir() -> PathBuf {
-        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        // Relaxed: the id only has to be unique.
-        let id = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("hcd-recover-test-{}-{id}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
     fn cfg() -> DurabilityConfig {
         DurabilityConfig {
             fsync: FsyncPolicy::Always,
@@ -263,7 +254,7 @@ mod tests {
 
     #[test]
     fn clean_shutdown_recovers_bit_identically() {
-        let dir = tempdir();
+        let dir = TempDir::new("recover-test");
         let exec = Executor::sequential();
         let svc = HcdService::try_new_durable(&seed(), &dir, cfg(), &exec).unwrap();
         for i in 0..5u32 {
@@ -297,38 +288,45 @@ mod tests {
     }
 
     #[test]
-    fn replay_is_one_batch_on_the_callers_executor() {
-        let dir = tempdir();
+    fn every_recovery_peels_once_on_the_callers_executor() {
         let exec = Executor::sequential();
         let lazy = DurabilityConfig {
             checkpoint_every: 100,
             ..cfg()
         };
-        let svc = HcdService::try_new_durable(&seed(), &dir, lazy, &exec).unwrap();
         // Record 2 removes what record 1 inserted, record 3 re-inserts
         // it and grows the vertex set: the concatenated replay must skip
         // and apply exactly as the records did one by one.
-        for batch in [
+        let records = [
             vec![EdgeUpdate::Insert(0, 3), EdgeUpdate::Insert(1, 4)],
             vec![EdgeUpdate::Remove(0, 3), EdgeUpdate::Insert(1, 4)],
             vec![EdgeUpdate::Insert(0, 3), EdgeUpdate::Insert(3, 8)],
-        ] {
-            svc.try_apply_batch(&batch, &exec).unwrap();
-        }
-        let live_fp = svc.snapshot().fingerprint();
-        drop(svc);
+        ];
+        // Nothing to replay past the seq-0 checkpoint, then all three
+        // records: either way the recovered state is peeled once, on
+        // the caller's executor.
+        for replay in [&records[..0], &records[..]] {
+            let dir = TempDir::new("recover-test");
+            let svc = HcdService::try_new_durable(&seed(), &dir, lazy, &exec).unwrap();
+            for batch in replay {
+                svc.try_apply_batch(batch, &exec).unwrap();
+            }
+            let live_fp = svc.snapshot().fingerprint();
+            drop(svc);
 
-        let metered = Executor::sequential().with_metrics();
-        let (rec, report) = HcdService::recover(&dir, lazy, &metered).unwrap();
-        assert_eq!(report.replayed, 3);
-        assert_eq!(rec.snapshot().fingerprint(), live_fp);
-        let m = metered.take_metrics();
-        assert_eq!(m.get("bz.peel").map(|r| r.invocations), Some(1));
+            let metered = Executor::sequential().with_metrics();
+            let (rec, report) = HcdService::recover(&dir, lazy, &metered).unwrap();
+            assert_eq!(report.replayed, replay.len());
+            assert_eq!(rec.snapshot().fingerprint(), live_fp);
+            let m = metered.take_metrics();
+            let peels = m.get("bz.peel").map(|r| r.invocations);
+            assert_eq!(peels, Some(1), "{} replayed record(s)", replay.len());
+        }
     }
 
     #[test]
     fn mid_record_crash_recovers_to_the_last_ack_with_a_warning() {
-        let dir = tempdir();
+        let dir = TempDir::new("recover-test");
         let exec = Executor::sequential();
         let svc = HcdService::try_new_durable(&seed(), &dir, cfg(), &exec).unwrap();
         svc.try_apply_batch(&[EdgeUpdate::Insert(0, 5)], &exec)
@@ -354,7 +352,7 @@ mod tests {
 
     #[test]
     fn corrupt_mid_log_record_is_a_hard_error() {
-        let dir = tempdir();
+        let dir = TempDir::new("recover-test");
         let exec = Executor::sequential();
         let svc = HcdService::try_new_durable(&seed(), &dir, cfg(), &exec).unwrap();
         for i in 0..3u32 {
@@ -376,7 +374,7 @@ mod tests {
 
     #[test]
     fn sequence_gap_is_rejected() {
-        let dir = tempdir();
+        let dir = TempDir::new("recover-test");
         let exec = Executor::sequential();
         drop(HcdService::try_new_durable(&seed(), &dir, cfg(), &exec).unwrap());
         // Doctor a log that skips batch 1: acked work is missing.
@@ -398,14 +396,14 @@ mod tests {
 
     #[test]
     fn empty_directory_has_nothing_to_recover() {
-        let dir = tempdir();
+        let dir = TempDir::new("recover-test");
         let err = HcdService::recover(&dir, cfg(), &Executor::sequential()).unwrap_err();
         assert!(matches!(err, RecoverError::NoCheckpoint(_)), "{err}");
     }
 
     #[test]
     fn stale_header_checkpoint_falls_back_to_the_previous_one() {
-        let dir = tempdir();
+        let dir = TempDir::new("recover-test");
         let exec = Executor::sequential();
         let svc = HcdService::try_new_durable(&seed(), &dir, cfg(), &exec).unwrap();
         for i in 0..2u32 {

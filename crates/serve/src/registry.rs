@@ -117,22 +117,23 @@ impl ServiceRegistry {
         if self.tenants.contains_key(name) {
             return Err(RegistryError::DuplicateTenant(name.to_owned()));
         }
-        let mut svc = HcdService::try_new(g, exec)
-            .map_err(ServeError::Par)?
-            .with_tenant(name);
+        let svc = match cfg.durability {
+            Some(durability) => {
+                let base = self.base_dir.as_ref().ok_or_else(|| {
+                    RegistryError::Serve(ServeError::Wal(crate::wal::WalError::Io(
+                        std::io::Error::new(
+                            std::io::ErrorKind::NotFound,
+                            "durable tenant on a registry without a base directory",
+                        ),
+                    )))
+                })?;
+                HcdService::try_new_durable(g, base.join(name), durability, exec)?
+            }
+            None => HcdService::try_new(g, exec).map_err(ServeError::Par)?,
+        };
+        let mut svc = svc.with_tenant(name);
         if let Some(cache_cfg) = cfg.cache {
             svc = svc.with_cache(cache_cfg);
-        }
-        if let Some(durability) = cfg.durability {
-            let base = self.base_dir.as_ref().ok_or_else(|| {
-                RegistryError::Serve(ServeError::Wal(crate::wal::WalError::Io(
-                    std::io::Error::new(
-                        std::io::ErrorKind::NotFound,
-                        "durable tenant on a registry without a base directory",
-                    ),
-                )))
-            })?;
-            svc.try_attach_durability(base.join(name), durability, exec)?;
         }
         let svc = Arc::new(svc);
         self.tenants.insert(name.to_owned(), Arc::clone(&svc));
@@ -265,9 +266,8 @@ mod tests {
     #[test]
     fn durable_tenants_get_disjoint_directories() {
         let exec = Executor::sequential();
-        let base = std::env::temp_dir().join(format!("hcd-registry-test-{}", std::process::id()));
-        std::fs::remove_dir_all(&base).ok();
-        let mut reg = ServiceRegistry::with_base_dir(&base);
+        let base = crate::testutil::TempDir::new("registry-test");
+        let mut reg = ServiceRegistry::with_base_dir(&*base);
         let cfg = TenantConfig {
             cache: None,
             durability: Some(DurabilityConfig::default()),
@@ -280,7 +280,6 @@ mod tests {
             .unwrap();
         assert!(base.join("alpha").join(crate::WAL_FILE_NAME).exists());
         assert!(base.join("beta").join(crate::WAL_FILE_NAME).exists());
-        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]

@@ -186,6 +186,23 @@ fn answer(snap: &Snapshot, q: &Query) -> QueryAnswer {
     }
 }
 
+/// The memo entry for `q`'s answer `a`, when `q` is cacheable
+/// ([`CacheKey::for_query`]).
+fn memo_entry(q: &Query, a: &QueryAnswer) -> Option<(CacheKey, CachedAnswer)> {
+    match (CacheKey::for_query(q)?, a) {
+        (key, QueryAnswer::CoreContaining(m)) => Some((key, CachedAnswer::Core(m.clone()))),
+        _ => None,
+    }
+}
+
+/// The query answer a memo hit holds; `None` for a miss.
+fn memo_answer(hit: Option<CachedAnswer>) -> Option<QueryAnswer> {
+    match hit? {
+        CachedAnswer::Core(m) => Some(QueryAnswer::CoreContaining(m)),
+        CachedAnswer::Best(_) => None,
+    }
+}
+
 /// The full set of counter and region names one service instance
 /// ticks. Single-tenant services use the global `serve.*` names;
 /// tenant services use `serve.<tenant>.*` names wholesale, which is
@@ -397,37 +414,19 @@ impl HcdService {
         cfg: DurabilityConfig,
         exec: &Executor,
     ) -> Result<Self, ServeError> {
-        let svc = Self::try_new(g, exec)?;
-        svc.try_attach_durability(dir, cfg, exec)?;
-        Ok(svc)
-    }
-
-    /// Makes an in-memory service durable after the fact: writes a
-    /// checkpoint of the current state at the writer's sequence number
-    /// and opens a fresh WAL in `dir` (created if missing, existing
-    /// durable state overwritten). The registry uses this to give each
-    /// tenant its own durability directory after namespacing.
-    pub fn try_attach_durability<P: AsRef<Path>>(
-        &self,
-        dir: P,
-        cfg: DurabilityConfig,
-        exec: &Executor,
-    ) -> Result<(), ServeError> {
-        let mut writer = self.writer.lock();
+        let mut svc = Self::try_new(g, exec)?;
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).map_err(WalError::Io)?;
-        let seq = writer.core.seq();
-        let snap = self.cell.load();
-        checkpoint::write_checkpoint(&dir, seq, &snap.graph, exec)?;
+        checkpoint::write_checkpoint(&dir, 0, &svc.snapshot().graph, exec)?;
         let wal = WalWriter::create(dir.join(WAL_FILE_NAME), cfg.fsync).map_err(WalError::Io)?;
-        writer.durable = Some(Durable {
+        svc.writer.get_mut().durable = Some(Durable {
             dir,
             wal,
             cfg,
-            last_checkpoint_seq: seq,
+            last_checkpoint_seq: 0,
             poisoned: false,
         });
-        Ok(())
+        Ok(svc)
     }
 
     /// Whether this service write-ahead-logs its batches. Waits for an
@@ -462,38 +461,102 @@ impl HcdService {
         self.cell.generation()
     }
 
-    /// Runs one closure-shaped query in a named `serve.query.*` region:
-    /// the snapshot is loaded once, the closure runs under the
-    /// executor's deadline/cancellation/fault plan, and the stale-read
-    /// counter ticks when a publication raced the query. The region
-    /// times itself into the histogram of the same name.
-    fn try_query_one<T, F>(
+    /// The one single-query read path. It loads the snapshot once; with
+    /// the cache armed and `q` cacheable, a hit opens no region. A miss
+    /// is answered in `q`'s `serve.query.*` region and a cacheable
+    /// answer is stored under that snapshot's generation (after a racing
+    /// publication, under the superseded one, which the next publish
+    /// sweeps). `unpack` turns the answer into the typed value.
+    fn try_read<T>(
         &self,
-        region: &'static str,
+        q: Query,
         exec: &Executor,
-        f: F,
-    ) -> Result<Response<T>, ParError>
-    where
-        T: Send,
-        F: Fn(&Snapshot) -> T + Sync,
-    {
+        unpack: fn(QueryAnswer) -> T,
+    ) -> Result<Response<T>, ParError> {
         let snap = self.cell.load();
-        let slot: Mutex<Option<T>> = Mutex::new(None);
-        exec.region(region).try_for_each_chunk(
-            1,
-            || (),
-            |_, _, _| {
-                exec.checkpoint()?;
-                *slot.lock() = Some(f(&snap));
-                Ok(())
-            },
-        )?;
-        self.note_reads(exec, 1, snap.generation);
-        let value = slot.into_inner().expect("query region ran its one chunk");
+        let generation = snap.generation;
+        let memo = self.cache.as_ref().zip(CacheKey::for_query(&q));
+        let hit = memo.and_then(|(cache, key)| {
+            let mut found = self.memo_lookup(cache, exec, generation, [Some(key)]);
+            memo_answer(found.pop()?)
+        });
+        let value = match hit {
+            Some(value) => value,
+            None => {
+                let region = match q {
+                    Query::CoreContaining(..) => self.names.region_query_core,
+                    Query::HierarchyPosition(_) => self.names.region_query_position,
+                    Query::InKCore(..) => self.names.region_query_member,
+                    Query::SameKCore(..) => self.names.region_query_same,
+                };
+                let value = exec
+                    .region(region)
+                    .try_map_chunks(1, |_, _| {
+                        exec.checkpoint()?;
+                        Ok(answer(&snap, &q))
+                    })?
+                    .pop()
+                    .expect("a one-item region runs one chunk");
+                if let Some((cache, _)) = memo {
+                    self.memo_store(cache, exec, generation, memo_entry(&q, &value));
+                }
+                value
+            }
+        };
+        self.note_reads(exec, 1, generation);
         Ok(Response {
-            generation: snap.generation,
-            value,
+            generation,
+            value: unpack(value),
         })
+    }
+
+    /// The memo's lookup step: the cached answer under `generation` for
+    /// each key (`None` for a miss and for an uncacheable query's
+    /// `None` key). The whole round is one `serve.cache.lookup` sample;
+    /// each key looked up ticks `serve.cache.hits` or
+    /// `serve.cache.misses`.
+    fn memo_lookup(
+        &self,
+        cache: &QueryCache,
+        exec: &Executor,
+        generation: u64,
+        keys: impl IntoIterator<Item = Option<CacheKey>>,
+    ) -> Vec<Option<CachedAnswer>> {
+        let (mut looked_up, mut hits) = (0u64, 0u64);
+        let found = {
+            let _lat = exec.time("serve.cache.lookup");
+            keys.into_iter()
+                .map(|key| {
+                    let found = cache.get(generation, &key?);
+                    looked_up += 1;
+                    hits += u64::from(found.is_some());
+                    found
+                })
+                .collect()
+        };
+        exec.add_counter(self.names.cache_hits, hits);
+        exec.add_counter(self.names.cache_misses, looked_up - hits);
+        found
+    }
+
+    /// The memo's store step: inserts each answer under the generation
+    /// of the snapshot it was computed from, counts the capacity
+    /// evictions, and takes the `serve.cache.bytes` high-water mark (a
+    /// gauge, so a shrinking cache is still visible; sums cannot go
+    /// down).
+    fn memo_store(
+        &self,
+        cache: &QueryCache,
+        exec: &Executor,
+        generation: u64,
+        entries: impl IntoIterator<Item = (CacheKey, CachedAnswer)>,
+    ) {
+        let evicted = entries
+            .into_iter()
+            .map(|(key, value)| cache.insert(generation, key, value))
+            .sum();
+        exec.add_counter(self.names.cache_evictions, evicted);
+        exec.gauge(self.names.cache_bytes, cache.stats().bytes);
     }
 
     /// Counter bookkeeping shared by all read paths. Stale reads —
@@ -514,15 +577,6 @@ impl HcdService {
         );
     }
 
-    /// Counter bookkeeping for one cache lookup round: `hits`/`misses`
-    /// tick as sums, the byte footprint goes out as a gauge (so a
-    /// shrinking cache is still visible — sums cannot go down).
-    fn note_cache(&self, exec: &Executor, cache: &QueryCache, hits: u64, misses: u64) {
-        exec.add_counter(self.names.cache_hits, hits);
-        exec.add_counter(self.names.cache_misses, misses);
-        exec.gauge(self.names.cache_bytes, cache.stats().bytes);
-    }
-
     /// Total reads (so far) answered from a snapshot that had already
     /// been superseded when they completed.
     pub fn stale_reads(&self) -> u64 {
@@ -540,42 +594,9 @@ impl HcdService {
         k: u32,
         exec: &Executor,
     ) -> Result<Response<Option<Vec<VertexId>>>, ParError> {
-        if let Some(cache) = &self.cache {
-            let key = CacheKey::Core(v, k);
-            let snap = self.cell.load();
-            let found = {
-                let _lat = exec.time("serve.cache.lookup");
-                cache.get(snap.generation, &key)
-            };
-            if let Some(CachedAnswer::Core(members)) = found {
-                self.note_cache(exec, cache, 1, 0);
-                self.note_reads(exec, 1, snap.generation);
-                return Ok(Response {
-                    generation: snap.generation,
-                    value: members,
-                });
-            }
-            let resp =
-                self.try_query_one(self.names.region_query_core, exec, |snap| {
-                    match answer(snap, &Query::CoreContaining(v, k)) {
-                        QueryAnswer::CoreContaining(m) => m,
-                        _ => unreachable!("answer() preserves the variant"),
-                    }
-                })?;
-            // Key by the generation the answer was actually computed
-            // from — a publication racing the miss inserts under the
-            // *new* generation, never poisoning the old one.
-            let evicted =
-                cache.insert(resp.generation, key, CachedAnswer::Core(resp.value.clone()));
-            exec.add_counter(self.names.cache_evictions, evicted);
-            self.note_cache(exec, cache, 0, 1);
-            return Ok(resp);
-        }
-        self.try_query_one(self.names.region_query_core, exec, |snap| {
-            match answer(snap, &Query::CoreContaining(v, k)) {
-                QueryAnswer::CoreContaining(m) => m,
-                _ => unreachable!("answer() preserves the variant"),
-            }
+        self.try_read(Query::CoreContaining(v, k), exec, |a| match a {
+            QueryAnswer::CoreContaining(m) => m,
+            _ => unreachable!("answer() preserves the variant"),
         })
     }
 
@@ -586,10 +607,7 @@ impl HcdService {
         v: VertexId,
         exec: &Executor,
     ) -> Result<Response<Option<(usize, usize)>>, ParError> {
-        self.try_query_one(self.names.region_query_position, exec, |snap| match answer(
-            snap,
-            &Query::HierarchyPosition(v),
-        ) {
+        self.try_read(Query::HierarchyPosition(v), exec, |a| match a {
             QueryAnswer::HierarchyPosition(p) => p,
             _ => unreachable!("answer() preserves the variant"),
         })
@@ -602,11 +620,8 @@ impl HcdService {
         k: u32,
         exec: &Executor,
     ) -> Result<Response<bool>, ParError> {
-        self.try_query_one(self.names.region_query_member, exec, |snap| {
-            matches!(
-                answer(snap, &Query::InKCore(v, k)),
-                QueryAnswer::InKCore(true)
-            )
+        self.try_read(Query::InKCore(v, k), exec, |a| {
+            a == QueryAnswer::InKCore(true)
         })
     }
 
@@ -618,56 +633,49 @@ impl HcdService {
         k: u32,
         exec: &Executor,
     ) -> Result<Response<bool>, ParError> {
-        self.try_query_one(self.names.region_query_same, exec, move |snap| {
-            matches!(
-                answer(snap, &Query::SameKCore(u, v, k)),
-                QueryAnswer::SameKCore(true)
-            )
+        self.try_read(Query::SameKCore(u, v, k), exec, |a| {
+            a == QueryAnswer::SameKCore(true)
         })
     }
 
     /// PBKS best-community search on the current snapshot under
     /// `metric`. The heavy regions are PBKS's own (`search.preprocess`,
-    /// `pbks.*`); the service accounts it as one read.
+    /// `pbks.*`); the service accounts it as one read. With the cache
+    /// armed, the answer is memoised per metric like
+    /// [`HcdService::try_core_containing`]'s.
     pub fn try_best_community(
         &self,
         metric: &Metric,
         exec: &Executor,
     ) -> Result<Response<Option<BestCore>>, ParError> {
         let snap = self.cell.load();
-        if let Some(cache) = &self.cache {
-            let key = CacheKey::for_metric(metric);
-            let found = {
-                let _lat = exec.time("serve.cache.lookup");
-                cache.get(snap.generation, &key)
-            };
-            if let Some(CachedAnswer::Best(best)) = found {
-                self.note_cache(exec, cache, 1, 0);
-                self.note_reads(exec, 1, snap.generation);
-                return Ok(Response {
-                    generation: snap.generation,
-                    value: best,
-                });
+        let generation = snap.generation;
+        let key = CacheKey::for_metric(metric);
+        let hit = self.cache.as_ref().and_then(|cache| {
+            match self
+                .memo_lookup(cache, exec, generation, [Some(key)])
+                .pop()?
+            {
+                Some(CachedAnswer::Best(best)) => Some(best),
+                _ => None,
             }
-        }
-        let best = {
-            let _lat = exec.time("serve.query.pbks");
-            try_pbks_on(&snap.graph, &snap.cores, &snap.hcd, metric, exec)?
+        });
+        let value = match hit {
+            Some(best) => best,
+            None => {
+                let best = {
+                    let _lat = exec.time("serve.query.pbks");
+                    try_pbks_on(&snap.graph, &snap.cores, &snap.hcd, metric, exec)?
+                };
+                if let Some(cache) = &self.cache {
+                    let entry = (key, CachedAnswer::Best(best.clone()));
+                    self.memo_store(cache, exec, generation, [entry]);
+                }
+                best
+            }
         };
-        if let Some(cache) = &self.cache {
-            let evicted = cache.insert(
-                snap.generation,
-                CacheKey::for_metric(metric),
-                CachedAnswer::Best(best.clone()),
-            );
-            exec.add_counter(self.names.cache_evictions, evicted);
-            self.note_cache(exec, cache, 0, 1);
-        }
-        self.note_reads(exec, 1, snap.generation);
-        Ok(Response {
-            generation: snap.generation,
-            value: best,
-        })
+        self.note_reads(exec, 1, generation);
+        Ok(Response { generation, value })
     }
 
     /// Answers many independent queries in **one parallel region**
@@ -679,71 +687,56 @@ impl HcdService {
         exec: &Executor,
     ) -> Result<BatchAnswers, ParError> {
         let snap = self.cell.load();
-        let slots: Vec<Mutex<Option<QueryAnswer>>> =
-            queries.iter().map(|_| Mutex::new(None)).collect();
+        let generation = snap.generation;
         // Prefill cacheable answers from the memo before the region
         // opens. The region still iterates every index with identical
         // chunk boundaries and checkpoint cadence — a cache hit only
         // skips the recomputation of an answer this same snapshot
         // already produced, so armed and disarmed runs are
         // bit-identical by construction.
-        let mut from_cache = vec![false; queries.len()];
-        let (mut hits, mut misses) = (0u64, 0u64);
-        if let Some(cache) = &self.cache {
-            let _lk = exec.time("serve.cache.lookup");
-            for (i, q) in queries.iter().enumerate() {
-                if let Some(key) = CacheKey::for_query(q) {
-                    match cache.get(snap.generation, &key) {
-                        Some(CachedAnswer::Core(m)) => {
-                            *slots[i].lock() = Some(QueryAnswer::CoreContaining(m));
-                            from_cache[i] = true;
-                            hits += 1;
-                        }
-                        _ => misses += 1,
+        let prefilled: Vec<Option<QueryAnswer>> = match &self.cache {
+            Some(cache) => self
+                .memo_lookup(
+                    cache,
+                    exec,
+                    generation,
+                    queries.iter().map(CacheKey::for_query),
+                )
+                .into_iter()
+                .map(memo_answer)
+                .collect(),
+            None => vec![None; queries.len()],
+        };
+        // Each chunk returns its range's answers, `None` where the
+        // prefill already holds one.
+        let computed: Vec<Option<QueryAnswer>> = exec
+            .region(self.names.region_query_batch)
+            .try_map_chunks(queries.len(), |_, range| {
+                let mut out = Vec::with_capacity(range.len());
+                for (done, i) in range.enumerate() {
+                    if done % CHECKPOINT_STRIDE == 0 {
+                        exec.checkpoint()?;
                     }
+                    out.push(prefilled[i].is_none().then(|| answer(&snap, &queries[i])));
                 }
-            }
-        }
-        let from_cache_ref = &from_cache;
-        exec.region(self.names.region_query_batch)
-            .try_for_each_chunk(
-                queries.len(),
-                || (),
-                |_, _, range| {
-                    for (done, i) in range.enumerate() {
-                        if done % CHECKPOINT_STRIDE == 0 {
-                            exec.checkpoint()?;
-                        }
-                        if from_cache_ref[i] {
-                            continue;
-                        }
-                        *slots[i].lock() = Some(answer(&snap, &queries[i]));
-                    }
-                    Ok(())
-                },
-            )?;
-        self.note_reads(exec, queries.len() as u64, snap.generation);
-        let answers: Vec<QueryAnswer> = slots
+                Ok(out)
+            })?
             .into_iter()
-            .map(|s| s.into_inner().expect("every query index was answered"))
+            .flatten()
             .collect();
+        self.note_reads(exec, queries.len() as u64, generation);
         if let Some(cache) = &self.cache {
-            let mut evicted = 0;
-            for (i, q) in queries.iter().enumerate() {
-                if from_cache[i] {
-                    continue;
-                }
-                if let (Some(key), QueryAnswer::CoreContaining(m)) =
-                    (CacheKey::for_query(q), &answers[i])
-                {
-                    evicted += cache.insert(snap.generation, key, CachedAnswer::Core(m.clone()));
-                }
-            }
-            exec.add_counter(self.names.cache_evictions, evicted);
-            self.note_cache(exec, cache, hits, misses);
+            let fresh =
+                (queries.iter().zip(&computed)).filter_map(|(q, a)| memo_entry(q, a.as_ref()?));
+            self.memo_store(cache, exec, generation, fresh);
         }
+        let answers = prefilled
+            .into_iter()
+            .zip(computed)
+            .map(|(hit, fresh)| hit.or(fresh).expect("every query index was answered"))
+            .collect();
         Ok(BatchAnswers {
-            generation: snap.generation,
+            generation,
             answers,
         })
     }
@@ -861,17 +854,14 @@ impl HcdService {
         // fault matrix govern it.
         let csr = Arc::clone(w.core.graph().csr());
         let cores = w.core.decomposition();
-        let built: Mutex<Option<hcd_core::Hcd>> = Mutex::new(None);
-        exec.region(self.names.region_rebuild).try_for_each_chunk(
-            1,
-            || (),
-            |_, _, _| {
+        let hcd = exec
+            .region(self.names.region_rebuild)
+            .try_map_chunks(1, |_, _| {
                 exec.checkpoint()?;
-                *built.lock() = Some(hcd_core::try_phcd(&csr, &cores, exec)?);
-                Ok(())
-            },
-        )?;
-        let hcd = built.into_inner().expect("rebuild region ran");
+                hcd_core::try_phcd(&csr, &cores, exec)
+            })?
+            .pop()
+            .expect("a one-item region runs one chunk");
 
         let serving = self.cell.generation();
         if let Some(log) = &mut w.events {
@@ -955,6 +945,7 @@ impl std::fmt::Debug for HcdService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::TempDir;
     use hcd_graph::GraphBuilder;
 
     fn triangle_plus_tail() -> CsrGraph {
@@ -1132,7 +1123,7 @@ mod tests {
     #[test]
     fn noop_batches_publish_nothing_and_log_nothing() {
         let exec = Executor::sequential().with_metrics();
-        let dir = tempdir();
+        let dir = TempDir::new("serve-test");
         let svc = HcdService::try_new_durable(
             &triangle_plus_tail(),
             &dir,
@@ -1187,22 +1178,12 @@ mod tests {
         assert_eq!(resp.generation, 2);
         assert_eq!(resp.value.seq, 2);
         svc.snapshot().validate().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    fn tempdir() -> PathBuf {
-        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        // Relaxed: the id only has to be unique.
-        let id = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("hcd-serve-test-{}-{id}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
     }
 
     #[test]
     fn durable_service_logs_every_acknowledged_batch_and_checkpoints() {
         use crate::wal::{scan_wal_file, TailStatus};
-        let dir = tempdir();
+        let dir = TempDir::new("serve-test");
         let exec = Executor::sequential().with_metrics();
         let cfg = DurabilityConfig {
             fsync: FsyncPolicy::Always,
@@ -1210,7 +1191,7 @@ mod tests {
         };
         let svc = HcdService::try_new_durable(&triangle_plus_tail(), &dir, cfg, &exec).unwrap();
         assert!(svc.is_durable());
-        assert_eq!(svc.durability_dir().unwrap(), dir);
+        assert_eq!(svc.durability_dir().unwrap(), *dir);
         for i in 0..3u32 {
             svc.try_apply_batch(&[EdgeUpdate::Insert(i, i + 5)], &exec)
                 .unwrap();
@@ -1239,7 +1220,7 @@ mod tests {
     #[test]
     fn wal_crash_rejects_the_batch_and_keeps_serving() {
         use hcd_par::{CrashPoint, FaultPlan};
-        let dir = tempdir();
+        let dir = TempDir::new("serve-test");
         let exec = Executor::sequential().with_metrics();
         let svc = HcdService::try_new_durable(
             &triangle_plus_tail(),
@@ -1307,7 +1288,7 @@ mod tests {
 
         // One service runs every exit but the WAL crash, ending with the
         // checkpoint crash that poisons it.
-        let (dir_a, dir_b) = (tempdir(), tempdir());
+        let (dir_a, dir_b) = (TempDir::new("serve-test"), TempDir::new("serve-test"));
         let (svc, path_a) = durable(&dir_a);
         // Count from here: the initial build ran the peel too.
         exec.take_metrics();
@@ -1383,14 +1364,12 @@ mod tests {
         assert_eq!(tally("published"), counter("serve.swaps"));
         assert_eq!(tally("no-op"), counter("serve.noop_batches"));
         assert_eq!(tally("checkpoint"), counter("serve.checkpoints"));
-        std::fs::remove_dir_all(&dir_a).ok();
-        std::fs::remove_dir_all(&dir_b).ok();
     }
 
     #[test]
     fn checkpoint_crash_still_acknowledges_the_batch() {
         use hcd_par::{CrashPoint, FaultPlan};
-        let dir = tempdir();
+        let dir = TempDir::new("serve-test");
         let exec = Executor::sequential();
         let cfg = DurabilityConfig {
             fsync: FsyncPolicy::Always,

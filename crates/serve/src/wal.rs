@@ -445,6 +445,7 @@ impl WalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::TempDir;
     use hcd_par::FaultPlan;
 
     fn batch(n: u32) -> Vec<EdgeUpdate> {
@@ -479,7 +480,7 @@ mod tests {
 
     #[test]
     fn append_then_scan_is_clean() {
-        let dir = tempdir();
+        let dir = TempDir::new("wal-test");
         let path = dir.join(WAL_FILE_NAME);
         let exec = Executor::sequential();
         let mut w = WalWriter::create(&path, FsyncPolicy::Always).unwrap();
@@ -499,7 +500,7 @@ mod tests {
 
     #[test]
     fn missing_file_scans_empty() {
-        let dir = tempdir();
+        let dir = TempDir::new("wal-test");
         let scan = scan_wal_file(dir.join("nope.log")).unwrap();
         assert!(scan.records.is_empty());
         assert_eq!(scan.tail, TailStatus::Clean);
@@ -559,7 +560,7 @@ mod tests {
 
     #[test]
     fn mid_record_crash_leaves_a_torn_recoverable_tail() {
-        let dir = tempdir();
+        let dir = TempDir::new("wal-test");
         let path = dir.join(WAL_FILE_NAME);
         let exec = Executor::sequential();
         let mut w = WalWriter::create(&path, FsyncPolicy::Always).unwrap();
@@ -585,7 +586,7 @@ mod tests {
 
     #[test]
     fn pre_fsync_crash_loses_exactly_the_unsynced_suffix() {
-        let dir = tempdir();
+        let dir = TempDir::new("wal-test");
         let path = dir.join(WAL_FILE_NAME);
         let exec = Executor::sequential();
         // Never fsync: everything is page cache, so a pre-fsync crash
@@ -614,7 +615,7 @@ mod tests {
 
     #[test]
     fn pre_append_crash_writes_nothing() {
-        let dir = tempdir();
+        let dir = TempDir::new("wal-test");
         let path = dir.join(WAL_FILE_NAME);
         let exec = Executor::sequential();
         let mut w = WalWriter::create(&path, FsyncPolicy::Always).unwrap();
@@ -628,7 +629,7 @@ mod tests {
 
     #[test]
     fn open_at_truncates_the_torn_tail_and_resumes() {
-        let dir = tempdir();
+        let dir = TempDir::new("wal-test");
         let path = dir.join(WAL_FILE_NAME);
         let exec = Executor::sequential();
         let mut w = WalWriter::create(&path, FsyncPolicy::Always).unwrap();
@@ -652,15 +653,5 @@ mod tests {
             vec![1, 2]
         );
         assert_eq!(scan.records[1].updates, batch(5));
-    }
-
-    /// Unique-per-test temp dir under the target-adjacent tmp root.
-    fn tempdir() -> PathBuf {
-        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        // Relaxed: the id only has to be unique.
-        let id = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("hcd-wal-test-{}-{id}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
     }
 }
